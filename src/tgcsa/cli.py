@@ -24,7 +24,6 @@ import argparse
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import indexfile, psienc, synth
 from .baseline import EdgeLogIndex
@@ -200,16 +199,12 @@ def cmd_bench(args) -> int:
     rows = [("index", args.index), ("kind", idx.kind), ("n", idx.n),
             ("nu", idx.nu), ("tau", idx.tau),
             ("queries_per_class", args.count), ("repeats", args.repeat),
-            ("warmups", args.warmup), ("threads", args.threads),
-            ("timer", "process_time")]
+            ("warmups", args.warmup), ("timer", "process_time")]
     if idx.kind == "tgcsa":
         rows.insert(2, ("codec", idx.codec))
-    pool = ThreadPoolExecutor(args.threads) if args.threads > 1 else None
 
     def run_batch(queries):
-        if pool is None:
-            return [_run_query(idx, q) for q in queries]
-        return list(pool.map(lambda q: _run_query(idx, q), queries))
+        return [_run_query(idx, q) for q in queries]
 
     for name, queries in classes:
         for _ in range(args.warmup):
@@ -231,8 +226,6 @@ def cmd_bench(args) -> int:
             per_res = [t / results * 1e6 for t in times]
             rows += [(f"{name}.us_per_result_mean", statistics.mean(per_res)),
                      (f"{name}.us_per_result_median", statistics.median(per_res))]
-    if pool is not None:
-        pool.shutdown()
     _report(rows)
     return 0
 
@@ -244,6 +237,19 @@ def _parse_dist(text: str):
     if name == "uniform":
         return name, int(param or 1)
     return name, float(param or 1.5)
+
+
+def _int_from(low: int):
+    """argparse type for an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def cmd_gen(args) -> int:
@@ -307,12 +313,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the query classes")
     p.add_argument("index")
-    p.add_argument("--count", type=int, default=100,
+    p.add_argument("--count", type=_int_from(1), default=100,
                    help="queries per class (default 100)")
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--warmup", type=int, default=1)
+    p.add_argument("--repeat", type=_int_from(1), default=3)
+    p.add_argument("--warmup", type=_int_from(0), default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="generate a synthetic contact file")

@@ -33,6 +33,7 @@ from .bitseq import BitSequence
 
 TAGS = {"plain": 0, "vbyte-rle": 1, "vbyte-rle-select": 2, "huff-rle-opt": 3}
 NAMES = {tag: name for name, tag in TAGS.items()}
+T_PSI_MAX = 0xFFFF  # the TGX1 header stores t_psi in 16 bits
 
 
 def vbyte_encode(value: int, out: bytearray | None = None) -> bytearray:
@@ -168,8 +169,6 @@ class VbyteRlePsi:
     @classmethod
     def build(cls, psi: np.ndarray, D: BitSequence, t_psi: int,
               keep_offsets: bool) -> "VbyteRlePsi":
-        if t_psi < 1:
-            raise ValueError("t_psi must be at least 1")
         n_total = len(psi)
         starts = D.positions()
         stream = bytearray()
@@ -477,8 +476,6 @@ class HuffRlePsi:
 
     @classmethod
     def build(cls, psi: np.ndarray, D=None, t_psi: int = 64) -> "HuffRlePsi":
-        if t_psi < 1:
-            raise ValueError("t_psi must be at least 1")
         n_total = len(psi)
         tokens, span_bounds = cls._tokenize(psi, t_psi)
         freqs = Counter(sym for sym, _, _ in tokens)
@@ -653,26 +650,34 @@ class HuffRlePsi:
 def encode(psi: np.ndarray, D: BitSequence, codec: str = "plain",
            t_psi: int = 64):
     """Build the named encoding of psi. D supplies the group boundaries."""
+    if codec not in TAGS:
+        raise ValueError(f"unknown psi codec {codec!r}")
     psi = np.ascontiguousarray(psi, dtype=np.int64)
     if codec == "plain":
         return PlainPsi.build(psi)
+    _check_t_psi(t_psi)
     if codec == "vbyte-rle":
         return VbyteRlePsi.build(psi, D, t_psi, keep_offsets=True)
     if codec == "vbyte-rle-select":
         return VbyteRlePsi.build(psi, D, t_psi, keep_offsets=False)
-    if codec == "huff-rle-opt":
-        return HuffRlePsi.build(psi, t_psi=t_psi)
-    raise ValueError(f"unknown psi codec {codec!r}")
+    return HuffRlePsi.build(psi, t_psi=t_psi)
 
 
 def from_sections(tag: int, sections, D: BitSequence, t_psi: int):
     """Rebuild an encoding from its serialized sections."""
+    if tag not in NAMES:
+        raise ValueError(f"unknown psi codec tag {tag}")
     if tag == 0:
         return PlainPsi.from_sections(sections)
+    _check_t_psi(t_psi)
     if tag == 1:
         return VbyteRlePsi.from_sections(sections, D, t_psi, keep_offsets=True)
     if tag == 2:
         return VbyteRlePsi.from_sections(sections, D, t_psi, keep_offsets=False)
-    if tag == 3:
-        return HuffRlePsi.from_sections(sections, t_psi, D.nbits)
-    raise ValueError(f"unknown psi codec tag {tag}")
+    return HuffRlePsi.from_sections(sections, t_psi, D.nbits)
+
+
+def _check_t_psi(t_psi: int) -> None:
+    """The sample step of the sampled codecs must fit the image header."""
+    if not 1 <= t_psi <= T_PSI_MAX:
+        raise ValueError(f"t_psi must be in [1, {T_PSI_MAX}], got {t_psi}")

@@ -4,10 +4,18 @@ The id sequence of the sorted contacts is treated as a cyclic string of
 length arity*n. Conceptually every rotation is sorted; because each
 section draws from its own id range, the sorted rotation array A falls
 apart into one block per section. The first block is pinned to contact
-order outright (sorted contacts give exactly that order except for
-degenerate repeated tails, and the cyclic fix-up below relies on it);
-the remaining blocks are true rotation order with ties broken by
-ascending start position.
+order outright (the cyclic fix-up below relies on it); the remaining
+blocks are true rotation order with ties broken by ascending start
+position.
+
+Sorted input gives that order in closed form. A rotation opening at
+section s of contact c reads the rest of contact c, then the whole
+rotation opening at contact c+1 (cyclically). Rotations opening at
+contacts sort in contact order, except for degenerate repeated tails: a
+trailing run of equal contacts wraps onto the smaller first contact, so
+the run sorts in reverse, and when all contacts are equal every rotation
+ties. Each later block is therefore one stable sort by the contact's
+remaining ids, then by the rank of the next contact's rotation.
 
 Psi[i] is the rank of the successor rotation of A[i]. Entries of the
 last section are then remapped with ((Psi[i] - 2) mod n) + 1 so that
@@ -21,57 +29,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import psienc
+from . import psienc, query
 from .bitseq import BitSequence
 from .corpus import AlphabetMap, ContactSet, build_sid
 
 
-def rotation_ranks(sid: np.ndarray) -> np.ndarray:
-    """Rank of every cyclic rotation of sid (0-based start positions).
-
-    Prefix doubling: ranks ordering length-k windows are refined with the
-    ranks k positions further (cyclically) until either all ranks are
-    distinct or the window covers the whole string. Identical rotations
-    keep identical ranks.
-    """
-    n = len(sid)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    # densify first: the distinct-rank early exit below compares against
-    # n-1, which raw symbol values could hit while still holding ties
-    rank = np.unique(np.asarray(sid, dtype=np.int64),
-                     return_inverse=True)[1].astype(np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    k = 1
-    while k < n:
-        if int(rank.max()) == n - 1:
-            break
-        other = rank[(idx + k) % n]
-        order = np.lexsort((other, rank))
-        r1, r2 = rank[order], other[order]
-        bump = np.empty(n, dtype=np.int64)
-        bump[0] = 0
-        np.cumsum((r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1]), out=bump[1:])
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = bump
-        k <<= 1
-    return rank
-
-
 def build_rotation_array(sid: np.ndarray, arity: int) -> np.ndarray:
     """The 1-based rotation array A: section 1 in contact order, the rest
-    in rotation order with positional tie-breaks."""
+    in rotation order with positional tie-breaks.
+
+    sid must hold the contacts in sorted order, as build_sid gives them.
+    """
     total = len(sid)
     if total % arity:
         raise ValueError("id sequence length is not a multiple of the arity")
     n = total // arity
-    ranks = rotation_ranks(sid)
+    rows = np.asarray(sid, dtype=np.int64).reshape(n, arity)
+    # leading id difference of each adjacent contact pair, 0 if they are equal
+    step = np.diff(rows, axis=0)
+    lead = step[np.arange(n - 1), np.argmax(step != 0, axis=1)]
+    if np.any(lead < 0):
+        raise ValueError("id sequence is not in sorted contact order")
+    # rank of the rotation opening at each contact: contact order, except
+    # that a trailing run of equal contacts wraps onto the smaller first
+    # contact and so ranks in reverse, and all-equal contacts tie
+    breaks = np.flatnonzero(lead)
+    if len(breaks):
+        rank = np.arange(n, dtype=np.int64)
+        t = int(breaks[-1]) + 1
+        rank[t:] = rank[:t - 1:-1]
+    else:
+        rank = np.zeros(n, dtype=np.int64)
+    nxt = np.roll(rank, -1)
+    starts = np.arange(n, dtype=np.int64) * arity
     A = np.empty(total, dtype=np.int64)
-    A[:n] = np.arange(n, dtype=np.int64) * arity
+    A[:n] = starts
     for s in range(1, arity):
-        starts = np.arange(n, dtype=np.int64) * arity + s
-        order = np.lexsort((starts, ranks[starts]))
-        A[s * n:(s + 1) * n] = starts[order]
+        order = np.lexsort((nxt, *rows[:, s:].T[::-1]))
+        A[s * n:(s + 1) * n] = starts[order] + s
     return A + 1
 
 
@@ -151,27 +146,21 @@ class TgcsaIndex:
     # uniform query surface (shared with EdgeLogIndex / OracleIndex)
 
     def direct_neighbors(self, u, sem):
-        from . import query
         return query.direct_neighbors(self, u, sem)
 
     def reverse_neighbors(self, v, sem):
-        from . import query
         return query.reverse_neighbors(self, v, sem)
 
     def active_edge(self, u, v, sem):
-        from . import query
         return query.active_edge(self, u, v, sem)
 
     def snapshot(self, sem, contacts=False):
-        from . import query
         return query.snapshot(self, sem, contacts=contacts)
 
     def activated_edges(self, t, t_end=None):
-        from . import query
         return query.activated_edges(self, t, t_end)
 
     def deactivated_edges(self, t, t_end=None):
-        from . import query
         return query.deactivated_edges(self, t, t_end)
 
 
@@ -216,12 +205,11 @@ def verify_core(idx: TgcsaIndex, cs: ContactSet | None = None) -> list[str]:
     if total and idx.D.access(1) != 1:
         problems.append("D does not start with a group mark")
     if cs is not None:
-        from .query import reconstruct_contact
         if len(cs) != idx.n:
             problems.append("contact count differs from n")
         else:
             for q in range(1, idx.n + 1):
-                got = tuple(t for t in reconstruct_contact(idx, q) if t is not None)
+                got = tuple(t for t in query.reconstruct_contact(idx, q) if t is not None)
                 want = tuple(t for t in cs[q - 1] if t is not None)
                 if got != want:
                     problems.append(f"first-section position {q} reconstructs "

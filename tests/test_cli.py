@@ -167,6 +167,46 @@ def test_bench_seed_fixes_the_workload(g5_built, capsys):
     assert counts() == counts()
 
 
+@pytest.mark.parametrize("bad", [
+    ["--count", "0"],
+    ["--repeat", "0"],
+    ["--warmup", "-1"],
+    ["--count", "x"],
+    ["--threads", "2"],     # no thread pool: the queries hold the GIL
+])
+def test_bench_rejects_bad_arguments(g5_built, capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(g5_built)] + bad)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_bench_accepts_no_warmup(g5_built, capsys):
+    assert main(["bench", str(g5_built), "--count", "1", "--repeat", "1",
+                 "--warmup", "0"]) == 0
+    rows = report_of(capsys.readouterr().out)
+    assert rows["warmups"] == "0"
+    assert "threads" not in rows
+
+
+def test_build_t_psi_out_of_range_exits_1(g5_file, tmp_path, capsys):
+    out = tmp_path / "x.tgx"
+    assert main(["build", str(g5_file), "-o", str(out), "--t-psi", "70000"]) == 1
+    assert "t_psi" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_query_zero_t_psi_image_exits_1(g5_built, tmp_path, capsys):
+    blob = bytearray(g5_built.read_bytes())
+    blob[8:10] = b"\x00\x00"   # the u16 t_psi field of the header
+    bad = tmp_path / "bad.tgx"
+    bad.write_bytes(bytes(blob))
+    qf = tmp_path / "q.txt"
+    qf.write_text("D 1 5\n")
+    assert main(["query", str(bad), "--queries", str(qf)]) == 1
+    assert "t_psi" in capsys.readouterr().err
+
+
 def test_gen_writes_header_and_stats(tmp_path, capsys):
     out = tmp_path / "ba.txt"
     assert main(["gen", "ba", "--vertices", "30", "--m", "3",

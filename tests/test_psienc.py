@@ -204,6 +204,26 @@ def test_huffman_build_is_deterministic():
     assert a.to_sections() == b.to_sections()
 
 
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("t", (0, -1, psienc.T_PSI_MAX + 1))
+def test_sampled_codecs_reject_t_psi_outside_header_range(codec, t):
+    psi, D = g5_psi_d()
+    with pytest.raises(ValueError, match="t_psi"):
+        psienc.encode(psi, D, codec=codec, t_psi=t)
+    sections = psienc.encode(psi, D, codec=codec, t_psi=8).to_sections()
+    with pytest.raises(ValueError, match="t_psi"):
+        psienc.from_sections(psienc.TAGS[codec], sections, D, t)
+
+
+def test_t_psi_upper_bound_is_accepted():
+    psi, D = g5_psi_d()
+    for codec in CODECS:
+        enc = psienc.encode(psi, D, codec=codec, t_psi=psienc.T_PSI_MAX)
+        assert enc.range(1, 20) == G5_PSI
+        back = psienc.from_sections(enc.tag, enc.to_sections(), D, psienc.T_PSI_MAX)
+        assert back.range(1, 20) == G5_PSI
+
+
 def test_encode_rejects_unknown_codec():
     psi, D = g5_psi_d()
     with pytest.raises(ValueError):

@@ -1,17 +1,20 @@
 """Rotation array, successor permutation, and the structural verifier.
 
-The fast builders are numpy prefix-doubling; every test here also runs
-the doubled-list reference from conftest so the two routes cross-check.
+The fast builder derives rotation order in closed form from the sorted
+contacts; the tests here also run the doubled-string reference from
+conftest so the two routes cross-check, with repeated contacts (interior
+runs, trailing runs that wrap around, all-equal sets) as the edge cases.
 """
 
 import random
 
 import numpy as np
+import pytest
 
 from tgcsa.corpus import AlphabetMap, ContactSet, build_sid
 from tgcsa.sacsa import (TgcsaIndex, build_d, build_index,
                          build_rotation_array, compute_psi, cyclic_adjust,
-                         rotation_ranks, verify_core)
+                         verify_core)
 from conftest import (G5_A, G5_CONTACTS, G5_D, G5_PSI, G5_SID,
                       naive_adjust, naive_d, naive_psi, naive_rotation_array,
                       random_contactset)
@@ -86,14 +89,32 @@ def test_first_section_stays_in_contact_order():
     assert verify_core(build_index(cs), cs) == []
 
 
-def test_rotation_ranks_orders_rotations():
-    sid = np.array([2, 1, 2, 1, 1, 3])
-    ranks = rotation_ranks(sid)
-    rots = sorted(range(6), key=lambda p: list(sid[p:]) + list(sid[:p]))
-    expect = [0] * 6
-    for r, p in enumerate(rots):
-        expect[p] = r
-    assert ranks.tolist() == expect
+# Runs of equal contacts. A trailing run wraps around onto the smaller
+# first contact, so its later copies sort first in every section after
+# the first; an interior run keeps contact order; all-equal contacts tie.
+REPEATS = {
+    "trailing": [(1, 2, 1, 3), (2, 1, 1, 2), (2, 3, 2, 4), (2, 3, 2, 4), (2, 3, 2, 4)],
+    "interior": [(1, 1, 1, 2), (1, 1, 1, 2), (1, 1, 1, 2), (2, 2, 1, 3)],
+    "all-equal": [(2, 1, 1, 2)] * 4,
+    "both": [(1, 1, 1, 2)] * 3 + [(2, 2, 2, 3)] + [(3, 1, 1, 4)] * 4,
+}
+
+
+@pytest.mark.parametrize("arity", (3, 4))
+@pytest.mark.parametrize("case", sorted(REPEATS))
+def test_repeated_contacts_match_naive(case, arity):
+    cs = ContactSet([row[:arity] for row in REPEATS[case]], arity=arity)
+    sid, A, psi, D = fast_pipeline(cs)
+    nA, npsi, nD = naive_pipeline(sid, arity)
+    assert A.tolist() == nA
+    assert psi.tolist() == npsi
+    assert [D.access(i) for i in range(1, len(D) + 1)] == nD
+    assert verify_core(build_index(cs), cs) == []
+
+
+def test_rotation_array_rejects_unsorted_ids():
+    with pytest.raises(ValueError, match="sorted"):
+        build_rotation_array(np.array([2, 3, 5, 7, 1, 3, 5, 7]), 4)
 
 
 def test_random_graphs_match_naive(subtests=None):
@@ -153,6 +174,5 @@ def test_index_properties(g5_index):
 
 
 def test_build_index_rejects_unknown_codec(g5):
-    import pytest
     with pytest.raises(ValueError):
         build_index(g5, codec="lzma")
