@@ -1,39 +1,37 @@
-"""Plain bit vectors with rank/select directories.
+"""Plain bit vectors with rank and select over their sorted one-positions.
 
 Positions are 1-based everywhere: access(pos) reads bit pos, rank1(pos)
 counts ones in [1, pos] (rank1(0) == 0), and select1(k) returns the
 position of the k-th one. The off-by-one convention matches the rest of
 the index, where 0 doubles as the boundary "before everything".
 
+Each bitmap of the index has at most one one per contact term, so
+besides its words a bitmap keeps the ascending list of its
+one-positions: select1 indexes that list and rank1 bisects it.
+
 Instances are immutable after construction and safe to share between
 threads. Serialization stores the bit length and the payload words; the
-rank and select directories are rebuilt on load.
+one-position list is recomputed on load.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
+from bisect import bisect_right
 
 import numpy as np
-
-SUPER_BITS = 512      # superblock width: absolute rank counts
-BLOCK_BITS = 64       # block width: 16-bit counts relative to the superblock
-SELECT_SAMPLE = 512   # position of every 512th one, narrows select's search
-
-_WORDS_PER_SUPER = SUPER_BITS // BLOCK_BITS
 
 
 class BitSequence:
     """Uncompressed bitmap over 64-bit little-endian words.
 
     Bit i of the sequence lives at bit (i-1) % 64 of word (i-1) // 64.
-    Two directory levels back rank1: absolute counts every 512 bits and
-    relative counts every 64 bits. select1 binary-searches the absolute
-    counts (narrowed by sampled one-positions) and finishes with an
-    in-word scan.
+    The words serve access, serialization and equality; the sorted
+    1-based one-positions (a signed 64-bit array) serve rank and select.
     """
 
-    __slots__ = ("nbits", "_words", "_super", "_block", "_selsamp", "_ones")
+    __slots__ = ("nbits", "_words", "_ones_at")
 
     def __init__(self, words, nbits: int):
         nbits = int(nbits)
@@ -48,28 +46,8 @@ class BitSequence:
             words[-1] &= np.uint64((1 << (nbits % 64)) - 1)
         self.nbits = nbits
         self._words = words
-        self._build_directories()
-
-    def _build_directories(self):
-        nwords = len(self._words)
-        cum = np.zeros(nwords + 1, dtype=np.int64)
-        if nwords:
-            np.cumsum(np.bitwise_count(self._words).astype(np.int64), out=cum[1:])
-        self._ones = int(cum[-1])
-        if nwords:
-            self._super = np.ascontiguousarray(cum[:-1:_WORDS_PER_SUPER])
-            rel = cum[:-1] - np.repeat(self._super, _WORDS_PER_SUPER)[:nwords]
-            self._block = rel.astype(np.uint16)
-        else:
-            self._super = np.zeros(0, dtype=np.int64)
-            self._block = np.zeros(0, dtype=np.uint16)
-        if self._ones:
-            bits = np.unpackbits(self._words.view(np.uint8), bitorder="little",
-                                 count=self.nbits)
-            ones_at = np.flatnonzero(bits).astype(np.int64) + 1
-            self._selsamp = np.ascontiguousarray(ones_at[::SELECT_SAMPLE])
-        else:
-            self._selsamp = np.zeros(0, dtype=np.int64)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little", count=nbits)
+        self._ones_at = array("q", (np.flatnonzero(bits) + 1).astype(np.int64).tobytes())
 
     @classmethod
     def from_bits(cls, bits) -> "BitSequence":
@@ -108,7 +86,7 @@ class BitSequence:
     @property
     def ones(self) -> int:
         """Number of set bits."""
-        return self._ones
+        return len(self._ones_at)
 
     def access(self, pos: int) -> int:
         if not 1 <= pos <= self.nbits:
@@ -118,57 +96,21 @@ class BitSequence:
 
     def rank1(self, pos: int) -> int:
         """Count ones in [1, pos]; pos may be 0."""
-        if pos == 0:
-            return 0
-        if not 1 <= pos <= self.nbits:
+        if not 0 <= pos <= self.nbits:
             raise ValueError(f"rank1({pos}) outside [0, {self.nbits}]")
-        q, r = divmod(pos - 1, 64)
-        kept = int(self._words[q]) & ((1 << (r + 1)) - 1)
-        return int(self._super[q // _WORDS_PER_SUPER]) + int(self._block[q]) + kept.bit_count()
+        return bisect_right(self._ones_at, pos)
 
     def select1(self, k: int) -> int:
         """Position of the k-th one (1-based)."""
-        if not 1 <= k <= self._ones:
-            raise ValueError(f"select1({k}): bitmap has {self._ones} ones")
-        hint = (k - 1) // SELECT_SAMPLE
-        lo = (int(self._selsamp[hint]) - 1) // SUPER_BITS
-        if hint + 1 < len(self._selsamp):
-            hi = (int(self._selsamp[hint + 1]) - 1) // SUPER_BITS + 1
-        else:
-            hi = len(self._super)
-        sb = lo + int(np.searchsorted(self._super[lo:hi], k, side="left")) - 1
-        rem = k - int(self._super[sb])
-        base = sb * _WORDS_PER_SUPER
-        end = min(base + _WORDS_PER_SUPER, len(self._words))
-        w = base
-        for idx in range(base + 1, end):
-            if int(self._block[idx]) < rem:
-                w = idx
-            else:
-                break
-        rem -= int(self._block[w])
-        word = int(self._words[w])
-        pos = w * 64
-        while True:
-            byte = word & 0xFF
-            c = byte.bit_count()
-            if rem <= c:
-                for b in range(8):
-                    if byte >> b & 1:
-                        rem -= 1
-                        if rem == 0:
-                            return pos + b + 1
-            rem -= c
-            word >>= 8
-            pos += 8
+        if not 1 <= k <= len(self._ones_at):
+            raise ValueError(f"select1({k}): bitmap has {len(self._ones_at)} ones")
+        return self._ones_at[k - 1]
 
     def positions(self) -> np.ndarray:
-        """All 1-based positions of set bits, ascending."""
-        if self.nbits == 0:
-            return np.zeros(0, dtype=np.int64)
-        bits = np.unpackbits(self._words.view(np.uint8), bitorder="little",
-                             count=self.nbits)
-        return np.flatnonzero(bits).astype(np.int64) + 1
+        """All 1-based positions of set bits, ascending (a read-only view)."""
+        view = np.frombuffer(self._ones_at, dtype=np.int64)
+        view.setflags(write=False)
+        return view
 
     def serialize(self) -> bytes:
         """Bit length as u64 LE, then the payload padded to whole words."""
@@ -176,8 +118,14 @@ class BitSequence:
 
     @classmethod
     def deserialize(cls, buf) -> "BitSequence":
+        if len(buf) < 8:
+            raise ValueError(f"bitmap blob has {len(buf)} bytes, its header needs 8")
         (nbits,) = struct.unpack_from("<Q", buf, 0)
         nwords = (nbits + 63) // 64
+        if len(buf) != 8 + 8 * nwords:
+            raise ValueError(
+                f"bitmap blob has {len(buf)} bytes, {nbits} bits need {8 + 8 * nwords}"
+            )
         words = np.frombuffer(buf, dtype="<u8", offset=8, count=nwords)
         return cls(words, nbits)
 
@@ -185,4 +133,4 @@ class BitSequence:
         return 8 + 8 * len(self._words)
 
     def __repr__(self):
-        return f"BitSequence(nbits={self.nbits}, ones={self._ones})"
+        return f"BitSequence(nbits={self.nbits}, ones={self.ones})"

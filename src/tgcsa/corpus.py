@@ -187,8 +187,9 @@ class AlphabetMap:
             raise ValueError(f"bitmap length {len(bitmap)} != universe {universe}")
         self.B = bitmap
         self.sigma = bitmap.ones
-        self.values = bitmap.positions()  # sorted shifted values; values[id-1] = select1(B, id)
-        self.values.setflags(write=False)
+        # sorted shifted values, a read-only view of B's one-positions:
+        # values[id-1] == B.select1(id)
+        self.values = bitmap.positions()
 
     @classmethod
     def build(cls, cs: ContactSet) -> "AlphabetMap":

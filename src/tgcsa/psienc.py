@@ -7,9 +7,11 @@ Three ways to store the permutation, all exposing the same small surface
 * vbyte-rle / vbyte-rle-select: per-group gap streams. Within a group the
   first value is a sample; the rest are byte codes for the successive
   differences, with maximal runs of +1 folded into a <1, length> pair.
-  A second sample level cuts decode work to at most t_psi steps. The
-  select variant drops the stored positions and recovers them from the
-  group bitmap instead, which is smaller and a touch slower.
+  A second sample level cuts decode work to at most t_psi steps. Both
+  variants find group starts and sample positions by select and rank on
+  the bitmaps and decode alike; vbyte-rle also writes those positions
+  into its image as two offset tables, which a load checks against the
+  bitmaps, and vbyte-rle-select leaves them out.
 * huff-rle-opt: samples every t_psi positions globally, then Huffman-codes
   run lengths, small literal gaps, and escape classes for everything
   else into a single bitstream.
@@ -116,14 +118,16 @@ class PlainPsi:
         return [head + packed]
 
     @classmethod
-    def from_sections(cls, sections, D=None, t_psi: int = 0) -> "PlainPsi":
+    def from_sections(cls, sections, D: BitSequence) -> "PlainPsi":
         blob = sections[0]
+        if len(blob) < 16:
+            raise ValueError("fixed-width section is shorter than its header")
         n, width = struct.unpack_from("<QB", blob, 0)
-        vals = _unpack_fixed(blob[16:], n, width).astype(np.int64) + 1
-        out = cls(vals)
-        if out.width != width:
+        if n != D.nbits:
+            raise ValueError(f"fixed-width header holds {n} values, D has {D.nbits} bits")
+        if width != max(1, (n - 1).bit_length()) or len(blob) - 16 != (n * width + 7) // 8:
             raise ValueError("fixed-width payload disagrees with its header")
-        return out
+        return cls(_unpack_fixed(blob[16:], n, width).astype(np.int64) + 1)
 
 
 class VbyteRlePsi:
@@ -134,14 +138,16 @@ class VbyteRlePsi:
     position l + j*t_psi inside a group: the value there (s1), the byte
     offset just past the code that covers it (ptr1), and, when that code
     is a run pair, how many +1 steps of the run remain (run1). The D1
-    bitmap marks those positions. With keep_offsets the group starts and
-    sample positions are stored outright (off0/off1); without it they
-    come from select on the group bitmap and arithmetic.
+    bitmap marks those positions. Group starts come from select on the
+    group bitmap D. With keep_offsets the image also carries the group
+    starts (off0) and the sample positions (off1) as u64 tables; they
+    are written from D and D1, checked against them on load, and never
+    held in memory.
     """
 
     def __init__(self, stream: bytes, s0, ptr0, s1, ptr1, run1,
                  D1: BitSequence, D: BitSequence, t_psi: int,
-                 off0=None, off1=None):
+                 keep_offsets: bool):
         self._stream = bytes(stream)
         self._s0 = np.asarray(s0, dtype=np.uint64)
         self._ptr0 = np.asarray(ptr0, dtype=np.uint64)
@@ -151,9 +157,7 @@ class VbyteRlePsi:
         self._D1 = D1
         self._D = D
         self.t_psi = t_psi
-        self._off0 = None if off0 is None else np.asarray(off0, dtype=np.uint64)
-        self._off1 = None if off1 is None else np.asarray(off1, dtype=np.uint64)
-        self.keep_offsets = self._off0 is not None
+        self.keep_offsets = keep_offsets
 
     @property
     def name(self):
@@ -183,19 +187,12 @@ class VbyteRlePsi:
             if r > l:
                 _encode_group(vals, t_psi, stream, s1, ptr1, run1, spos, l)
         D1 = BitSequence.from_positions(spos, n_total)
-        off0 = starts if keep_offsets else None
-        off1 = spos if keep_offsets else None
         return cls(bytes(stream), s0, ptr0, s1, ptr1, run1, D1, D, t_psi,
-                   off0=off0, off1=off1)
-
-    def _group_start(self, c: int) -> int:
-        if self._off0 is not None:
-            return int(self._off0[c - 1])
-        return self._D.select1(c)
+                   keep_offsets)
 
     def access(self, i: int) -> int:
         c = self._D.rank1(i)
-        l = self._group_start(c)
+        l = self._D.select1(c)
         j = (i - l) // self.t_psi
         if j == 0:
             v = int(self._s0[c - 1])
@@ -240,8 +237,8 @@ class VbyteRlePsi:
         n_total = len(self)
         c = self._D.rank1(lo)
         while lo <= hi:
-            l = self._group_start(c)
-            r = self._group_start(c + 1) - 1 if c < sigma else n_total
+            l = self._D.select1(c)
+            r = self._D.select1(c + 1) - 1 if c < sigma else n_total
             stop = min(hi, r)
             j = (lo - l) // self.t_psi
             if j == 0:
@@ -287,18 +284,16 @@ class VbyteRlePsi:
         bits += 64 * (len(self._s0) + len(self._ptr0)
                       + len(self._s1) + len(self._ptr1) + len(self._run1))
         if self.keep_offsets:
-            bits += 64 * (len(self._off0) + len(self._off1))
+            bits += 64 * (self._D.ones + self._D1.ones)
         return bits
 
     def to_sections(self) -> list[bytes]:
-        def u64(a):
-            return np.asarray(a, dtype="<u8").tobytes()
-        parts = [self._stream, u64(self._s0), u64(self._ptr0)]
+        parts = [self._stream, _u64_bytes(self._s0), _u64_bytes(self._ptr0)]
         if self.keep_offsets:
-            parts.append(u64(self._off0))
-        parts += [u64(self._s1), u64(self._ptr1), u64(self._run1)]
+            parts.append(_u64_bytes(self._D.positions()))
+        parts += [_u64_bytes(a) for a in (self._s1, self._ptr1, self._run1)]
         if self.keep_offsets:
-            parts.append(u64(self._off1))
+            parts.append(_u64_bytes(self._D1.positions()))
         parts.append(self._D1.serialize())
         return parts
 
@@ -310,12 +305,20 @@ class VbyteRlePsi:
         it = iter(sections)
         stream = next(it)
         s0, ptr0 = u64(next(it)), u64(next(it))
-        off0 = u64(next(it)) if keep_offsets else None
+        off0 = next(it) if keep_offsets else None
         s1, ptr1, run1 = u64(next(it)), u64(next(it)), u64(next(it))
-        off1 = u64(next(it)) if keep_offsets else None
+        off1 = next(it) if keep_offsets else None
         D1 = BitSequence.deserialize(next(it))
-        return cls(stream, s0, ptr0, s1, ptr1, run1, D1, D, t_psi,
-                   off0=off0, off1=off1)
+        if len(D1) != len(D):
+            raise ValueError("sample bitmap length disagrees with the group bitmap")
+        if keep_offsets and (off0 != _u64_bytes(D.positions())
+                             or off1 != _u64_bytes(D1.positions())):
+            raise ValueError("stored offset tables disagree with their bitmaps")
+        return cls(stream, s0, ptr0, s1, ptr1, run1, D1, D, t_psi, keep_offsets)
+
+
+def _u64_bytes(a) -> bytes:
+    return np.asarray(a, dtype="<u8").tobytes()
 
 
 def _encode_group(vals: np.ndarray, t_psi: int, out: bytearray,
@@ -668,7 +671,7 @@ def from_sections(tag: int, sections, D: BitSequence, t_psi: int):
     if tag not in NAMES:
         raise ValueError(f"unknown psi codec tag {tag}")
     if tag == 0:
-        return PlainPsi.from_sections(sections)
+        return PlainPsi.from_sections(sections, D)
     _check_t_psi(t_psi)
     if tag == 1:
         return VbyteRlePsi.from_sections(sections, D, t_psi, keep_offsets=True)

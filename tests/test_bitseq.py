@@ -37,7 +37,7 @@ def test_small_handmade():
 
 def test_rank_select_match_loops_across_densities():
     rng = random.Random(20240)
-    # sizes straddle the 64-bit block and 512-bit superblock boundaries
+    # sizes straddle the 64-bit word boundary and span several words
     for n in (1, 63, 64, 65, 511, 512, 513, 1500, 4100):
         for density in (0.02, 0.5, 0.97):
             bits = random_bits(rng, n, density)
@@ -120,7 +120,7 @@ def test_serialize_roundtrip():
         assert len(blob) == bs.serialized_length()
         back = BitSequence.deserialize(blob)
         assert back == bs
-        # the directories are rebuilt, queries must still agree
+        # the one-positions are recomputed on load, queries must still agree
         for pos in range(0, n + 1, 17):
             assert back.rank1(pos) == bs.rank1(pos)
         assert back.serialize() == blob
@@ -135,3 +135,18 @@ def test_equality_ignores_directories_but_not_content():
     assert a != c
     assert a != d
     assert a != "101"
+
+
+def test_deserialize_rejects_a_blob_of_the_wrong_length():
+    blob = BitSequence.from_bits([1, 0, 1] * 30).serialize()
+    for bad in (blob[:5], blob[:-8], blob + bytes(8), b"\xff" * 8 + blob[8:]):
+        with pytest.raises(ValueError, match="bitmap blob"):
+            BitSequence.deserialize(bad)
+
+
+def test_positions_is_a_read_only_view():
+    bs = BitSequence.from_bits([0, 1, 1, 0, 1])
+    pos = bs.positions()
+    with pytest.raises(ValueError):
+        pos[0] = 5
+    assert bs.select1(1) == 2

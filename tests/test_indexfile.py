@@ -1,13 +1,14 @@
 """Index image format: canonical bytes and lossless reload."""
 
 import random
+import struct
 
 import pytest
 
 from tgcsa.baseline import EdgeLogIndex
 from tgcsa.corpus import ContactSet
-from tgcsa.indexfile import (deserialize_index, load_index, save_index,
-                             serialize_index)
+from tgcsa.indexfile import (_COUNT, _HEAD, _SHAPE, deserialize_index,
+                             load_index, save_index, serialize_index)
 from tgcsa.sacsa import build_index, verify_core
 from conftest import G5_CONTACTS, assert_same_answers, random_contactset
 
@@ -94,3 +95,57 @@ def test_empty_index_roundtrips():
     back = deserialize_index(serialize_index(idx))
     assert back.n == 0
     assert back.nu == 3 and back.tau == 4
+
+
+def section_spans(blob):
+    """(offset, length) of each section payload in an index image."""
+    pos = _HEAD.size + _SHAPE.size
+    (count, _) = _COUNT.unpack_from(blob, pos)
+    pos += _COUNT.size
+    spans = []
+    for _ in range(count):
+        (length,) = struct.unpack_from("<Q", blob, pos)
+        spans.append((pos + 8, length))
+        pos += 8 + length + (-length) % 8
+    return spans
+
+
+@pytest.mark.parametrize("codec", ALL_CODECS)
+def test_corrupted_image_loads_or_raises_value_error(codec):
+    blob = serialize_index(build_index(ContactSet(G5_CONTACTS), codec=codec, t_psi=16))
+    rng = random.Random(f"corrupt-{codec}")
+    for _ in range(300):
+        bad = bytearray(blob)
+        for _ in range(rng.randint(1, 3)):
+            bad[rng.randrange(len(bad))] = rng.randrange(256)
+        try:
+            deserialize_index(bytes(bad))
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("codec, section, value, message", [
+    ("plain", 2, 1 << 40, "fixed-width header"),     # n of the packed Psi
+    ("vbyte-rle-select", -1, 19, "sample bitmap"),   # nbits of D1, D has 20
+], ids=["plain-n", "D1-nbits"])
+def test_forged_lengths_are_rejected(codec, section, value, message):
+    blob = bytearray(serialize_index(build_index(ContactSet(G5_CONTACTS), codec=codec)))
+    start, _ = section_spans(blob)[section]
+    struct.pack_into("<Q", blob, start, value)
+    with pytest.raises(ValueError, match=message):
+        deserialize_index(bytes(blob))
+
+
+def test_vbyte_offset_tables_must_match_their_bitmaps():
+    # t_psi 1 puts a sample at every non-opening position, so off1 is not empty
+    blob = serialize_index(build_index(ContactSet(G5_CONTACTS), codec="vbyte-rle", t_psi=1))
+    spans = section_spans(blob)
+    assert len(spans) == 11   # B, D, stream, s0, ptr0, off0, s1, ptr1, run1, off1, D1
+    for table in (5, 9):
+        start, length = spans[table]
+        assert length > 0
+        for at in range(start, start + length):
+            bad = bytearray(blob)
+            bad[at] ^= 0xFF
+            with pytest.raises(ValueError, match="offset tables"):
+                deserialize_index(bytes(bad))
