@@ -14,13 +14,17 @@ Three ways to store the permutation, all exposing the same small surface
   bitmaps, and vbyte-rle-select leaves them out.
 * huff-rle-opt: samples every t_psi positions globally, then Huffman-codes
   run lengths, small literal gaps, and escape classes for everything
-  else into a single bitstream.
+  else into a single bitstream. Decoding looks each token up in a table
+  indexed by the next few stream bits, built from the code lengths when
+  the codec is built or loaded.
 
 Byte codes use 7-bit little-endian groups with the high bit set on the
-final byte only, so 5 encodes as 0x85 and 135 as 0x07 0x81. Gaps inside
-a group are never zero (the permutation has no repeats) but can be
-negative when duplicate contacts or the end-section remap invert the
-order; those are written as an escaped 0 followed by the magnitude.
+final byte only, so 5 encodes as 0x85 and 135 as 0x07 0x81. The vbyte
+decoders read each gap code inline; only run lengths and escaped
+magnitudes go through vbyte_decode. Gaps inside a group are never zero
+(the permutation has no repeats) but can be negative when duplicate
+contacts or the end-section remap invert the order; those are written
+as an escaped 0 followed by the magnitude.
 """
 
 from __future__ import annotations
@@ -212,7 +216,15 @@ class VbyteRlePsi:
             steps -= take
         stream = self._stream
         while steps:
-            g, pos = vbyte_decode(stream, pos)
+            b = stream[pos]
+            pos += 1
+            g = b & 0x7F
+            shift = 7
+            while b < 0x80:
+                b = stream[pos]
+                pos += 1
+                g |= (b & 0x7F) << shift
+                shift += 7
             if g == 1:
                 length, pos = vbyte_decode(stream, pos)
                 take = min(steps, length)
@@ -263,7 +275,15 @@ class VbyteRlePsi:
                     p += take
                     rem -= take
                     continue
-                g, pos = vbyte_decode(stream, pos)
+                b = stream[pos]
+                pos += 1
+                g = b & 0x7F
+                shift = 7
+                while b < 0x80:
+                    b = stream[pos]
+                    pos += 1
+                    g |= (b & 0x7F) << shift
+                    shift += 7
                 if g == 1:
                     rem, pos = vbyte_decode(stream, pos)
                     continue
@@ -371,6 +391,7 @@ def _encode_group(vals: np.ndarray, t_psi: int, out: bytearray,
 
 NSV = 1 << 14
 ESC_CLASSES = 64
+TABLE_BITS = 16  # widest code prefix the decode table indexes
 
 
 def _huff_lengths(freqs: Counter) -> dict[int, int]:
@@ -401,35 +422,34 @@ def _huff_lengths(freqs: Counter) -> dict[int, int]:
     return lengths
 
 
-def _canonical_codes(lengths: dict[int, int]):
-    """Assign canonical codes; returns (codes, decode tables).
+def _canonical_code(lengths_u8: bytes):
+    """The canonical code of a codebook that holds one length per symbol.
 
-    codes maps symbol -> (code, nbits). The decode side gets, per code
-    length, the first canonical code and the slice of the sorted symbol
-    list it covers.
+    Returns (syms, lens, first, count, offset): the coded symbols sorted
+    by (length, symbol) with their code lengths, and per code length ln
+    the first canonical code, the number of codes, and where those codes
+    start in syms. Symbol syms[i] of length ln has the code first[ln] +
+    i - offset[ln]. Raises ValueError when the lengths break Kraft's
+    inequality, since no prefix code has them.
     """
-    order = sorted(lengths, key=lambda s: (lengths[s], s))
-    codes = {}
-    code = 0
-    prev = 0
-    for s in order:
-        code <<= lengths[s] - prev
-        prev = lengths[s]
-        codes[s] = (code, lengths[s])
-        code += 1
-    maxlen = prev
+    lengths = np.frombuffer(lengths_u8, dtype=np.uint8)
+    syms = np.flatnonzero(lengths)
+    order = np.argsort(lengths[syms], kind="stable")
+    syms = syms[order]
+    lens = lengths[syms].astype(np.int64)
+    maxlen = int(lens[-1]) if len(lens) else 0
+    count = np.bincount(lens, minlength=maxlen + 1).tolist()
+    if sum(c << (maxlen - ln) for ln, c in enumerate(count) if ln) > 1 << maxlen:
+        raise ValueError("Huffman code lengths break Kraft's inequality")
     first = [0] * (maxlen + 1)
-    count = [0] * (maxlen + 1)
     offset = [0] * (maxlen + 1)
-    pos = 0
+    code = pos = 0
     for ln in range(1, maxlen + 1):
-        syms = [s for s in order[pos:] if lengths[s] == ln]
-        count[ln] = len(syms)
+        first[ln] = code
         offset[ln] = pos
-        if syms:
-            first[ln] = codes[syms[0]][0]
-        pos += len(syms)
-    return codes, (order, first, count, offset, maxlen)
+        code = (code + count[ln]) << 1
+        pos += count[ln]
+    return syms, lens, first, count, offset
 
 
 class _BitWriter:
@@ -457,7 +477,19 @@ class _BitWriter:
 
 
 class HuffRlePsi:
-    """Global samples every t_psi positions over one Huffman bitstream."""
+    """Global samples every t_psi positions over one Huffman bitstream.
+
+    Decoding reads one token per table lookup. The table is indexed by
+    the next k = min(maxlen, TABLE_BITS) stream bits; the canonical codes
+    of length <= k fill it from prefix 0 upwards, each code repeated
+    over the 2**(k - length) prefixes that open with it. An entry holds
+    the whole decoded token as (code length, run length, base delta,
+    signed raw bit count): a run token advances by up to its run length
+    with delta 0, any other token advances one position by the base
+    delta plus (or, for a negative escape, minus) its raw bits. Prefixes
+    past the short codes hold None and finish on the canonical
+    per-length search, which also rejects unassigned codes.
+    """
 
     name = "huff-rle-opt"
     tag = 3
@@ -471,8 +503,33 @@ class HuffRlePsi:
         self._stream_bits = stream_bits
         self.t_psi = t_psi
         self._n = n_total
-        lengths = {sym: ln for sym, ln in enumerate(self._lengths_u8) if ln}
-        _, self._dec = _canonical_codes(lengths) if lengths else ({}, None)
+        # zero padding lets a peek run past the end; _limit catches it
+        self._padded = self._stream + bytes(16)
+        self._limit = 8 * len(self._stream)
+        self._build_table()
+
+    def _build_table(self):
+        syms, lens, first, count, offset = _canonical_code(self._lengths_u8)
+        t = self.t_psi
+        if len(syms) and syms.max() >= t + NSV + 2 * ESC_CLASSES:
+            raise ValueError("Huffman codebook names a symbol outside the alphabet")
+        rel = syms.astype(np.int64) - t      # < 0 run, < NSV literal, then escapes
+        neg = rel >= NSV + ESC_CLASSES
+        k = np.where(neg, rel - NSV - ESC_CLASSES, rel - NSV).clip(0)
+        half = (1 << (k - 1).clip(0)) * (k > 0)
+        run = np.where(rel < 0, rel + t + 1, 1)
+        base = np.select([rel < 0, rel < NSV, neg], [0, rel + 2, -1 - half], NSV + 2 + half)
+        nraw = (k - 1).clip(0) * np.where(neg, -1, 1)
+        self._entries = list(zip(lens.tolist(), run.tolist(), base.tolist(), nraw.tolist()))
+        maxlen = len(first) - 1
+        self._k = width = min(maxlen, TABLE_BITS)
+        self._mask = (1 << width) - 1
+        self._first, self._count, self._offset = first, count, offset
+        short = sum(count[1:width + 1])
+        table = []
+        for e, reps in zip(self._entries, (1 << (width - lens[:short])).tolist()):
+            table += [e] * reps
+        self._table = table + [None] * ((1 << width) - len(table))
 
     def __len__(self):
         return self._n
@@ -481,9 +538,12 @@ class HuffRlePsi:
     def build(cls, psi: np.ndarray, D=None, t_psi: int = 64) -> "HuffRlePsi":
         n_total = len(psi)
         tokens, span_bounds = cls._tokenize(psi, t_psi)
-        freqs = Counter(sym for sym, _, _ in tokens)
-        lengths = _huff_lengths(freqs)
-        codes, _ = _canonical_codes(lengths) if lengths else ({}, None)
+        lengths = _huff_lengths(Counter(sym for sym, _, _ in tokens))
+        max_sym = max(lengths) if lengths else -1
+        lengths_u8 = bytes(lengths.get(s, 0) for s in range(max_sym + 1))
+        syms, lens, first, _, offset = _canonical_code(lengths_u8)
+        codes = {s: (first[ln] + i - offset[ln], ln)
+                 for i, (s, ln) in enumerate(zip(syms.tolist(), lens.tolist()))}
         writer = _BitWriter()
         ptrs = []
         bound = iter(span_bounds)
@@ -500,8 +560,6 @@ class HuffRlePsi:
             ptrs.append(writer.nbits)
             nxt = next(bound, None)
         samples = psi[0::t_psi] if n_total else np.zeros(0, dtype=np.int64)
-        max_sym = max(lengths) if lengths else -1
-        lengths_u8 = bytes(lengths.get(s, 0) for s in range(max_sym + 1))
         return cls(lengths_u8, samples, ptrs, writer.getvalue(),
                    writer.nbits, t_psi, n_total)
 
@@ -542,52 +600,51 @@ class HuffRlePsi:
             p += t
         return tokens, span_bounds
 
-    def _bit(self, pos: int) -> int:
-        return (self._stream[pos >> 3] >> (7 - (pos & 7))) & 1
+    def _peek(self, pos: int, width: int) -> int:
+        """The width stream bits from bit pos on, first bit highest."""
+        b = pos >> 3
+        nbytes = ((pos & 7) + width + 7) >> 3
+        x = int.from_bytes(self._padded[b:b + nbytes], "big")
+        return (x >> (8 * nbytes - (pos & 7) - width)) & ((1 << width) - 1)
 
-    def _read_bits(self, pos: int, width: int) -> tuple[int, int]:
-        v = 0
-        for _ in range(width):
-            v = (v << 1) | self._bit(pos)
-            pos += 1
-        return v, pos
-
-    def _read_symbol(self, pos: int) -> tuple[int, int]:
-        order, first, count, offset, maxlen = self._dec
-        code = 0
-        ln = 0
-        while ln < maxlen:
-            ln += 1
-            code = (code << 1) | self._bit(pos)
-            pos += 1
-            idx = code - first[ln]
-            if count[ln] and 0 <= idx < count[ln]:
-                return order[offset[ln] + idx], pos
+    def _long_code(self, pos: int) -> tuple:
+        """The entry of a code longer than the table width."""
+        first, count, offset = self._first, self._count, self._offset
+        for ln in range(self._k + 1, len(first)):
+            if pos + ln > self._limit:
+                raise ValueError("Huffman code runs past the end of the stream")
+            idx = self._peek(pos, ln) - first[ln]
+            if 0 <= idx < count[ln]:
+                return self._entries[offset[ln] + idx]
         raise ValueError("corrupt Huffman stream")
 
     def _step(self, pos: int) -> tuple[int, int, int]:
-        """Next token as (advance_limit, delta_per_kind, new pos).
+        """Next token as (run, delta, new pos).
 
         Returns (run_length, 0, pos) for a run token and (1, gap, pos)
         for everything else.
         """
-        t = self.t_psi
-        sym, pos = self._read_symbol(pos)
-        if sym < t:
-            return sym + 1, 0, pos
-        if sym < t + NSV:
-            return 1, sym - t + 2, pos
-        if sym < t + NSV + ESC_CLASSES:
-            k = sym - t - NSV
-            raw, pos = (self._read_bits(pos, k - 1) if k else (0, pos))
-            e = raw + (1 << (k - 1)) if k else 0
-            return 1, NSV + 2 + e, pos
-        k = sym - t - NSV - ESC_CLASSES
-        raw, pos = (self._read_bits(pos, k - 1) if k else (0, pos))
-        m = raw + (1 << (k - 1)) if k else 0
-        return 1, -(m + 1), pos
+        b = pos >> 3
+        x = int.from_bytes(self._padded[b:b + 3], "big")
+        e = self._table[(x >> (24 - self._k - (pos & 7))) & self._mask]
+        if e is None:
+            e = self._long_code(pos)
+        ln, run, delta, nraw = e
+        pos += ln
+        if nraw > 0:
+            delta += self._peek(pos, nraw)
+            pos += nraw
+        elif nraw:
+            delta -= self._peek(pos, -nraw)
+            pos -= nraw
+        if pos > self._limit:
+            raise ValueError("Huffman token runs past the end of the stream")
+        return run, delta, pos
 
     def access(self, i: int) -> int:
+        if not 1 <= i <= self._n:
+            # only a corrupted stream or sample hands out such a position
+            raise ValueError(f"Psi position {i} is outside 1..{self._n}")
         k = (i - 1) // self.t_psi
         v = int(self._s[k])
         steps = i - (1 + k * self.t_psi)
@@ -645,7 +702,17 @@ class HuffRlePsi:
         lengths_u8, s_b, ptr_b, stream_b = sections
         samples = np.frombuffer(s_b, dtype="<u8")
         ptrs = np.frombuffer(ptr_b, dtype="<u8")
+        spans = -(-n_total // t_psi)
+        if len(samples) != spans or len(ptrs) != spans:
+            raise ValueError(f"Huffman codec needs {spans} samples and pointers, "
+                             f"the image holds {len(samples)} and {len(ptrs)}")
+        if len(stream_b) < 8:
+            raise ValueError("Huffman stream section is shorter than its header")
         (stream_bits,) = struct.unpack_from("<Q", stream_b, 0)
+        if stream_bits > 8 * (len(stream_b) - 8):
+            raise ValueError("Huffman stream is shorter than its bit count")
+        if np.any(ptrs[1:] < ptrs[:-1]) or (spans and int(ptrs[-1]) > stream_bits):
+            raise ValueError("Huffman span pointers are out of order or past the stream")
         return cls(lengths_u8, samples, ptrs, stream_b[8:], stream_bits,
                    t_psi, n_total)
 

@@ -9,7 +9,9 @@ from tgcsa.baseline import EdgeLogIndex
 from tgcsa.corpus import ContactSet
 from tgcsa.indexfile import (_COUNT, _HEAD, _SHAPE, deserialize_index,
                              load_index, save_index, serialize_index)
+from tgcsa.query import TimeSemantics
 from tgcsa.sacsa import build_index, verify_core
+from tgcsa.synth import GenSpec, generate
 from conftest import G5_CONTACTS, assert_same_answers, random_contactset
 
 ALL_CODECS = ("plain", "vbyte-rle", "vbyte-rle-select", "huff-rle-opt")
@@ -149,3 +151,23 @@ def test_vbyte_offset_tables_must_match_their_bitmaps():
             bad[at] ^= 0xFF
             with pytest.raises(ValueError, match="offset tables"):
                 deserialize_index(bytes(bad))
+
+
+def test_corrupted_huffman_image_answers_or_raises_value_error():
+    # A BA image holds escapes and long codes that G5 lacks. Wrong answers
+    # stay possible: the stream and samples carry no checksum.
+    cs = generate(GenSpec(nu=40, m=3, lifetime=40, dist="uniform", dist_param=5, seed=2))
+    blob = serialize_index(build_index(cs, codec="huff-rle-opt", t_psi=16))
+    rng = random.Random("corrupt-huff-queries")
+    for _ in range(300):
+        bad = bytearray(blob)
+        for _ in range(rng.randint(1, 3)):
+            bad[rng.randrange(len(bad))] = rng.randrange(256)
+        try:
+            idx = deserialize_index(bytes(bad))
+            for t in (5, 20, 35):
+                idx.snapshot(TimeSemantics.instant(t))
+            for u in (1, 7, 20):
+                idx.direct_neighbors(u, TimeSemantics.instant(15))
+        except ValueError:
+            pass

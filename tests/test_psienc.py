@@ -7,6 +7,7 @@ and sign escapes.
 """
 
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -237,3 +238,91 @@ def test_codec_names_and_tags_agree():
     assert psienc.TAGS["huff-rle-opt"] == 3
     for name, tag in psienc.TAGS.items():
         assert psienc.NAMES[tag] == name
+
+
+def long_code_sequence():
+    """One group whose gap pieces occur with Fibonacci frequencies, so the
+    Huffman tree is a chain deeper than the decode table is wide; the
+    rarest pieces are escapes of both signs and a run."""
+    fib = [1, 1]
+    while len(fib) < 20:
+        fib.append(fib[-1] + fib[-2])
+    pieces = [[-40000], [3 * psienc.NSV], [-9], [psienc.NSV + 7], [1, 1, 1]]
+    pieces += [[g] for g in range(2, 17)]
+    gaps = [p for p, f in zip(pieces, fib) for _ in range(f)]
+    random.Random(5).shuffle(gaps)
+    vals = np.cumsum([0] + [g for p in gaps for g in p])
+    psi = vals - vals.min() + 1
+    return psi, BitSequence.from_positions([1], len(psi))
+
+
+@pytest.mark.parametrize("t", (64, 256))
+def test_huffman_long_codes_and_escapes_match_plain(t):
+    psi, D = long_code_sequence()
+    n = len(psi)
+    plain = psienc.encode(psi, D, codec="plain")
+    enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
+    lengths = np.frombuffer(enc._lengths_u8, dtype=np.uint8)
+    pos_esc = t + psienc.NSV
+    neg_esc = pos_esc + psienc.ESC_CLASSES
+    assert lengths.max() > psienc.TABLE_BITS
+    assert lengths[pos_esc:neg_esc].any() and lengths[neg_esc:].any()
+    assert enc.range(1, n) == plain.range(1, n)
+    rng = random.Random(t)
+    for i in [rng.randint(1, n) for _ in range(1500)]:
+        assert enc.access(i) == plain.access(i), i
+    for _ in range(40):
+        lo = rng.randint(1, n)
+        hi = min(n, lo + rng.randint(0, 3 * t))
+        assert enc.range(lo, hi) == plain.range(lo, hi), (lo, hi)
+
+
+def huffman_sections(forge=lambda enc: {}):
+    """The sections of the crafted sequence's huff-rle-opt encoding
+    (t_psi 64) and its D. forge maps the encoding to replacement parts:
+    codebook, samples, ptrs, stream_bits or stream."""
+    psi, D = crafted_sequence()
+    enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=64)
+    parts = dict(codebook=enc._lengths_u8, samples=enc._s, ptrs=enc._ptr,
+                 stream_bits=enc._stream_bits, stream=enc._stream)
+    parts.update(forge(enc))
+    return [parts["codebook"], np.asarray(parts["samples"], dtype="<u8").tobytes(),
+            np.asarray(parts["ptrs"], dtype="<u8").tobytes(),
+            struct.pack("<Q", parts["stream_bits"]) + parts["stream"]], D
+
+
+def test_huffman_sections_load_back():
+    sections, D = huffman_sections()
+    back = psienc.from_sections(psienc.TAGS["huff-rle-opt"], sections, D, 64)
+    assert back.range(1, len(D)) == crafted_sequence()[0].tolist()
+
+
+@pytest.mark.parametrize("forge, message", [
+    (lambda p: dict(codebook=p._lengths_u8 + b"\x01"), "Kraft"),
+    # a complete code whose shortest codeword goes to a symbol past the escapes
+    (lambda p: dict(codebook=b"\x02\x02" + bytes(64 + psienc.NSV + 2 * psienc.ESC_CLASSES)
+                    + b"\x01"), "outside the alphabet"),
+    (lambda p: dict(samples=p._s[:-1]), "samples and pointers"),
+    (lambda p: dict(ptrs=list(p._ptr) + [0]), "samples and pointers"),
+    (lambda p: dict(stream_bits=8 * len(p._stream) + 1), "shorter than its bit count"),
+    (lambda p: dict(ptrs=p._ptr[::-1]), "out of order"),
+    (lambda p: dict(ptrs=list(p._ptr[:-1]) + [p._stream_bits + 1]), "past the stream"),
+], ids=["kraft", "symbol", "samples", "ptrs", "stream-bits", "ptr-order", "ptr-end"])
+def test_huffman_load_rejects_forged_sections(forge, message):
+    sections, D = huffman_sections(forge)
+    with pytest.raises(ValueError, match=message):
+        psienc.from_sections(psienc.TAGS["huff-rle-opt"], sections, D, 64)
+
+
+def test_huffman_decode_stops_at_bad_codes_and_the_stream_end():
+    # run symbols 0 and 1 coded 0 and 10: the prefix 11 is unassigned
+    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xff", 8, 4, 4)
+    with pytest.raises(ValueError, match="corrupt Huffman stream"):
+        enc.access(2)
+    # eight codes 10 (runs of 2) fill the stream; a ninth token would start at its end
+    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xaa", 16, 64, 64)
+    assert enc.access(17) == 17
+    with pytest.raises(ValueError, match="past the end"):
+        enc.access(18)
+    with pytest.raises(ValueError, match="outside"):
+        enc.access(65)
