@@ -105,6 +105,8 @@ def deserialize_index(buf: bytes):
     am = AlphabetMap(arity, nu, tau, B)
     if am.sigma != sigma:
         raise ValueError("alphabet bitmap disagrees with the header")
+    if len(D) != arity * n or D.ones != sigma:
+        raise ValueError("group bitmap disagrees with the header")
     psi = psienc.from_sections(codec, sections[2:], D, t_psi)
     return TgcsaIndex(am, D, psi, n, _SEMANTICS_BACK[flags])
 

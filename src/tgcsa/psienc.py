@@ -1,7 +1,14 @@
 """Psi encodings.
 
 Three ways to store the permutation, all exposing the same small surface
-(access, range, size_bits, serialization sections):
+(access, range, search, size_bits, serialization sections). search(lo,
+hi, x) returns the first i in [lo, hi] with psi(i) >= x, or hi + 1; it
+is valid where that predicate is monotone on [lo, hi], which holds
+inside any group of sections 1..arity-1 when x is a group start of the
+next section. The sampled codecs answer it the way a compressed suffix
+array does: bisect the stored samples, then decode forward inside one
+sample block. Positions outside 1..n raise ValueError, and so does a
+code that runs past the end of its stream.
 
 * plain: every value bit-packed at a fixed width. Fast, no compression.
 * vbyte-rle / vbyte-rle-select: per-group gap streams. Within a group the
@@ -11,7 +18,10 @@ Three ways to store the permutation, all exposing the same small surface
   variants find group starts and sample positions by select and rank on
   the bitmaps and decode alike; vbyte-rle also writes those positions
   into its image as two offset tables, which a load checks against the
-  bitmaps, and vbyte-rle-select leaves them out.
+  bitmaps, and vbyte-rle-select leaves them out. A load also checks the
+  table lengths against the bitmaps, the sample bitmap against the
+  positions D and t_psi give, and the stream pointers against the
+  stream.
 * huff-rle-opt: samples every t_psi positions globally, then Huffman-codes
   run lengths, small literal gaps, and escape classes for everything
   else into a single bitstream. Decoding looks each token up in a table
@@ -31,6 +41,8 @@ from __future__ import annotations
 
 import heapq
 import struct
+from array import array
+from bisect import bisect_left
 from collections import Counter
 
 import numpy as np
@@ -40,6 +52,7 @@ from .bitseq import BitSequence
 TAGS = {"plain": 0, "vbyte-rle": 1, "vbyte-rle-select": 2, "huff-rle-opt": 3}
 NAMES = {tag: name for name, tag in TAGS.items()}
 T_PSI_MAX = 0xFFFF  # the TGX1 header stores t_psi in 16 bits
+_SECTION_COUNTS = {0: 1, 1: 9, 2: 7, 3: 4}
 
 
 def vbyte_encode(value: int, out: bytearray | None = None) -> bytearray:
@@ -86,6 +99,22 @@ def _unpack_fixed(payload: bytes, count: int, width: int) -> np.ndarray:
     return (raw.reshape(count, width).astype(np.uint64) << shifts).sum(axis=1)
 
 
+def _u64_array(a) -> array:
+    """A u64 table as an array("Q"): indexing and bisect see Python ints,
+    with no numpy scalar boxed per read."""
+    return array("Q", np.asarray(a, dtype=np.uint64).tobytes())
+
+
+def _u64_bytes(a) -> bytes:
+    return np.asarray(a, dtype="<u8").tobytes()
+
+
+def _outside(lo: int, hi: int, n: int) -> ValueError:
+    # only a corrupted image hands the codecs such positions
+    return ValueError(f"Psi position {lo} is outside 1..{n}" if lo == hi
+                      else f"Psi positions {lo}..{hi} are outside 1..{n}")
+
+
 class PlainPsi:
     """Fixed-width array: value v stored as v-1 in ceil(log2 N) bits."""
 
@@ -95,7 +124,7 @@ class PlainPsi:
 
     def __init__(self, vals: np.ndarray):
         self._vals = np.ascontiguousarray(vals, dtype=np.int64)
-        n = len(self._vals)
+        self._n = n = len(self._vals)
         self.width = max(1, (n - 1).bit_length()) if n else 1
 
     @classmethod
@@ -103,15 +132,28 @@ class PlainPsi:
         return cls(psi)
 
     def __len__(self):
-        return len(self._vals)
+        return self._n
 
     def access(self, i: int) -> int:
+        if not 1 <= i <= self._n:
+            raise _outside(i, i, self._n)
         return int(self._vals[i - 1])
 
     def range(self, lo: int, hi: int) -> list[int]:
         if lo > hi:
             return []
+        if lo < 1 or hi > self._n:
+            raise _outside(lo, hi, self._n)
         return self._vals[lo - 1:hi].tolist()
+
+    def search(self, lo: int, hi: int, x: int) -> int:
+        """First i in [lo, hi] with psi(i) >= x, or hi + 1; the predicate
+        must be monotone on [lo, hi]."""
+        if lo > hi:
+            return hi + 1
+        if lo < 1 or hi > self._n:
+            raise _outside(lo, hi, self._n)
+        return bisect_left(self._vals, x, lo - 1, hi) + 1
 
     def size_bits(self) -> int:
         return len(self._vals) * self.width
@@ -131,7 +173,10 @@ class PlainPsi:
             raise ValueError(f"fixed-width header holds {n} values, D has {D.nbits} bits")
         if width != max(1, (n - 1).bit_length()) or len(blob) - 16 != (n * width + 7) // 8:
             raise ValueError("fixed-width payload disagrees with its header")
-        return cls(_unpack_fixed(blob[16:], n, width).astype(np.int64) + 1)
+        vals = _unpack_fixed(blob[16:], n, width).astype(np.int64) + 1
+        if n and int(vals.max()) > n:
+            raise ValueError(f"fixed-width Psi holds a value past {n}")
+        return cls(vals)
 
 
 class VbyteRlePsi:
@@ -153,13 +198,11 @@ class VbyteRlePsi:
                  D1: BitSequence, D: BitSequence, t_psi: int,
                  keep_offsets: bool):
         self._stream = bytes(stream)
-        self._s0 = np.asarray(s0, dtype=np.uint64)
-        self._ptr0 = np.asarray(ptr0, dtype=np.uint64)
-        self._s1 = np.asarray(s1, dtype=np.uint64)
-        self._ptr1 = np.asarray(ptr1, dtype=np.uint64)
-        self._run1 = np.asarray(run1, dtype=np.uint64)
+        self._s0, self._ptr0 = _u64_array(s0), _u64_array(ptr0)
+        self._s1, self._ptr1, self._run1 = _u64_array(s1), _u64_array(ptr1), _u64_array(run1)
         self._D1 = D1
         self._D = D
+        self._n = D.nbits
         self.t_psi = t_psi
         self.keep_offsets = keep_offsets
 
@@ -172,7 +215,7 @@ class VbyteRlePsi:
         return 1 if self.keep_offsets else 2
 
     def __len__(self):
-        return self._D.nbits
+        return self._n
 
     @classmethod
     def build(cls, psi: np.ndarray, D: BitSequence, t_psi: int,
@@ -194,83 +237,148 @@ class VbyteRlePsi:
         return cls(bytes(stream), s0, ptr0, s1, ptr1, run1, D1, D, t_psi,
                    keep_offsets)
 
+    def _sample(self, c: int, l: int, j: int) -> tuple[int, int, int, int]:
+        """(p, v, pos, rem) at the j-th sample of group c, which opens at l:
+        its position and value, the stream offset after it, and the +1
+        steps left in the run that covers it. The sample table holds the
+        groups' samples in order, so sample j >= 1 is entry D1.rank1(l) + j."""
+        if j == 0:
+            return l, self._s0[c - 1], self._ptr0[c - 1], 0
+        k = self._D1.rank1(l) + j - 1
+        return l + j * self.t_psi, self._s1[k], self._ptr1[k], self._run1[k]
+
     def access(self, i: int) -> int:
+        if not 1 <= i <= self._n:
+            raise _outside(i, i, self._n)
         c = self._D.rank1(i)
         l = self._D.select1(c)
-        j = (i - l) // self.t_psi
-        if j == 0:
-            v = int(self._s0[c - 1])
-            pos = int(self._ptr0[c - 1])
-            rem = 0
-            steps = i - l
-        else:
-            a = l + j * self.t_psi
-            k = self._D1.rank1(a)
-            v = int(self._s1[k - 1])
-            pos = int(self._ptr1[k - 1])
-            rem = int(self._run1[k - 1])
-            steps = i - a
+        p, v, pos, rem = self._sample(c, l, (i - l) // self.t_psi)
+        steps = i - p
         if steps and rem:
             take = min(steps, rem)
             v += take
             steps -= take
         stream = self._stream
-        while steps:
-            b = stream[pos]
-            pos += 1
-            g = b & 0x7F
-            shift = 7
-            while b < 0x80:
+        try:
+            while steps:
                 b = stream[pos]
                 pos += 1
-                g |= (b & 0x7F) << shift
-                shift += 7
-            if g == 1:
-                length, pos = vbyte_decode(stream, pos)
-                take = min(steps, length)
-                v += take
-                steps -= take
-            elif g == 0:
-                mag, pos = vbyte_decode(stream, pos)
-                v -= mag
-                steps -= 1
-            else:
-                v += g
-                steps -= 1
+                g = b & 0x7F
+                shift = 7
+                while b < 0x80:
+                    b = stream[pos]
+                    pos += 1
+                    g |= (b & 0x7F) << shift
+                    shift += 7
+                if g == 1:
+                    length, pos = vbyte_decode(stream, pos)
+                    take = min(steps, length)
+                    v += take
+                    steps -= take
+                elif g == 0:
+                    mag, pos = vbyte_decode(stream, pos)
+                    v -= mag
+                    steps -= 1
+                else:
+                    v += g
+                    steps -= 1
+        except IndexError:
+            raise _overrun() from None
         return v
 
     def range(self, lo: int, hi: int) -> list[int]:
         """Decode positions lo..hi with one synchronization per group."""
         if lo > hi:
             return []
+        if lo < 1 or hi > self._n:
+            raise _outside(lo, hi, self._n)
         out = []
         stream = self._stream
         sigma = len(self._s0)
-        n_total = len(self)
         c = self._D.rank1(lo)
         while lo <= hi:
             l = self._D.select1(c)
-            r = self._D.select1(c + 1) - 1 if c < sigma else n_total
+            r = self._D.select1(c + 1) - 1 if c < sigma else self._n
             stop = min(hi, r)
-            j = (lo - l) // self.t_psi
-            if j == 0:
-                p, v = l, int(self._s0[c - 1])
-                pos = int(self._ptr0[c - 1])
-                rem = 0
-            else:
-                p = l + j * self.t_psi
-                k = self._D1.rank1(p)
-                v = int(self._s1[k - 1])
-                pos = int(self._ptr1[k - 1])
-                rem = int(self._run1[k - 1])
+            p, v, pos, rem = self._sample(c, l, (lo - l) // self.t_psi)
             if p >= lo:
                 out.append(v)
+            try:
+                while p < stop:
+                    if rem:
+                        take = min(rem, stop - p)
+                        first = max(lo, p + 1)
+                        if first <= p + take:
+                            out.extend(range(v + (first - p), v + take + 1))
+                        v += take
+                        p += take
+                        rem -= take
+                        continue
+                    b = stream[pos]
+                    pos += 1
+                    g = b & 0x7F
+                    shift = 7
+                    while b < 0x80:
+                        b = stream[pos]
+                        pos += 1
+                        g |= (b & 0x7F) << shift
+                        shift += 7
+                    if g == 1:
+                        rem, pos = vbyte_decode(stream, pos)
+                        continue
+                    if g == 0:
+                        mag, pos = vbyte_decode(stream, pos)
+                        v -= mag
+                    else:
+                        v += g
+                    p += 1
+                    if p >= lo:
+                        out.append(v)
+            except IndexError:
+                raise _overrun() from None
+            lo = stop + 1
+            c += 1
+        return out
+
+    def search(self, lo: int, hi: int, x: int) -> int:
+        """First i in [lo, hi] with psi(i) >= x, or hi + 1.
+
+        [lo, hi] must lie in one group on which the predicate is
+        monotone. The samples inside (lo, hi] are bisected for the first
+        one that satisfies it; the answer then lies in the block that
+        ends there (or in the last block), which is decoded forward from
+        the previous sample, a +1 run in one step.
+        """
+        if lo > hi:
+            return hi + 1
+        if lo < 1 or hi > self._n:
+            raise _outside(lo, hi, self._n)
+        c = self._D.rank1(lo)
+        l = self._D.select1(c)
+        if c < len(self._s0) and hi >= self._D.select1(c + 1):
+            raise ValueError(f"Psi search {lo}..{hi} crosses a group end")
+        t = self.t_psi
+        j = (lo - l) // t
+        last = (hi - l) // t
+        stop = hi
+        if last > j:
+            # sample j' >= 1 of the group is table entry base + j'
+            base = self._D1.rank1(l) - 1
+            k = bisect_left(self._s1, x, base + j + 1, base + last + 1) - base
+            if k <= last:
+                stop = l + k * t
+            j = k - 1
+        p, v, pos, rem = self._sample(c, l, j)
+        if p >= lo and v >= x:
+            return p
+        stream = self._stream
+        try:
             while p < stop:
                 if rem:
                     take = min(rem, stop - p)
-                    first = max(lo, p + 1)
-                    if first <= p + take:
-                        out.extend(range(v + (first - p), v + take + 1))
+                    q = max(lo, p + 1, p + x - v)
+                    if q <= p + take:
+                        return q
                     v += take
                     p += take
                     rem -= take
@@ -293,11 +401,11 @@ class VbyteRlePsi:
                 else:
                     v += g
                 p += 1
-                if p >= lo:
-                    out.append(v)
-            lo = stop + 1
-            c += 1
-        return out
+                if p >= lo and v >= x:
+                    return p
+        except IndexError:
+            raise _overrun() from None
+        return hi + 1
 
     def size_bits(self) -> int:
         bits = 8 * len(self._stream) + self._D1.nbits
@@ -334,11 +442,31 @@ class VbyteRlePsi:
         if keep_offsets and (off0 != _u64_bytes(D.positions())
                              or off1 != _u64_bytes(D1.positions())):
             raise ValueError("stored offset tables disagree with their bitmaps")
+        if len(s0) != D.ones or len(ptr0) != D.ones:
+            raise ValueError(f"vbyte codec needs {D.ones} group samples and pointers, "
+                             f"the image holds {len(s0)} and {len(ptr0)}")
+        if not np.array_equal(D1.positions(), _sample_positions(D, t_psi)):
+            raise ValueError("sample bitmap disagrees with the groups and t_psi")
+        if not len(s1) == len(ptr1) == len(run1) == D1.ones:
+            raise ValueError(f"vbyte codec needs {D1.ones} samples, pointers and run "
+                             f"lengths, the image holds {len(s1)}, {len(ptr1)} and {len(run1)}")
+        if any(len(a) and int(a.max()) > len(stream) for a in (ptr0, ptr1)):
+            raise ValueError("vbyte stream pointer past the end of the stream")
         return cls(stream, s0, ptr0, s1, ptr1, run1, D1, D, t_psi, keep_offsets)
 
 
-def _u64_bytes(a) -> bytes:
-    return np.asarray(a, dtype="<u8").tobytes()
+def _sample_positions(D: BitSequence, t_psi: int) -> np.ndarray:
+    """Where the level-two samples sit: l + j*t_psi for every group start l
+    and 1 <= j <= (group length - 1) // t_psi."""
+    starts = D.positions()
+    counts = (np.append(starts[1:], D.nbits + 1) - starts - 1) // t_psi
+    before = np.cumsum(counts) - counts
+    j = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(before, counts) + 1
+    return np.repeat(starts, counts) + j * t_psi
+
+
+def _overrun() -> ValueError:
+    return ValueError("vbyte code runs past the end of the stream")
 
 
 def _encode_group(vals: np.ndarray, t_psi: int, out: bytearray,
@@ -497,8 +625,7 @@ class HuffRlePsi:
     def __init__(self, lengths_u8: bytes, samples, ptrs, stream: bytes,
                  stream_bits: int, t_psi: int, n_total: int):
         self._lengths_u8 = bytes(lengths_u8)
-        self._s = np.asarray(samples, dtype=np.uint64)
-        self._ptr = np.asarray(ptrs, dtype=np.uint64)
+        self._s, self._ptr = _u64_array(samples), _u64_array(ptrs)
         self._stream = bytes(stream)
         self._stream_bits = stream_bits
         self.t_psi = t_psi
@@ -641,14 +768,15 @@ class HuffRlePsi:
             raise ValueError("Huffman token runs past the end of the stream")
         return run, delta, pos
 
+    def _sample(self, k: int) -> tuple[int, int, int]:
+        """(p, v, pos): position, value and stream bit offset of sample k."""
+        return 1 + k * self.t_psi, self._s[k], self._ptr[k]
+
     def access(self, i: int) -> int:
         if not 1 <= i <= self._n:
-            # only a corrupted stream or sample hands out such a position
-            raise ValueError(f"Psi position {i} is outside 1..{self._n}")
-        k = (i - 1) // self.t_psi
-        v = int(self._s[k])
-        steps = i - (1 + k * self.t_psi)
-        pos = int(self._ptr[k])
+            raise _outside(i, i, self._n)
+        p, v, pos = self._sample((i - 1) // self.t_psi)
+        steps = i - p
         while steps:
             run, delta, pos = self._step(pos)
             if delta == 0:
@@ -663,10 +791,9 @@ class HuffRlePsi:
     def range(self, lo: int, hi: int) -> list[int]:
         if lo > hi:
             return []
-        k = (lo - 1) // self.t_psi
-        p = 1 + k * self.t_psi
-        v = int(self._s[k])
-        pos = int(self._ptr[k])
+        if lo < 1 or hi > self._n:
+            raise _outside(lo, hi, self._n)
+        p, v, pos = self._sample((lo - 1) // self.t_psi)
         out = []
         if p >= lo:
             out.append(v)
@@ -686,6 +813,42 @@ class HuffRlePsi:
                     out.append(v)
         return out
 
+    def search(self, lo: int, hi: int, x: int) -> int:
+        """First i in [lo, hi] with psi(i) >= x, or hi + 1; the predicate
+        must be monotone on [lo, hi]. Bisects the samples inside (lo, hi],
+        then decodes forward from the one before the first that passes."""
+        if lo > hi:
+            return hi + 1
+        if lo < 1 or hi > self._n:
+            raise _outside(lo, hi, self._n)
+        t = self.t_psi
+        k = (lo - 1) // t
+        last = (hi - 1) // t
+        stop = hi
+        if last > k:
+            j = bisect_left(self._s, x, k + 1, last + 1)
+            if j <= last:
+                stop = 1 + j * t
+            k = j - 1
+        p, v, pos = self._sample(k)
+        if p >= lo and v >= x:
+            return p
+        while p < stop:
+            run, delta, pos = self._step(pos)
+            if delta == 0:
+                take = min(run, stop - p)
+                q = max(lo, p + 1, p + x - v)
+                if q <= p + take:
+                    return q
+                v += take
+                p += take
+            else:
+                v += delta
+                p += 1
+                if p >= lo and v >= x:
+                    return p
+        return hi + 1
+
     def size_bits(self) -> int:
         return (self._stream_bits + 64 * (len(self._s) + len(self._ptr))
                 + 8 * len(self._lengths_u8))
@@ -693,8 +856,8 @@ class HuffRlePsi:
     def to_sections(self) -> list[bytes]:
         stream = struct.pack("<Q", self._stream_bits) + self._stream
         return [self._lengths_u8,
-                np.asarray(self._s, dtype="<u8").tobytes(),
-                np.asarray(self._ptr, dtype="<u8").tobytes(),
+                _u64_bytes(self._s),
+                _u64_bytes(self._ptr),
                 stream]
 
     @classmethod
@@ -737,6 +900,9 @@ def from_sections(tag: int, sections, D: BitSequence, t_psi: int):
     """Rebuild an encoding from its serialized sections."""
     if tag not in NAMES:
         raise ValueError(f"unknown psi codec tag {tag}")
+    if len(sections) != _SECTION_COUNTS[tag]:
+        raise ValueError(f"{NAMES[tag]} codec has {_SECTION_COUNTS[tag]} sections, "
+                         f"the image holds {len(sections)}")
     if tag == 0:
         return PlainPsi.from_sections(sections, D)
     _check_t_psi(t_psi)

@@ -8,12 +8,23 @@ and "still open after t" is one against an end-time group. The three
 time semantics (an instant, an interval the contact must cover, an
 interval it merely has to touch) only move those two cut points.
 
+Inside a group of sections 1..arity-1 the rotations are sorted by what
+follows, so the symbol of the next position never decreases along the
+group. A cut at a group boundary of the next section is then one Psi
+search, which bisects the codec's samples instead of hopping entry by
+entry: pattern_range narrows by two searches per id, the pair and
+neighbour queries find each target's contacts started by the cut with
+one search, and reverse_neighbors decodes only the stretch of its group
+inside the window. Snapshot and the change queries scan their window.
+
 Positions are 1-based throughout, matching the bitmaps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import Contact
 
@@ -110,42 +121,38 @@ def pattern_range(idx, ids) -> tuple[int, int]:
     """Positions [l, r] in the first id's section whose rotations start
     with the given id sequence; l > r means no match.
 
-    Group order makes the composed symbol ids monotone along a group, so
-    each extra id refines the range with two binary searches over the
-    walk depth reached so far.
+    Along a group of sections 1..arity-1 the symbol of the next position
+    never decreases, so the rotations that go on with id c are those
+    whose next position falls in c's group, and two Psi searches over
+    the positions reached so far find them. From the third id on, those
+    positions are one hop past the kept ones and no longer contiguous;
+    they are searched over the window they span and filtered by it.
     """
     ids = list(ids)
     if not ids:
         raise ValueError("empty pattern")
+    psi = idx.psi
     l, r = symbol_range(idx, ids[0])
-    depth = 0
-    for c in ids[1:]:
-        if l > r:
-            return l, r
-        depth += 1
-
-        def key(i, _d=depth):
-            v = i
-            for _ in range(_d):
-                v = idx.psi.access(v)
-            return idx.D.rank1(v)
-
-        lo, hi = l, r + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if key(mid) < c:
-                lo = mid + 1
-            else:
-                hi = mid
-        first = lo
-        hi = r + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if key(mid) <= c:
-                lo = mid + 1
-            else:
-                hi = mid
-        l, r = first, lo - 1
+    at = None  # from the third id on: the position each rotation of [l, r] has reached
+    for k, c in enumerate(ids[1:]):
+        if l > r or not 1 <= c <= idx.sigma:
+            return l, l - 1
+        if k == 1:
+            at = psi.range(l, r)
+        elif k:
+            at = [psi.access(p) for p in at]
+        a, b = (l, r) if at is None else (min(at), max(at))
+        cl, cr = symbol_range(idx, c)
+        lo = psi.search(a, b, cl)
+        hi = psi.search(lo, b, cr + 1) - 1
+        if at is None:
+            l, r = lo, hi
+            continue
+        kept = [j for j, p in enumerate(at) if lo <= p <= hi]
+        if not kept:
+            return l, l - 1
+        at = at[kept[0]:kept[-1] + 1]
+        l, r = l + kept[0], l + kept[-1]
     return l, r
 
 
@@ -177,6 +184,48 @@ def _target_of(idx, pos2: int) -> int:
     return idx.am.getunmap(idx.D.rank1(pos2), 2)
 
 
+def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
+                  zfloor) -> list[int]:
+    """Section-2 groups among pos2 that hold a contact alive in the window.
+
+    pos2 holds the section-2 positions of a range of one source's
+    section-1 group, in contact order, and groups the section-2 group of
+    each: the positions of one target are adjacent, their groups ascend,
+    and within a target they ascend by start time. A target with one
+    contact takes one hop and, when there is an end cut, a second. For
+    more, its contacts started by the cut (and, under point semantics,
+    since the lower cut) are found by searching its group over the
+    window they span; the end test then runs from the latest start down
+    and stops at the first live contact.
+    """
+    access, search = idx.psi.access, idx.psi.search
+    cut_low = lo > 2 * idx.n + 1
+    out = []
+    j, m = 0, len(pos2)
+    while j < m:
+        c = groups[j]
+        k = j + 1
+        while k < m and groups[k] == c:
+            k += 1
+        if k == j + 1:
+            y = access(pos2[j])
+            live = lo <= y <= hi and (zfloor is None or access(y) > zfloor)
+        else:
+            run = pos2[j:k]
+            a, b = min(run), max(run)
+            end = search(a, b, hi + 1)
+            start = search(a, end - 1, lo) if cut_low else a
+            started = [q for q in reversed(run) if start <= q < end]
+            if zfloor is None:
+                live = bool(started)
+            else:
+                live = any(access(access(q)) > zfloor for q in started)
+        if live:
+            out.append(c)
+        j = k
+    return out
+
+
 def direct_neighbors(idx, u: int, sem: TimeSemantics) -> list[int]:
     """Distinct targets of contacts from u alive under sem, ascending."""
     if idx.n == 0:
@@ -187,22 +236,22 @@ def direct_neighbors(idx, u: int, sem: TimeSemantics) -> list[int]:
     c = idx.am.getmap(u, 1)
     if c == 0:
         return []
-    l, r = symbol_range(idx, c)
     lo, hi, zfloor = _section3_window(idx, p1, p2)
-    psi = idx.psi
-    out = set()
-    for pv in psi.range(l, r):
-        y = psi.access(pv)
-        if not lo <= y <= hi:
-            continue
-        if zfloor is not None and psi.access(y) <= zfloor:
-            continue
-        out.add(_target_of(idx, pv))
-    return sorted(out)
+    if lo > hi:
+        return []
+    l, r = symbol_range(idx, c)
+    pos2 = idx.psi.range(l, r)
+    groups = np.searchsorted(idx.D.positions(), pos2, side="right").tolist()
+    return [idx.am.getunmap(c2, 2)
+            for c2 in _live_targets(idx, pos2, groups, lo, hi, zfloor)]
 
 
 def reverse_neighbors(idx, v: int, sem: TimeSemantics) -> list[int]:
-    """Distinct sources of contacts into v alive under sem, ascending."""
+    """Distinct sources of contacts into v alive under sem, ascending.
+
+    v's group is ordered by start time, so the contacts in the window
+    are one stretch of it, cut out with one search per cut before any
+    decoding."""
     if idx.n == 0:
         return []
     p1, p2 = _check_sem(idx, sem)
@@ -211,13 +260,15 @@ def reverse_neighbors(idx, v: int, sem: TimeSemantics) -> list[int]:
     c = idx.am.getmap(v, 2)
     if c == 0:
         return []
-    l, r = symbol_range(idx, c)
     lo, hi, zfloor = _section3_window(idx, p1, p2)
+    if lo > hi:
+        return []
+    l, r = symbol_range(idx, c)
     psi = idx.psi
+    end = psi.search(l, r, hi + 1)
+    start = psi.search(l, end - 1, lo) if lo > 2 * idx.n + 1 else l
     out = set()
-    for y in psi.range(l, r):
-        if not lo <= y <= hi:
-            continue
+    for y in psi.range(start, end - 1):
         if zfloor is None:
             pos1 = psi.access(y)
         else:
@@ -240,17 +291,12 @@ def active_edge(idx, u: int, v: int, sem: TimeSemantics) -> bool:
     c2 = idx.am.getmap(v, 2)
     if c1 == 0 or c2 == 0:
         return False
-    l, r = pattern_range(idx, (c1, c2))
     lo, hi, zfloor = _section3_window(idx, p1, p2)
-    psi = idx.psi
-    for i in range(l, r + 1):
-        y = psi.access(psi.access(i))
-        if not lo <= y <= hi:
-            continue
-        if zfloor is not None and psi.access(y) <= zfloor:
-            continue
-        return True
-    return False
+    if lo > hi:
+        return False
+    l, r = pattern_range(idx, (c1, c2))
+    return l <= r and bool(_live_targets(idx, idx.psi.range(l, r), [c2] * (r - l + 1),
+                                         lo, hi, zfloor))
 
 
 def snapshot(idx, sem: TimeSemantics, contacts: bool = False):

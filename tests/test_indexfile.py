@@ -129,12 +129,21 @@ def test_corrupted_image_loads_or_raises_value_error(codec):
 @pytest.mark.parametrize("codec, section, value, message", [
     ("plain", 2, 1 << 40, "fixed-width header"),     # n of the packed Psi
     ("vbyte-rle-select", -1, 19, "sample bitmap"),   # nbits of D1, D has 20
-], ids=["plain-n", "D1-nbits"])
+    ("plain", 1, 19, "group bitmap"),                 # nbits of D, arity * n is 20
+], ids=["plain-n", "D1-nbits", "D-nbits"])
 def test_forged_lengths_are_rejected(codec, section, value, message):
     blob = bytearray(serialize_index(build_index(ContactSet(G5_CONTACTS), codec=codec)))
     start, _ = section_spans(blob)[section]
     struct.pack_into("<Q", blob, start, value)
     with pytest.raises(ValueError, match=message):
+        deserialize_index(bytes(blob))
+
+
+def test_plain_values_past_the_positions_are_rejected():
+    blob = bytearray(serialize_index(build_index(ContactSet(G5_CONTACTS), codec="plain")))
+    start, _ = section_spans(blob)[2]
+    blob[start + 16] |= 0x1F   # the first 5-bit value now reads 32, past n = 20
+    with pytest.raises(ValueError, match="past 20"):
         deserialize_index(bytes(blob))
 
 
@@ -153,13 +162,16 @@ def test_vbyte_offset_tables_must_match_their_bitmaps():
                 deserialize_index(bytes(bad))
 
 
-def test_corrupted_huffman_image_answers_or_raises_value_error():
-    # A BA image holds escapes and long codes that G5 lacks. Wrong answers
-    # stay possible: the stream and samples carry no checksum.
+def query_corrupted_ba_images(codec, trials, seed):
+    """Load and query `trials` 1-3-byte corruptions of a BA image, drawn
+    from random.Random(seed). The image holds escapes, long codes and
+    multi-contact edges that G5 lacks. Each corruption must answer or
+    raise ValueError. Wrong answers stay possible: the stream and samples
+    carry no checksum."""
     cs = generate(GenSpec(nu=40, m=3, lifetime=40, dist="uniform", dist_param=5, seed=2))
-    blob = serialize_index(build_index(cs, codec="huff-rle-opt", t_psi=16))
-    rng = random.Random("corrupt-huff-queries")
-    for _ in range(300):
+    blob = serialize_index(build_index(cs, codec=codec, t_psi=16))
+    rng = random.Random(seed)
+    for _ in range(trials):
         bad = bytearray(blob)
         for _ in range(rng.randint(1, 3)):
             bad[rng.randrange(len(bad))] = rng.randrange(256)
@@ -168,6 +180,19 @@ def test_corrupted_huffman_image_answers_or_raises_value_error():
             for t in (5, 20, 35):
                 idx.snapshot(TimeSemantics.instant(t))
             for u in (1, 7, 20):
-                idx.direct_neighbors(u, TimeSemantics.instant(15))
+                sem = TimeSemantics.instant(15)
+                idx.direct_neighbors(u, sem)
+                idx.reverse_neighbors(u, sem)
+                idx.active_edge(u, 1, sem)
+                idx.active_edge(u, 2, TimeSemantics.weak(3, 30))
         except ValueError:
             pass
+
+
+def test_corrupted_huffman_image_answers_or_raises_value_error():
+    query_corrupted_ba_images("huff-rle-opt", 300, "corrupt-huff-queries")
+
+
+@pytest.mark.parametrize("codec", ("plain", "vbyte-rle", "vbyte-rle-select"))
+def test_corrupted_image_queries_raise_only_value_error(codec):
+    query_corrupted_ba_images(codec, 400, f"corrupt-queries-{codec}")

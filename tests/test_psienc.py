@@ -326,3 +326,136 @@ def test_huffman_decode_stops_at_bad_codes_and_the_stream_end():
         enc.access(18)
     with pytest.raises(ValueError, match="outside"):
         enc.access(65)
+
+
+def search_graphs():
+    """Small graphs with duplicate contacts (so negative gaps) at both arities."""
+    rng = random.Random(660)
+    graphs = []
+    for _ in range(4):
+        graphs.append(random_contactset(seed=rng.randrange(10**9), duplicates=True,
+                                        n_edges=rng.randint(6, 16)))
+    for semantics in ("incremental", "point"):
+        for _ in range(2):
+            nu, tau = rng.randint(2, 6), rng.randint(3, 8)
+            rows = [(rng.randint(1, nu), rng.randint(1, nu), rng.randint(1, tau))
+                    for _ in range(rng.randint(6, 20))]
+            rows += rows[:4]
+            graphs.append(ContactSet(rows, arity=3, nu=nu, tau=tau, semantics=semantics))
+    return graphs
+
+
+def brute_search(psi, lo, hi, x):
+    return next((i for i in range(lo, hi + 1) if psi[i - 1] >= x), hi + 1)
+
+
+@pytest.mark.parametrize("codec", ("plain",) + CODECS)
+def test_search_matches_brute_force(codec):
+    # every group of sections 1..arity-1, every group start x of the next
+    # section (and the position past it), and sub-ranges inside the group
+    rng = random.Random(codec)
+    for cs in search_graphs():
+        psi, D = psi_and_d(cs)
+        n = len(cs)
+        want = psi.tolist()
+        bounds = D.positions().tolist() + [len(psi) + 1]
+        groups = [(l, nxt - 1) for l, nxt in zip(bounds, bounds[1:])
+                  if l <= (cs.arity - 1) * n]
+        assert any(b < a for a, b in zip(want, want[1:]))   # a negative gap
+        for t in (1, 2, 3, 64):
+            enc = psienc.encode(psi, D, codec=codec, t_psi=t)
+            for l, r in groups:
+                section = (l - 1) // n + 1
+                xs = [x for x in bounds if section * n < x <= (section + 1) * n]
+                xs.append((section + 1) * n + 1)
+                spans = [(lo, hi) for lo in range(l, r + 1) for hi in range(lo, r + 1)]
+                if len(spans) > 40:
+                    spans = [(l, r)] + rng.sample(spans, 40)
+                for x in xs:
+                    for lo, hi in spans:
+                        assert enc.search(lo, hi, x) == brute_search(want, lo, hi, x), \
+                            (cs.arity, t, lo, hi, x)
+                    assert enc.search(r + 1, r, x) == r + 1
+
+
+@pytest.mark.parametrize("codec", ("plain",) + CODECS)
+def test_search_solves_long_runs_and_escapes(codec):
+    # the crafted group climbs through runs longer than t_psi, a giant gap
+    # and descents; a threshold x inside a monotone stretch is still valid
+    psi, D = crafted_sequence()
+    want = psi.tolist()
+    stretches = [(1, 702), (703, 744), (745, 757)]
+    for t in (1, 3, 64):
+        enc = psienc.encode(psi, D, codec=codec, t_psi=t)
+        for lo, hi in stretches:
+            for x in range(min(want[lo - 1:hi]) - 1, max(want[lo - 1:hi]) + 2, 7):
+                assert enc.search(lo, hi, x) == brute_search(want, lo, hi, x), (t, lo, hi, x)
+
+
+@pytest.mark.parametrize("codec", ("plain",) + CODECS)
+def test_positions_outside_psi_raise_value_error(codec):
+    psi, D = g5_psi_d()
+    enc = psienc.encode(psi, D, codec=codec, t_psi=4)
+    for call in (lambda: enc.access(0), lambda: enc.access(21),
+                 lambda: enc.range(0, 3), lambda: enc.range(18, 21),
+                 lambda: enc.search(0, 2, 7), lambda: enc.search(20, 21, 1)):
+        with pytest.raises(ValueError, match="outside"):
+            call()
+
+
+@pytest.mark.parametrize("codec", ("vbyte-rle", "vbyte-rle-select"))
+def test_vbyte_search_stays_inside_one_group(codec):
+    # G5's first group is positions 1..2; its samples say nothing of position 3
+    psi, D = g5_psi_d()
+    enc = psienc.encode(psi, D, codec=codec, t_psi=1)
+    assert enc.search(1, 2, 8) == 2
+    with pytest.raises(ValueError, match="group end"):
+        enc.search(1, 3, 8)
+
+
+def vbyte_sections(forge=lambda enc: {}):
+    """The vbyte-rle-select sections of the crafted sequence (t_psi 64)
+    and its D. forge maps the encoding to replacement parts: stream, s0,
+    ptr0, s1, ptr1, run1 or D1."""
+    psi, D = crafted_sequence()
+    enc = psienc.encode(psi, D, codec="vbyte-rle-select", t_psi=64)
+    parts = dict(stream=enc._stream, s0=enc._s0, ptr0=enc._ptr0, s1=enc._s1,
+                 ptr1=enc._ptr1, run1=enc._run1, D1=enc._D1)
+    parts.update(forge(enc))
+    tables = [np.asarray(parts[k], dtype="<u8").tobytes()
+              for k in ("s0", "ptr0", "s1", "ptr1", "run1")]
+    return [parts["stream"], *tables, parts["D1"].serialize()], D
+
+
+@pytest.mark.parametrize("forge, message", [
+    (lambda p: dict(s0=list(p._s0) + [1]), "group samples and pointers"),
+    (lambda p: dict(s1=p._s1[:-1]), "samples, pointers and run lengths"),
+    (lambda p: dict(run1=list(p._run1) + [0]), "samples, pointers and run lengths"),
+    # same number of samples, each one position late
+    (lambda p: dict(D1=BitSequence.from_positions(p._D1.positions() + 1, len(p._D1))),
+     "sample bitmap disagrees"),
+    (lambda p: dict(ptr1=list(p._ptr1[:-1]) + [len(p._stream) + 1]), "past the end"),
+    (lambda p: dict(ptr0=[len(p._stream) + 1]), "past the end"),
+], ids=["s0", "s1", "run1", "D1", "ptr1", "ptr0"])
+def test_vbyte_load_rejects_forged_sections(forge, message):
+    sections, D = vbyte_sections(forge)
+    with pytest.raises(ValueError, match=message):
+        psienc.from_sections(psienc.TAGS["vbyte-rle-select"], sections, D, 64)
+
+
+def test_vbyte_decode_stops_at_the_stream_end():
+    sections, D = vbyte_sections()
+    back = psienc.from_sections(psienc.TAGS["vbyte-rle-select"], sections, D, 64)
+    assert back.range(1, len(D)) == crafted_sequence()[0].tolist()
+    with pytest.raises(ValueError, match="sections"):
+        psienc.from_sections(psienc.TAGS["vbyte-rle-select"], sections[:-1], D, 64)
+    # cut the stream just past its last sample pointer: every pointer
+    # still fits, but the codes after it are gone
+    cut = max(back._ptr1)
+    sections[0] = sections[0][:cut]
+    short = psienc.from_sections(psienc.TAGS["vbyte-rle-select"], sections, D, 64)
+    n = len(D)
+    for call in (lambda: short.access(n), lambda: short.range(1, n),
+                 lambda: short.search(n - 1, n, n + 1)):
+        with pytest.raises(ValueError, match="past the end of the stream"):
+            call()

@@ -205,3 +205,105 @@ def test_empty_contact_set():
     assert direct_neighbors(idx, 2, sem) == []
     assert snapshot(idx, sem) == []
     assert activated_edges(idx, 3) == []
+
+
+ALL_CODECS = ("plain", "vbyte-rle", "vbyte-rle-select", "huff-rle-opt")
+TERMS = ("u", "v", "ts", "te")
+
+
+def contact_pattern_range(cs, section, values):
+    """Where the rotations opening with values sit in section `section`:
+    that section sorts its rotations by the contact's terms from there on,
+    so they follow every contact whose terms compare lower."""
+    n = len(cs)
+    cols = [getattr(cs, name) for name in TERMS[section - 1:section - 1 + len(values)]]
+    rows = [tuple(int(col[i]) for col in cols) for i in range(n)]
+    less = sum(row < tuple(values) for row in rows)
+    base = (section - 1) * n
+    return base + less + 1, base + less + rows.count(tuple(values))
+
+
+def check_pattern_ranges(idx, cs, rng):
+    rows = cs.tuples()
+    for section in range(1, cs.arity):
+        for length in range(2, cs.arity - section + 2):
+            picks = [row[section - 1:section - 1 + length] for row in rng.sample(rows, min(6, len(rows)))]
+            # terms of different contacts: mostly patterns that match nothing
+            picks += [tuple(rng.choice(rows)[section - 1 + k] for k in range(length))
+                      for _ in range(6)]
+            for values in picks:
+                ids = [idx.am.getmap(x, section + k) for k, x in enumerate(values)]
+                l, r = pattern_range(idx, ids)
+                want_l, want_r = contact_pattern_range(cs, section, values)
+                if want_l <= want_r:
+                    assert (l, r) == (want_l, want_r), (section, values)
+                else:
+                    assert l > r, (section, values)
+                for bad in (0, idx.sigma + 1):
+                    l, r = pattern_range(idx, ids[:-1] + [bad])
+                    assert l > r
+
+
+def check_neighbour_queries(idx, oracle, sems):
+    for sem in sems:
+        for u in range(1, idx.nu + 1):
+            assert idx.direct_neighbors(u, sem) == oracle.direct_neighbors(u, sem), (u, sem)
+            assert idx.reverse_neighbors(u, sem) == oracle.reverse_neighbors(u, sem), (u, sem)
+            for v in range(1, idx.nu + 1):
+                assert idx.active_edge(u, v, sem) == oracle.active_edge(u, v, sem), (u, v, sem)
+
+
+def sample_semantics(rng, tau, intervals=True):
+    sems = [TimeSemantics.instant(rng.randint(1, tau)) for _ in range(3)]
+    if intervals:
+        for _ in range(2):
+            t = rng.randint(1, tau)
+            t_end = rng.randint(t + 1, tau + 1)
+            sems += [TimeSemantics.strong(t, t_end), TimeSemantics.weak(t, t_end)]
+    return sems
+
+
+@pytest.mark.parametrize("codec", ALL_CODECS)
+def test_every_codec_matches_the_oracle(codec):
+    rng = random.Random(f"all-codecs-{codec}")
+    for trial in range(6):
+        cs = random_contactset(seed=rng.randrange(10**9), duplicates=True,
+                               n_edges=rng.randint(6, 20))
+        idx = build_index(cs, codec=codec, t_psi=rng.choice((1, 2, 4, 64)))
+        check_neighbour_queries(idx, OracleIndex(cs), sample_semantics(rng, cs.tau))
+        check_pattern_ranges(idx, cs, rng)
+    for semantics in ("incremental", "point"):
+        for _ in range(3):
+            nu, tau = rng.randint(2, 7), rng.randint(3, 9)
+            rows = [(rng.randint(1, nu), rng.randint(1, nu), rng.randint(1, tau))
+                    for _ in range(rng.randint(4, 18))]
+            rows += rows[:3]
+            cs = ContactSet(rows, arity=3, nu=nu, tau=tau, semantics=semantics)
+            idx = build_index(cs, codec=codec, t_psi=rng.choice((1, 3, 64)))
+            check_neighbour_queries(idx, OracleIndex(cs), sample_semantics(rng, tau))
+            check_pattern_ranges(idx, cs, rng)
+
+
+@pytest.mark.parametrize("codec", ALL_CODECS)
+def test_pair_lookups_skip_pointwise_access(codec, monkeypatch):
+    # vertex 1 sends four contacts to 2, all starting after t = 4, among
+    # contacts to and from other vertices
+    rows = [(1, 2, ts, ts + 3) for ts in (5, 7, 9, 12)]
+    rows += [(1, v, 1 + v % 5, 16) for v in range(3, 12)]
+    rows += [(u, 2, 2, 3 + u % 9) for u in range(3, 14)]
+    cs = ContactSet(rows, nu=13, tau=16)
+    idx = build_index(cs, codec=codec, t_psi=4)
+    calls = []
+    cls = type(idx.psi)
+    access = cls.access
+    monkeypatch.setattr(cls, "access", lambda self, i: calls.append(i) or access(self, i))
+
+    for u, v in [(1, 2), (1, 3), (1, 11), (4, 2), (13, 2)]:
+        l, r = pattern_range(idx, (idx.am.getmap(u, 1), idx.am.getmap(v, 2)))
+        assert l <= r
+    assert active_edge(idx, 1, 2, TimeSemantics.instant(4)) is False
+    assert active_edge(idx, 1, 2, TimeSemantics.strong(2, 5)) is False
+    assert calls == []
+    # a live contact does take hops, so the counter sees them
+    assert active_edge(idx, 1, 2, TimeSemantics.instant(13)) is True
+    assert calls
