@@ -111,10 +111,15 @@ def _dgap_decode(stream, lo: int, hi: int) -> list[int]:
     out = []
     acc = 0
     pos = lo
-    while pos < hi:
-        g, pos = vbyte_decode(stream, pos)
-        acc += g
-        out.append(acc)
+    try:
+        while pos < hi:
+            g, pos = vbyte_decode(stream, pos)
+            acc += g
+            out.append(acc)
+    except IndexError:   # ran off the end of the stream
+        pos = hi + 1
+    if pos > hi:
+        raise ValueError("edge log code runs past the end of its list")
     return out
 
 
@@ -124,7 +129,10 @@ class EdgeLogIndex:
     Three byte streams with offset tables: targets per source, the
     alternating time sequence per edge, and sources per target. Time
     sequences are strictly increasing, which the build checks; the first
-    failure is reported with the offending edge.
+    failure is reported with the offending edge. A load checks each
+    table's length against nu and the edge count, and its offsets against
+    its stream; queries raise ValueError on lists that disagree with the
+    tables.
     """
 
     kind = "edgelog"
@@ -204,6 +212,37 @@ class EdgeLogIndex:
         return cls(nu, cs.tau, n, adj, adj_off, edge_base,
                    times, time_off, rev, rev_off)
 
+    def to_sections(self) -> list[bytes]:
+        def i64(a):
+            return np.asarray(a, dtype="<i8").tobytes()
+        return [self.adj_stream, i64(self.adj_off), i64(self.edge_base),
+                self.time_stream, i64(self.time_off),
+                self.rev_stream, i64(self.rev_off)]
+
+    @classmethod
+    def from_sections(cls, nu: int, tau: int, n: int, sections) -> "EdgeLogIndex":
+        if len(sections) != 7:
+            raise ValueError(f"edge log has 7 sections, the image holds {len(sections)}")
+        adj, adj_off, edge_base, times, time_off, rev, rev_off = sections
+        adj_off, edge_base, time_off, rev_off = (
+            np.frombuffer(b, dtype="<i8") for b in (adj_off, edge_base, time_off, rev_off))
+        for name, table in (("adjacency", adj_off), ("edge base", edge_base),
+                            ("reverse", rev_off)):
+            if len(table) != nu + 1:
+                raise ValueError(f"edge log {name} table has {len(table)} entries, "
+                                 f"nu = {nu} needs {nu + 1}")
+        if edge_base[0] != 0 or np.any(edge_base[1:] < edge_base[:-1]):
+            raise ValueError("edge log edge bases do not rise from 0")
+        if len(time_off) != edge_base[-1] + 1:
+            raise ValueError(f"edge log time table has {len(time_off)} entries, "
+                             f"{edge_base[-1]} edges need {edge_base[-1] + 1}")
+        for name, table, stream in (("adjacency", adj_off, adj), ("time", time_off, times),
+                                    ("reverse", rev_off, rev)):
+            if table[0] != 0 or np.any(table[1:] < table[:-1]) or table[-1] != len(stream):
+                raise ValueError(f"edge log {name} offsets do not run from 0 to "
+                                 f"the end of their stream")
+        return cls(nu, tau, n, adj, adj_off, edge_base, times, time_off, rev, rev_off)
+
     def size_bits(self) -> int:
         streams = len(self.adj_stream) + len(self.time_stream) + len(self.rev_stream)
         tables = (len(self.adj_off) + len(self.edge_base)
@@ -213,17 +252,27 @@ class EdgeLogIndex:
     def __repr__(self):
         return f"EdgeLogIndex(n={self.n}, nu={self.nu}, tau={self.tau})"
 
+    def _vertices(self, stream, off, x: int) -> list[int]:
+        out = _dgap_decode(stream, int(off[x - 1]), int(off[x]))
+        if out and (out[0] < 1 or out[-1] > self.nu):
+            raise ValueError(f"edge log list of vertex {x} names a vertex outside 1..{self.nu}")
+        return out
+
     def _targets(self, u: int) -> list[int]:
-        return _dgap_decode(self.adj_stream,
-                            int(self.adj_off[u - 1]), int(self.adj_off[u]))
+        out = self._vertices(self.adj_stream, self.adj_off, u)
+        if len(out) != self.edge_base[u] - self.edge_base[u - 1]:
+            raise ValueError(f"edge log targets of {u} disagree with its edge count")
+        return out
 
     def _sources(self, v: int) -> list[int]:
-        return _dgap_decode(self.rev_stream,
-                            int(self.rev_off[v - 1]), int(self.rev_off[v]))
+        return self._vertices(self.rev_stream, self.rev_off, v)
 
     def _times(self, e: int) -> list[int]:
-        return _dgap_decode(self.time_stream,
-                            int(self.time_off[e]), int(self.time_off[e + 1]))
+        out = _dgap_decode(self.time_stream,
+                           int(self.time_off[e]), int(self.time_off[e + 1]))
+        if len(out) % 2:
+            raise ValueError(f"edge log time list of edge {e} has odd length {len(out)}")
+        return out
 
     def _edge_id(self, u: int, targets: list[int], v: int) -> int:
         return int(self.edge_base[u - 1]) + targets.index(v)

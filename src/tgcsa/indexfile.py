@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import struct
 
-import numpy as np
-
 from . import psienc
 from .baseline import EdgeLogIndex
 from .bitseq import BitSequence
@@ -55,14 +53,7 @@ def serialize_index(idx) -> bytes:
     if idx.kind == "edgelog":
         head = _HEAD.pack(MAGIC, VERSION, 4, EDGELOG_TAG, 0, 0, 0)
         head += _SHAPE.pack(idx.n, idx.nu, idx.tau, 0)
-
-        def i64(a):
-            return np.asarray(a, dtype="<i8").tobytes()
-
-        sections = [idx.adj_stream, i64(idx.adj_off), i64(idx.edge_base),
-                    idx.time_stream, i64(idx.time_off),
-                    idx.rev_stream, i64(idx.rev_off)]
-        return _emit(head, sections)
+        return _emit(head, idx.to_sections())
     raise TypeError(f"cannot serialize an index of kind {idx.kind!r}")
 
 
@@ -92,11 +83,7 @@ def deserialize_index(buf: bytes):
         raise ValueError("truncated index image")
 
     if codec == EDGELOG_TAG:
-        def i64(b):
-            return np.frombuffer(b, dtype="<i8")
-        adj, adj_off, edge_base, times, time_off, rev, rev_off = sections
-        return EdgeLogIndex(nu, tau, n, adj, i64(adj_off), i64(edge_base),
-                            times, i64(time_off), rev, i64(rev_off))
+        return EdgeLogIndex.from_sections(nu, tau, n, sections)
 
     if flags not in _SEMANTICS_BACK:
         raise ValueError(f"unknown semantics flag {flags}")

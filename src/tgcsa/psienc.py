@@ -11,17 +11,17 @@ sample block. Positions outside 1..n raise ValueError, and so does a
 code that runs past the end of its stream.
 
 * plain: every value bit-packed at a fixed width. Fast, no compression.
-* vbyte-rle / vbyte-rle-select: per-group gap streams. Within a group the
-  first value is a sample; the rest are byte codes for the successive
-  differences, with maximal runs of +1 folded into a <1, length> pair.
-  A second sample level cuts decode work to at most t_psi steps. Both
-  variants find group starts and sample positions by select and rank on
-  the bitmaps and decode alike; vbyte-rle also writes those positions
-  into its image as two offset tables, which a load checks against the
-  bitmaps, and vbyte-rle-select leaves them out. A load also checks the
-  table lengths against the bitmaps, the sample bitmap against the
-  positions D and t_psi give, and the stream pointers against the
-  stream.
+* vbyte-rle: per-group gap streams. Within a group the first value is a
+  sample; the rest are byte codes for the successive differences, with
+  maximal runs of +1 folded into a <1, length> pair. A second sample
+  level, every t_psi positions from each group start, cuts decode work
+  to at most t_psi steps. Group starts come from select on D, and a
+  sample's table entry from a per-group count of the samples before it,
+  both derived from D and t_psi. The image also stores the group
+  starts, the sample positions and a sample bitmap; a load compares
+  them with what D and t_psi give, checks the table lengths against the
+  groups and samples, and the stream pointers against the stream. Tag
+  2, an earlier variant without the stored positions, is retired.
 * huff-rle-opt: samples every t_psi positions globally, then Huffman-codes
   run lengths, small literal gaps, and escape classes for everything
   else into a single bitstream. Decoding looks each token up in a table
@@ -49,10 +49,10 @@ import numpy as np
 
 from .bitseq import BitSequence
 
-TAGS = {"plain": 0, "vbyte-rle": 1, "vbyte-rle-select": 2, "huff-rle-opt": 3}
+TAGS = {"plain": 0, "vbyte-rle": 1, "huff-rle-opt": 3}
 NAMES = {tag: name for name, tag in TAGS.items()}
 T_PSI_MAX = 0xFFFF  # the TGX1 header stores t_psi in 16 bits
-_SECTION_COUNTS = {0: 1, 1: 9, 2: 7, 3: 4}
+_SECTION_COUNTS = {0: 1, 1: 9, 3: 4}
 
 
 def vbyte_encode(value: int, out: bytearray | None = None) -> bytearray:
@@ -184,47 +184,41 @@ class VbyteRlePsi:
 
     First level, one entry per group: the opening value (s0) and the byte
     offset of the group's codes (ptr0). Second level, one entry at every
-    position l + j*t_psi inside a group: the value there (s1), the byte
-    offset just past the code that covers it (ptr1), and, when that code
-    is a run pair, how many +1 steps of the run remain (run1). The D1
-    bitmap marks those positions. Group starts come from select on the
-    group bitmap D. With keep_offsets the image also carries the group
-    starts (off0) and the sample positions (off1) as u64 tables; they
-    are written from D and D1, checked against them on load, and never
-    held in memory.
+    position l + j*t_psi inside a group that opens at l: the value there
+    (s1), the byte offset just past the code that covers it (ptr1), and,
+    when that code is a run pair, how many +1 steps of the run remain
+    (run1). Where the samples sit follows from the group bitmap D and
+    t_psi alone, so the codec keeps only a per-group count of the
+    samples before it; group starts come from select on D. The image
+    also carries three sections that D and t_psi determine: the group
+    starts (off0), the sample positions (off1) and a bitmap marking them
+    (D1). They are written from D and t_psi, compared against them on
+    load, and never held in memory.
     """
 
+    name = "vbyte-rle"
+    tag = 1
+
     def __init__(self, stream: bytes, s0, ptr0, s1, ptr1, run1,
-                 D1: BitSequence, D: BitSequence, t_psi: int,
-                 keep_offsets: bool):
+                 D: BitSequence, t_psi: int):
         self._stream = bytes(stream)
         self._s0, self._ptr0 = _u64_array(s0), _u64_array(ptr0)
         self._s1, self._ptr1, self._run1 = _u64_array(s1), _u64_array(ptr1), _u64_array(run1)
-        self._D1 = D1
         self._D = D
         self._n = D.nbits
         self.t_psi = t_psi
-        self.keep_offsets = keep_offsets
-
-    @property
-    def name(self):
-        return "vbyte-rle" if self.keep_offsets else "vbyte-rle-select"
-
-    @property
-    def tag(self):
-        return 1 if self.keep_offsets else 2
+        self._before = _u64_array(_samples(D, t_psi)[0])
 
     def __len__(self):
         return self._n
 
     @classmethod
-    def build(cls, psi: np.ndarray, D: BitSequence, t_psi: int,
-              keep_offsets: bool) -> "VbyteRlePsi":
+    def build(cls, psi: np.ndarray, D: BitSequence, t_psi: int) -> "VbyteRlePsi":
         n_total = len(psi)
         starts = D.positions()
         stream = bytearray()
         s0, ptr0 = [], []
-        s1, ptr1, run1, spos = [], [], [], []
+        s1, ptr1, run1 = [], [], []
         for gi in range(len(starts)):
             l = int(starts[gi])
             r = int(starts[gi + 1]) - 1 if gi + 1 < len(starts) else n_total
@@ -232,19 +226,18 @@ class VbyteRlePsi:
             s0.append(int(vals[0]))
             ptr0.append(len(stream))
             if r > l:
-                _encode_group(vals, t_psi, stream, s1, ptr1, run1, spos, l)
-        D1 = BitSequence.from_positions(spos, n_total)
-        return cls(bytes(stream), s0, ptr0, s1, ptr1, run1, D1, D, t_psi,
-                   keep_offsets)
+                _encode_group(vals, t_psi, stream, s1, ptr1, run1)
+        return cls(bytes(stream), s0, ptr0, s1, ptr1, run1, D, t_psi)
 
     def _sample(self, c: int, l: int, j: int) -> tuple[int, int, int, int]:
         """(p, v, pos, rem) at the j-th sample of group c, which opens at l:
         its position and value, the stream offset after it, and the +1
         steps left in the run that covers it. The sample table holds the
-        groups' samples in order, so sample j >= 1 is entry D1.rank1(l) + j."""
+        groups' samples in order, so sample j >= 1 is entry
+        before[c - 1] + j - 1."""
         if j == 0:
             return l, self._s0[c - 1], self._ptr0[c - 1], 0
-        k = self._D1.rank1(l) + j - 1
+        k = self._before[c - 1] + j - 1
         return l + j * self.t_psi, self._s1[k], self._ptr1[k], self._run1[k]
 
     def access(self, i: int) -> int:
@@ -363,7 +356,7 @@ class VbyteRlePsi:
         stop = hi
         if last > j:
             # sample j' >= 1 of the group is table entry base + j'
-            base = self._D1.rank1(l) - 1
+            base = self._before[c - 1] - 1
             k = bisect_left(self._s1, x, base + j + 1, base + last + 1) - base
             if k <= last:
                 stop = l + k * t
@@ -408,61 +401,60 @@ class VbyteRlePsi:
         return hi + 1
 
     def size_bits(self) -> int:
-        bits = 8 * len(self._stream) + self._D1.nbits
-        bits += 64 * (len(self._s0) + len(self._ptr0)
-                      + len(self._s1) + len(self._ptr1) + len(self._run1))
-        if self.keep_offsets:
-            bits += 64 * (self._D.ones + self._D1.ones)
-        return bits
+        # counts off0 (one entry per group), off1 (one per sample) and the
+        # n bits of D1 as the image stores them
+        return (8 * len(self._stream) + self._n
+                + 64 * (len(self._s0) + len(self._ptr0) + self._D.ones
+                        + 2 * len(self._s1) + len(self._ptr1) + len(self._run1)))
 
     def to_sections(self) -> list[bytes]:
-        parts = [self._stream, _u64_bytes(self._s0), _u64_bytes(self._ptr0)]
-        if self.keep_offsets:
-            parts.append(_u64_bytes(self._D.positions()))
-        parts += [_u64_bytes(a) for a in (self._s1, self._ptr1, self._run1)]
-        if self.keep_offsets:
-            parts.append(_u64_bytes(self._D1.positions()))
-        parts.append(self._D1.serialize())
-        return parts
+        off0, off1, d1 = _derived_sections(self._D, self.t_psi)
+        return [self._stream, _u64_bytes(self._s0), _u64_bytes(self._ptr0), off0,
+                *(_u64_bytes(a) for a in (self._s1, self._ptr1, self._run1)), off1, d1]
 
     @classmethod
-    def from_sections(cls, sections, D: BitSequence,
-                      t_psi: int, keep_offsets: bool) -> "VbyteRlePsi":
-        def u64(b):
-            return np.frombuffer(b, dtype="<u8")
-        it = iter(sections)
-        stream = next(it)
-        s0, ptr0 = u64(next(it)), u64(next(it))
-        off0 = next(it) if keep_offsets else None
-        s1, ptr1, run1 = u64(next(it)), u64(next(it)), u64(next(it))
-        off1 = next(it) if keep_offsets else None
-        D1 = BitSequence.deserialize(next(it))
-        if len(D1) != len(D):
-            raise ValueError("sample bitmap length disagrees with the group bitmap")
-        if keep_offsets and (off0 != _u64_bytes(D.positions())
-                             or off1 != _u64_bytes(D1.positions())):
-            raise ValueError("stored offset tables disagree with their bitmaps")
+    def from_sections(cls, sections, D: BitSequence, t_psi: int) -> "VbyteRlePsi":
+        stream, s0, ptr0, off0, s1, ptr1, run1, off1, d1 = sections
+        want_off0, want_off1, want_d1 = _derived_sections(D, t_psi)
+        if off0 != want_off0 or off1 != want_off1:
+            raise ValueError("stored offset tables disagree with the groups and t_psi")
+        if d1 != want_d1:
+            raise ValueError("sample bitmap disagrees with the groups and t_psi")
+        s0, ptr0, s1, ptr1, run1 = (np.frombuffer(b, dtype="<u8")
+                                    for b in (s0, ptr0, s1, ptr1, run1))
         if len(s0) != D.ones or len(ptr0) != D.ones:
             raise ValueError(f"vbyte codec needs {D.ones} group samples and pointers, "
                              f"the image holds {len(s0)} and {len(ptr0)}")
-        if not np.array_equal(D1.positions(), _sample_positions(D, t_psi)):
-            raise ValueError("sample bitmap disagrees with the groups and t_psi")
-        if not len(s1) == len(ptr1) == len(run1) == D1.ones:
-            raise ValueError(f"vbyte codec needs {D1.ones} samples, pointers and run "
+        nsamples = len(off1) // 8
+        if not len(s1) == len(ptr1) == len(run1) == nsamples:
+            raise ValueError(f"vbyte codec needs {nsamples} samples, pointers and run "
                              f"lengths, the image holds {len(s1)}, {len(ptr1)} and {len(run1)}")
         if any(len(a) and int(a.max()) > len(stream) for a in (ptr0, ptr1)):
             raise ValueError("vbyte stream pointer past the end of the stream")
-        return cls(stream, s0, ptr0, s1, ptr1, run1, D1, D, t_psi, keep_offsets)
+        return cls(stream, s0, ptr0, s1, ptr1, run1, D, t_psi)
 
 
-def _sample_positions(D: BitSequence, t_psi: int) -> np.ndarray:
-    """Where the level-two samples sit: l + j*t_psi for every group start l
-    and 1 <= j <= (group length - 1) // t_psi."""
+def _samples(D: BitSequence, t_psi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(before, positions) of the level-two samples.
+
+    before holds, per group, how many samples the groups before it hold;
+    positions lists where every sample sits: l + j*t_psi for every group
+    start l and 1 <= j <= (group length - 1) // t_psi.
+    """
     starts = D.positions()
     counts = (np.append(starts[1:], D.nbits + 1) - starts - 1) // t_psi
     before = np.cumsum(counts) - counts
     j = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(before, counts) + 1
-    return np.repeat(starts, counts) + j * t_psi
+    return before, np.repeat(starts, counts) + j * t_psi
+
+
+def _derived_sections(D: BitSequence, t_psi: int) -> tuple[bytes, bytes, bytes]:
+    """The image sections of the vbyte codec that D and t_psi determine:
+    the group starts (off0), the sample positions (off1) and the sample
+    bitmap (D1)."""
+    positions = _samples(D, t_psi)[1]
+    return (_u64_bytes(D.positions()), _u64_bytes(positions),
+            BitSequence.from_positions(positions, D.nbits).serialize())
 
 
 def _overrun() -> ValueError:
@@ -470,10 +462,10 @@ def _overrun() -> ValueError:
 
 
 def _encode_group(vals: np.ndarray, t_psi: int, out: bytearray,
-                  s1: list, ptr1: list, run1: list, spos: list, l: int):
+                  s1: list, ptr1: list, run1: list):
     """Emit the gap codes of one group and collect its level-two samples.
 
-    vals holds the group's psi values, l the 1-based position of vals[0].
+    vals holds the group's psi values.
     Gaps are tokenized into maximal equal stretches first so a +1 run
     becomes a single <1, length> pair; other gap values repeat their code
     once per occurrence. Sample candidates sit at offsets t_psi, 2*t_psi,
@@ -496,7 +488,6 @@ def _encode_group(vals: np.ndarray, t_psi: int, out: bytearray,
                 s1.append(int(vals[cand]))
                 ptr1.append(after)
                 run1.append(int(e - cand))
-                spos.append(l + cand)
                 cand += t_psi
         else:
             for j in range(int(a) + 1, int(e) + 1):
@@ -509,7 +500,6 @@ def _encode_group(vals: np.ndarray, t_psi: int, out: bytearray,
                     s1.append(int(vals[j]))
                     ptr1.append(len(out))
                     run1.append(0)
-                    spos.append(l + j)
                     cand += t_psi
 
 
@@ -890,9 +880,7 @@ def encode(psi: np.ndarray, D: BitSequence, codec: str = "plain",
         return PlainPsi.build(psi)
     _check_t_psi(t_psi)
     if codec == "vbyte-rle":
-        return VbyteRlePsi.build(psi, D, t_psi, keep_offsets=True)
-    if codec == "vbyte-rle-select":
-        return VbyteRlePsi.build(psi, D, t_psi, keep_offsets=False)
+        return VbyteRlePsi.build(psi, D, t_psi)
     return HuffRlePsi.build(psi, t_psi=t_psi)
 
 
@@ -907,9 +895,7 @@ def from_sections(tag: int, sections, D: BitSequence, t_psi: int):
         return PlainPsi.from_sections(sections, D)
     _check_t_psi(t_psi)
     if tag == 1:
-        return VbyteRlePsi.from_sections(sections, D, t_psi, keep_offsets=True)
-    if tag == 2:
-        return VbyteRlePsi.from_sections(sections, D, t_psi, keep_offsets=False)
+        return VbyteRlePsi.from_sections(sections, D, t_psi)
     return HuffRlePsi.from_sections(sections, t_psi, D.nbits)
 
 

@@ -31,14 +31,14 @@ def report_of(text):
 def test_build_report(g5_file, tmp_path, capsys):
     out = tmp_path / "x.tgx"
     assert main(["build", str(g5_file), "-o", str(out),
-                 "--codec", "vbyte-rle-select", "--t-psi", "32"]) == 0
+                 "--codec", "vbyte-rle", "--t-psi", "32"]) == 0
     rows = report_of(capsys.readouterr().out)
     assert rows["engine"] == "tgcsa"
     assert rows["n"] == "5"
     assert rows["nu"] == "5"
     assert rows["tau"] == "8"
     assert rows["sigma"] == "13"
-    assert rows["codec"] == "vbyte-rle-select"
+    assert rows["codec"] == "vbyte-rle"
     assert rows["t_psi"] == "32"
     assert int(rows["size_bits"]) > 0
     assert float(rows["bpc"]) == pytest.approx(int(rows["size_bits"]) / 5, rel=1e-4)
@@ -205,6 +205,23 @@ def test_query_zero_t_psi_image_exits_1(g5_built, tmp_path, capsys):
     qf.write_text("D 1 5\n")
     assert main(["query", str(bad), "--queries", str(qf)]) == 1
     assert "t_psi" in capsys.readouterr().err
+
+
+def test_retired_codec_exits_2_on_build_and_1_on_query(g5_file, g5_built, tmp_path, capsys):
+    out = tmp_path / "x.tgx"
+    with pytest.raises(SystemExit) as exc:
+        main(["build", str(g5_file), "-o", str(out), "--codec", "vbyte-rle-select"])
+    assert exc.value.code == 2
+    assert "vbyte-rle-select" in capsys.readouterr().err
+    assert not out.exists()
+    blob = bytearray(g5_built.read_bytes())
+    blob[7] = 2   # the codec byte: tag 2 is retired
+    bad = tmp_path / "bad.tgx"
+    bad.write_bytes(bytes(blob))
+    qf = tmp_path / "q.txt"
+    qf.write_text("D 1 5\n")
+    assert main(["query", str(bad), "--queries", str(qf)]) == 1
+    assert "unknown psi codec tag 2" in capsys.readouterr().err
 
 
 def test_gen_writes_header_and_stats(tmp_path, capsys):

@@ -18,7 +18,7 @@ from tgcsa.corpus import AlphabetMap, ContactSet, build_sid
 from tgcsa.sacsa import build_d, build_rotation_array, compute_psi, cyclic_adjust
 from conftest import G5_CONTACTS, G5_D, G5_PSI, random_contactset
 
-CODECS = ("vbyte-rle", "vbyte-rle-select", "huff-rle-opt")
+CODECS = ("vbyte-rle", "huff-rle-opt")
 STEPS = (2, 8, 16, 64, 256)
 
 
@@ -174,19 +174,6 @@ def test_crafted_stream_features(codec):
             assert enc.range(lo, hi) == want[lo - 1:hi]
 
 
-def test_select_variant_drops_offsets_and_shrinks():
-    rng = random.Random(88)
-    for _ in range(6):
-        cs = random_contactset(seed=rng.randrange(10**9), n_edges=16)
-        psi, D = psi_and_d(cs)
-        full = psienc.encode(psi, D, codec="vbyte-rle", t_psi=16)
-        slim = psienc.encode(psi, D, codec="vbyte-rle-select", t_psi=16)
-        assert slim.size_bits() < full.size_bits()
-        n = len(psi)
-        assert [slim.access(i) for i in range(1, n + 1)] == \
-               [full.access(i) for i in range(1, n + 1)]
-
-
 @pytest.mark.parametrize("codec", ("plain",) + CODECS)
 def test_sections_roundtrip(codec):
     psi, D = g5_psi_d()
@@ -234,7 +221,7 @@ def test_encode_rejects_unknown_codec():
 def test_codec_names_and_tags_agree():
     assert psienc.TAGS["plain"] == 0
     assert psienc.TAGS["vbyte-rle"] == 1
-    assert psienc.TAGS["vbyte-rle-select"] == 2
+    assert "vbyte-rle-select" not in psienc.TAGS   # tag 2, retired
     assert psienc.TAGS["huff-rle-opt"] == 3
     for name, tag in psienc.TAGS.items():
         assert psienc.NAMES[tag] == name
@@ -403,7 +390,7 @@ def test_positions_outside_psi_raise_value_error(codec):
             call()
 
 
-@pytest.mark.parametrize("codec", ("vbyte-rle", "vbyte-rle-select"))
+@pytest.mark.parametrize("codec", ("vbyte-rle",))
 def test_vbyte_search_stays_inside_one_group(codec):
     # G5's first group is positions 1..2; its samples say nothing of position 3
     psi, D = g5_psi_d()
@@ -413,18 +400,46 @@ def test_vbyte_search_stays_inside_one_group(codec):
         enc.search(1, 3, 8)
 
 
+VBYTE_SECTIONS = ("stream", "s0", "ptr0", "off0", "s1", "ptr1", "run1", "off1", "D1")
+
+
 def vbyte_sections(forge=lambda enc: {}):
-    """The vbyte-rle-select sections of the crafted sequence (t_psi 64)
-    and its D. forge maps the encoding to replacement parts: stream, s0,
-    ptr0, s1, ptr1, run1 or D1."""
+    """The vbyte-rle sections of the crafted sequence (t_psi 64) and its
+    D. forge maps the encoding to replacement parts, named as in
+    VBYTE_SECTIONS: a u64 table as a sequence, the stream as bytes, D1 as
+    a BitSequence."""
     psi, D = crafted_sequence()
-    enc = psienc.encode(psi, D, codec="vbyte-rle-select", t_psi=64)
-    parts = dict(stream=enc._stream, s0=enc._s0, ptr0=enc._ptr0, s1=enc._s1,
-                 ptr1=enc._ptr1, run1=enc._run1, D1=enc._D1)
-    parts.update(forge(enc))
-    tables = [np.asarray(parts[k], dtype="<u8").tobytes()
-              for k in ("s0", "ptr0", "s1", "ptr1", "run1")]
-    return [parts["stream"], *tables, parts["D1"].serialize()], D
+    enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=64)
+    sections = enc.to_sections()
+    for name, part in forge(enc).items():
+        if name == "D1":
+            part = part.serialize()
+        elif name != "stream":
+            part = np.asarray(part, dtype="<u8").tobytes()
+        sections[VBYTE_SECTIONS.index(name)] = part
+    return sections, D
+
+
+def sample_positions(enc):
+    """Where the encoding's level-two samples sit, read from its off1 section."""
+    return np.frombuffer(enc.to_sections()[VBYTE_SECTIONS.index("off1")], dtype="<u8")
+
+
+def test_vbyte_samples_follow_from_d_and_t_psi():
+    # sample j >= 1 of the group opening at l sits at l + j*t_psi; the
+    # codec holds no bitmap but D
+    rng = random.Random(12)
+    for _ in range(4):
+        cs = random_contactset(seed=rng.randrange(10**9), duplicates=True)
+        psi, D = psi_and_d(cs)
+        bounds = D.positions().tolist() + [len(psi) + 1]
+        for t in (1, 2, 5, 64):
+            enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=t)
+            want = [l + j * t for l, nxt in zip(bounds, bounds[1:])
+                    for j in range(1, (nxt - 1 - l) // t + 1)]
+            assert sample_positions(enc).tolist() == want
+            assert list(enc._s1) == [int(psi[p - 1]) for p in want]
+            assert [v for v in vars(enc).values() if isinstance(v, BitSequence)] == [D]
 
 
 @pytest.mark.parametrize("forge, message", [
@@ -432,7 +447,7 @@ def vbyte_sections(forge=lambda enc: {}):
     (lambda p: dict(s1=p._s1[:-1]), "samples, pointers and run lengths"),
     (lambda p: dict(run1=list(p._run1) + [0]), "samples, pointers and run lengths"),
     # same number of samples, each one position late
-    (lambda p: dict(D1=BitSequence.from_positions(p._D1.positions() + 1, len(p._D1))),
+    (lambda p: dict(D1=BitSequence.from_positions(sample_positions(p) + 1, len(p))),
      "sample bitmap disagrees"),
     (lambda p: dict(ptr1=list(p._ptr1[:-1]) + [len(p._stream) + 1]), "past the end"),
     (lambda p: dict(ptr0=[len(p._stream) + 1]), "past the end"),
@@ -440,20 +455,20 @@ def vbyte_sections(forge=lambda enc: {}):
 def test_vbyte_load_rejects_forged_sections(forge, message):
     sections, D = vbyte_sections(forge)
     with pytest.raises(ValueError, match=message):
-        psienc.from_sections(psienc.TAGS["vbyte-rle-select"], sections, D, 64)
+        psienc.from_sections(psienc.TAGS["vbyte-rle"], sections, D, 64)
 
 
 def test_vbyte_decode_stops_at_the_stream_end():
     sections, D = vbyte_sections()
-    back = psienc.from_sections(psienc.TAGS["vbyte-rle-select"], sections, D, 64)
+    back = psienc.from_sections(psienc.TAGS["vbyte-rle"], sections, D, 64)
     assert back.range(1, len(D)) == crafted_sequence()[0].tolist()
     with pytest.raises(ValueError, match="sections"):
-        psienc.from_sections(psienc.TAGS["vbyte-rle-select"], sections[:-1], D, 64)
+        psienc.from_sections(psienc.TAGS["vbyte-rle"], sections[:-1], D, 64)
     # cut the stream just past its last sample pointer: every pointer
     # still fits, but the codes after it are gone
     cut = max(back._ptr1)
     sections[0] = sections[0][:cut]
-    short = psienc.from_sections(psienc.TAGS["vbyte-rle-select"], sections, D, 64)
+    short = psienc.from_sections(psienc.TAGS["vbyte-rle"], sections, D, 64)
     n = len(D)
     for call in (lambda: short.access(n), lambda: short.range(1, n),
                  lambda: short.search(n - 1, n, n + 1)):

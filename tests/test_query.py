@@ -181,7 +181,7 @@ def test_arity3_random_graphs_match_pyoracle():
             rows = [(rng.randint(1, nu), rng.randint(1, nu), rng.randint(1, tau))
                     for _ in range(rng.randint(1, 12))]
             cs = ContactSet(rows, arity=3, nu=nu, tau=tau, semantics=semantics)
-            idx = build_index(cs, codec="vbyte-rle-select", t_psi=4)
+            idx = build_index(cs, codec="vbyte-rle", t_psi=4)
             oracle = PyOracle(rows, arity=3, semantics=semantics, nu=nu, tau=tau)
             assert_same_answers(idx, oracle, rng, instants=6, intervals=3)
 
@@ -207,7 +207,7 @@ def test_empty_contact_set():
     assert activated_edges(idx, 3) == []
 
 
-ALL_CODECS = ("plain", "vbyte-rle", "vbyte-rle-select", "huff-rle-opt")
+ALL_CODECS = ("plain", "vbyte-rle", "huff-rle-opt")
 TERMS = ("u", "v", "ts", "te")
 
 
