@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import ContactSet
-from .psienc import vbyte_decode, vbyte_encode
+from .psienc import vbyte_codes, vbyte_decode
 from .query import TimeSemantics, _check_event_time, _check_sem
 
 
@@ -100,11 +100,16 @@ class OracleIndex:
         return sorted(set(zip(cs.u[mask].tolist(), cs.v[mask].tolist())))
 
 
-def _dgap_encode(values, out: bytearray):
-    prev = 0
-    for x in values:
-        vbyte_encode(int(x) - prev, out)
-        prev = int(x)
+def _dgap_lists(values: np.ndarray, bounds: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Byte codes of the lists values[bounds[i]:bounds[i + 1]], each value
+    as its difference from the one before it in its list (the first from
+    0). Returns the stream and the byte offset of every bound, so list
+    i's codes lie between offsets i and i + 1."""
+    gaps = np.diff(values, prepend=0)
+    heads = bounds[:-1][bounds[:-1] < bounds[1:]]
+    gaps[heads] = values[heads]
+    stream, ends = vbyte_codes(gaps)
+    return stream, np.append(0, ends)[bounds]
 
 
 def _dgap_decode(stream, lo: int, hi: int) -> list[int]:
@@ -174,41 +179,15 @@ class EdgeLogIndex:
             raise OverlapError(
                 f"contacts on edge ({int(cs.u[i])}, {int(cs.v[i])}) overlap or touch")
 
-        m = len(starts)
-        bounds = np.append(starts, n)
-        edge_u = cs.u[starts]
-        edge_v = cs.v[starts]
-        adj = bytearray()
-        adj_off = np.zeros(nu + 1, dtype=np.int64)
-        edge_base = np.zeros(nu + 1, dtype=np.int64)
-        times = bytearray()
-        time_off = np.zeros(m + 1, dtype=np.int64)
-        e = 0
-        for u in range(1, nu + 1):
-            targets = []
-            while e < m and edge_u[e] == u:
-                targets.append(int(edge_v[e]))
-                a, b = bounds[e], bounds[e + 1]
-                pairseq = np.empty(2 * (b - a), dtype=np.int64)
-                pairseq[0::2] = cs.ts[a:b]
-                pairseq[1::2] = cs.te[a:b]
-                _dgap_encode(pairseq, times)
-                time_off[e + 1] = len(times)
-                e += 1
-            _dgap_encode(targets, adj)
-            adj_off[u] = len(adj)
-            edge_base[u] = e
-        rev = bytearray()
-        rev_off = np.zeros(nu + 1, dtype=np.int64)
+        # edges in (u, v) order, and their sources in (v, u) order
+        edge_u, edge_v = cs.u[starts], cs.v[starts]
         order = np.lexsort((edge_u, edge_v))
-        k = 0
-        for v in range(1, nu + 1):
-            sources = []
-            while k < m and edge_v[order[k]] == v:
-                sources.append(int(edge_u[order[k]]))
-                k += 1
-            _dgap_encode(sources, rev)
-            rev_off[v] = len(rev)
+        vertices = np.arange(nu + 1)
+        edge_base = np.searchsorted(edge_u, vertices, side="right")
+        adj, adj_off = _dgap_lists(edge_v, edge_base)
+        times, time_off = _dgap_lists(seq, 2 * np.append(starts, n))
+        rev, rev_off = _dgap_lists(edge_u[order],
+                                   np.searchsorted(edge_v[order], vertices, side="right"))
         return cls(nu, cs.tau, n, adj, adj_off, edge_base,
                    times, time_off, rev, rev_off)
 

@@ -127,6 +127,8 @@ class BitSequence:
                 f"bitmap blob has {len(buf)} bytes, {nbits} bits need {8 + 8 * nwords}"
             )
         words = np.frombuffer(buf, dtype="<u8", offset=8, count=nwords)
+        if nbits % 64 and int(words[-1]) >> (nbits % 64):
+            raise ValueError(f"bitmap blob sets bits past its {nbits} bits")
         return cls(words, nbits)
 
     def serialized_length(self) -> int:

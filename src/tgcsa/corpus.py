@@ -62,7 +62,8 @@ class ContactSet:
                 bad = int(np.argmin(cols.min(axis=1)))
                 raise ValueError(f"contact {bad}: terms must be >= 1")
             if cols.max() > _LIMIT:
-                raise ValueError("contact term exceeds the 32-bit id range")
+                bad = int(np.argmax(cols.max(axis=1)))
+                raise ValueError(f"contact {bad}: term exceeds the 32-bit id range")
 
         u, v, ts = cols[:, 0], cols[:, 1], cols[:, 2]
         te = cols[:, 3] if arity == 4 else None

@@ -29,12 +29,14 @@ code that runs past the end of its stream.
   the codec is built or loaded.
 
 Byte codes use 7-bit little-endian groups with the high bit set on the
-final byte only, so 5 encodes as 0x85 and 135 as 0x07 0x81. The vbyte
-decoders read each gap code inline; only run lengths and escaped
-magnitudes go through vbyte_decode. Gaps inside a group are never zero
-(the permutation has no repeats) but can be negative when duplicate
-contacts or the end-section remap invert the order; those are written
-as an escaped 0 followed by the magnitude.
+final byte only, so 5 encodes as 0x85 and 135 as 0x07 0x81. vbyte_codes
+writes a whole array of them at once; the vbyte decoders read each gap
+code inline, and only run lengths and escaped magnitudes go through
+vbyte_decode. Both sampled codecs encode with array operations over all
+of Psi, with no Python loop per group, span or token. Gaps inside a
+group are never zero (the permutation has no repeats) but can be
+negative when duplicate contacts or the end-section remap invert the
+order; those are written as an escaped 0 followed by the magnitude.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import heapq
 import struct
 from array import array
 from bisect import bisect_left
-from collections import Counter
 
 import numpy as np
 
@@ -55,17 +56,24 @@ T_PSI_MAX = 0xFFFF  # the TGX1 header stores t_psi in 16 bits
 _SECTION_COUNTS = {0: 1, 1: 9, 3: 4}
 
 
-def vbyte_encode(value: int, out: bytearray | None = None) -> bytearray:
-    """Append the byte code of a non-negative integer; returns the buffer."""
-    if value < 0:
+def vbyte_codes(values) -> tuple[bytes, np.ndarray]:
+    """The byte codes of non-negative integers back to back, and the
+    offset just past each code."""
+    x = np.asarray(values, dtype=np.int64)
+    if len(x) and int(x.min()) < 0:
         raise ValueError("byte codes hold non-negative integers only")
-    if out is None:
-        out = bytearray()
-    while value >= 0x80:
-        out.append(value & 0x7F)
-        value >>= 7
-    out.append(0x80 | value)
-    return out
+    width = np.ones(len(x), dtype=np.int64)
+    shift = 7
+    while len(x) and int(x.max()) >> shift:
+        width += (x >> shift) > 0
+        shift += 7
+    ends = np.cumsum(width)
+    out = np.zeros(int(ends[-1]) if len(x) else 0, dtype=np.uint8)
+    for k in range(shift // 7):
+        has = width > k
+        out[ends[has] - width[has] + k] = (x[has] >> 7 * k) & 0x7F
+    out[ends - 1] |= 0x80
+    return out.tobytes(), ends
 
 
 def vbyte_decode(buf, pos: int = 0) -> tuple[int, int]:
@@ -173,6 +181,8 @@ class PlainPsi:
             raise ValueError(f"fixed-width header holds {n} values, D has {D.nbits} bits")
         if width != max(1, (n - 1).bit_length()) or len(blob) - 16 != (n * width + 7) // 8:
             raise ValueError("fixed-width payload disagrees with its header")
+        if any(blob[9:16]) or (n * width % 8 and blob[-1] >> (n * width % 8)):
+            raise ValueError("fixed-width section sets padding bits")
         vals = _unpack_fixed(blob[16:], n, width).astype(np.int64) + 1
         if n and int(vals.max()) > n:
             raise ValueError(f"fixed-width Psi holds a value past {n}")
@@ -194,6 +204,12 @@ class VbyteRlePsi:
     starts (off0), the sample positions (off1) and a bitmap marking them
     (D1). They are written from D and t_psi, compared against them on
     load, and never held in memory.
+
+    build cuts the gaps into tokens in one pass (a +1 run opens at a
+    group start or after any other gap), writes every token's codes with
+    vbyte_codes, and reads ptr0, ptr1 and run1 off the token end offsets
+    with searchsorted at the group starts and at the sample positions
+    that _samples gives, the same function a load derives them from.
     """
 
     name = "vbyte-rle"
@@ -214,20 +230,28 @@ class VbyteRlePsi:
 
     @classmethod
     def build(cls, psi: np.ndarray, D: BitSequence, t_psi: int) -> "VbyteRlePsi":
-        n_total = len(psi)
-        starts = D.positions()
-        stream = bytearray()
-        s0, ptr0 = [], []
-        s1, ptr1, run1 = [], [], []
-        for gi in range(len(starts)):
-            l = int(starts[gi])
-            r = int(starts[gi + 1]) - 1 if gi + 1 < len(starts) else n_total
-            vals = psi[l - 1:r]
-            s0.append(int(vals[0]))
-            ptr0.append(len(stream))
-            if r > l:
-                _encode_group(vals, t_psi, stream, s1, ptr1, run1)
-        return cls(bytes(stream), s0, ptr0, s1, ptr1, run1, D, t_psi)
+        n = len(psi)
+        starts = D.positions() - 1
+        opens = np.zeros(n, dtype=bool)
+        opens[starts] = True
+        gap = np.diff(psi, prepend=0)
+        one = (gap == 1) & ~opens
+        # a token codes one gap or a whole +1 run, from its first position
+        # to its last: a run's later steps open none, group starts carry none
+        first = np.flatnonzero(~(one & np.append(False, one[:-1])))
+        last = np.append(first[1:], n) - 1
+        tok = ~opens[first]
+        first, last = first[tok], last[tok]
+        g = gap[first]
+        # <g>, <1, run length> or <0, magnitude>
+        pair = np.column_stack((np.maximum(g, 0), np.where(g == 1, last - first + 1, -g)))
+        two = g <= 1
+        stream, ends = vbyte_codes(pair[np.column_stack((np.ones_like(two), two))])
+        tok_end = ends[np.cumsum(1 + two) - 1]
+        ptr0 = np.append(0, tok_end)[np.searchsorted(first, starts)]
+        at = _samples(D, t_psi)[1] - 1
+        k = np.searchsorted(first, at, side="right") - 1
+        return cls(stream, psi[starts], ptr0, psi[at], tok_end[k], last[k] - at, D, t_psi)
 
     def _sample(self, c: int, l: int, j: int) -> tuple[int, int, int, int]:
         """(p, v, pos, rem) at the j-th sample of group c, which opens at l:
@@ -461,48 +485,6 @@ def _overrun() -> ValueError:
     return ValueError("vbyte code runs past the end of the stream")
 
 
-def _encode_group(vals: np.ndarray, t_psi: int, out: bytearray,
-                  s1: list, ptr1: list, run1: list):
-    """Emit the gap codes of one group and collect its level-two samples.
-
-    vals holds the group's psi values.
-    Gaps are tokenized into maximal equal stretches first so a +1 run
-    becomes a single <1, length> pair; other gap values repeat their code
-    once per occurrence. Sample candidates sit at offsets t_psi, 2*t_psi,
-    ... from the group start and may fall inside a run, in which case
-    run1 records the +1 steps left after the sample.
-    """
-    length = len(vals)
-    gaps = np.diff(vals)
-    edges = np.flatnonzero(gaps[1:] != gaps[:-1]) + 1
-    starts = np.concatenate(([0], edges))
-    ends = np.concatenate((edges, [len(gaps)]))
-    cand = t_psi
-    for a, e in zip(starts, ends):
-        g = int(gaps[a])
-        if g == 1:
-            vbyte_encode(1, out)
-            vbyte_encode(int(e - a), out)
-            after = len(out)
-            while cand <= e and cand < length:
-                s1.append(int(vals[cand]))
-                ptr1.append(after)
-                run1.append(int(e - cand))
-                cand += t_psi
-        else:
-            for j in range(int(a) + 1, int(e) + 1):
-                if g >= 2:
-                    vbyte_encode(g, out)
-                else:
-                    vbyte_encode(0, out)
-                    vbyte_encode(-g, out)
-                if cand == j:
-                    s1.append(int(vals[j]))
-                    ptr1.append(len(out))
-                    run1.append(0)
-                    cand += t_psi
-
-
 # Huffman-coded variant. Symbol ids: run lengths 1..t map to 0..t-1,
 # literal gaps 2..NSV+1 follow, then 64 positive and 64 negative escape
 # classes; class k carries k-1 raw bits (none for k = 0).
@@ -512,7 +494,7 @@ ESC_CLASSES = 64
 TABLE_BITS = 16  # widest code prefix the decode table indexes
 
 
-def _huff_lengths(freqs: Counter) -> dict[int, int]:
+def _huff_lengths(freqs: dict[int, int]) -> dict[int, int]:
     if not freqs:
         return {}
     if len(freqs) == 1:
@@ -570,28 +552,21 @@ def _canonical_code(lengths_u8: bytes):
     return syms, lens, first, count, offset
 
 
-class _BitWriter:
-    def __init__(self):
-        self.buf = bytearray()
-        self.acc = 0
-        self.fill = 0
-        self.nbits = 0
-
-    def write(self, value: int, width: int):
-        if width == 0:
-            return
-        self.acc = (self.acc << width) | value
-        self.fill += width
-        self.nbits += width
-        while self.fill >= 8:
-            self.fill -= 8
-            self.buf.append((self.acc >> self.fill) & 0xFF)
-        self.acc &= (1 << self.fill) - 1
-
-    def getvalue(self) -> bytes:
-        if self.fill:
-            return bytes(self.buf) + bytes([(self.acc << (8 - self.fill)) & 0xFF])
-        return bytes(self.buf)
+def _pack_msb(values: np.ndarray, widths: np.ndarray, offsets: np.ndarray,
+              nbits: int) -> bytes:
+    """An nbits-long stream holding each value in its width bits from its
+    bit offset on, first bit highest. Fields are 1 to 64 bits wide and do
+    not overlap."""
+    words = np.zeros((nbits + 63) // 64 + 1, dtype=np.uint64)
+    values = values.astype(np.uint64)
+    w = offsets >> 6
+    spill = offsets + widths - 64 * (w + 1)   # bits that run on into word w + 1
+    np.bitwise_or.at(words, w, values >> spill.clip(0).astype(np.uint64)
+                     << (-spill).clip(0).astype(np.uint64))
+    over = spill > 0
+    np.bitwise_or.at(words, w[over] + 1,
+                     values[over] << (64 - spill[over]).astype(np.uint64))
+    return words.astype(">u8").tobytes()[:(nbits + 7) // 8]
 
 
 class HuffRlePsi:
@@ -607,6 +582,12 @@ class HuffRlePsi:
     delta plus (or, for a negative escape, minus) its raw bits. Prefixes
     past the short codes hold None and finish on the canonical
     per-length search, which also rejects unassigned codes.
+
+    build cuts +1 runs at the span starts, takes each escape's class
+    from the bit length of its magnitude, counts the symbols with
+    bincount for the code lengths, and packs every token's code and raw
+    bits into one stream with _pack_msb. A span pointer is the bit
+    offset of the span's first token.
     """
 
     name = "huff-rle-opt"
@@ -653,69 +634,41 @@ class HuffRlePsi:
 
     @classmethod
     def build(cls, psi: np.ndarray, D=None, t_psi: int = 64) -> "HuffRlePsi":
-        n_total = len(psi)
-        tokens, span_bounds = cls._tokenize(psi, t_psi)
-        lengths = _huff_lengths(Counter(sym for sym, _, _ in tokens))
-        max_sym = max(lengths) if lengths else -1
-        lengths_u8 = bytes(lengths.get(s, 0) for s in range(max_sym + 1))
-        syms, lens, first, _, offset = _canonical_code(lengths_u8)
-        codes = {s: (first[ln] + i - offset[ln], ln)
-                 for i, (s, ln) in enumerate(zip(syms.tolist(), lens.tolist()))}
-        writer = _BitWriter()
-        ptrs = []
-        bound = iter(span_bounds)
-        nxt = next(bound, None)
-        for ti, (sym, raw, rawbits) in enumerate(tokens):
-            while nxt is not None and nxt == ti:
-                ptrs.append(writer.nbits)
-                nxt = next(bound, None)
-            code, nb = codes[sym]
-            writer.write(code, nb)
-            if rawbits:
-                writer.write(raw, rawbits)
-        while nxt is not None:
-            ptrs.append(writer.nbits)
-            nxt = next(bound, None)
-        samples = psi[0::t_psi] if n_total else np.zeros(0, dtype=np.int64)
-        return cls(lengths_u8, samples, ptrs, writer.getvalue(),
-                   writer.nbits, t_psi, n_total)
-
-    @staticmethod
-    def _tokenize(psi: np.ndarray, t: int):
-        """Token list over all spans plus the token index opening each span."""
-        n_total = len(psi)
-        tokens = []
-        span_bounds = []
-        gaps = np.diff(psi)
-        p = 1
-        while p <= n_total:
-            span_bounds.append(len(tokens))
-            end = min(p + t, n_total)
-            i = p + 1
-            while i <= end:
-                g = int(gaps[i - 2])
-                if g == 1:
-                    run = 1
-                    while i + run <= end and int(gaps[i + run - 2]) == 1:
-                        run += 1
-                    tokens.append((run - 1, 0, 0))
-                    i += run
-                    continue
-                if 2 <= g <= NSV + 1:
-                    tokens.append((t + g - 2, 0, 0))
-                elif g > NSV + 1:
-                    e = g - (NSV + 2)
-                    k = e.bit_length()
-                    raw = e - (1 << (k - 1)) if k else 0
-                    tokens.append((t + NSV + k, raw, max(k - 1, 0)))
-                else:
-                    m = -g - 1
-                    k = m.bit_length()
-                    raw = m - (1 << (k - 1)) if k else 0
-                    tokens.append((t + NSV + ESC_CLASSES + k, raw, max(k - 1, 0)))
-                i += 1
-            p += t
-        return tokens, span_bounds
+        t = t_psi
+        gap = np.diff(psi)
+        # span k codes gaps k*t .. k*t + t - 1; +1 runs are cut at span starts
+        one = gap == 1
+        cont = one & np.append(False, one[:-1])
+        cont[::t] = False
+        first = np.flatnonzero(~cont)
+        g = gap[first]
+        esc = g > NSV + 1
+        mag = np.where(esc, g - (NSV + 2), np.where(g <= 0, -g - 1, 0))
+        k = np.frexp(mag)[1].astype(np.int64)   # bit length, exact below 2**53
+        sym = np.select([g == 1, g <= 0, ~esc],
+                        [np.append(first[1:], len(gap)) - first - 1,
+                         t + NSV + ESC_CLASSES + k, t + g - 2], t + NSV + k)
+        nraw = np.maximum(k - 1, 0)
+        raw = mag & ((1 << nraw) - 1)
+        counts = np.bincount(sym)
+        coded = np.flatnonzero(counts)
+        lengths = _huff_lengths(dict(zip(coded.tolist(), counts[coded].tolist())))
+        lens_of = np.zeros(len(counts), dtype=np.uint8)
+        lens_of[list(lengths)] = list(lengths.values())
+        syms, lens, first_code, _, offset = _canonical_code(lens_of.tobytes())
+        code_of = np.zeros(len(counts), dtype=np.int64)
+        code_of[syms] = (np.take(first_code, lens) + np.arange(len(syms))
+                         - np.take(offset, lens))
+        width = lens_of[sym].astype(np.int64)
+        ends = np.cumsum(width + nraw)
+        start = ends - width - nraw
+        stream_bits = int(ends[-1]) if len(ends) else 0
+        has = nraw > 0
+        stream = _pack_msb(np.concatenate((code_of[sym], raw[has])),
+                           np.concatenate((width, nraw[has])),
+                           np.concatenate((start, (start + width)[has])), stream_bits)
+        ptrs = np.append(start, stream_bits)[np.searchsorted(first, np.arange(0, len(psi), t))]
+        return cls(lens_of.tobytes(), psi[::t], ptrs, stream, stream_bits, t, len(psi))
 
     def _peek(self, pos: int, width: int) -> int:
         """The width stream bits from bit pos on, first bit highest."""

@@ -276,3 +276,10 @@ def test_bad_contact_file_exits_1(tmp_path, capsys):
     p.write_text("1 2 9 4\n")
     assert main(["build", str(p), "-o", str(tmp_path / "x.tgx")]) == 1
     assert "empty interval" in capsys.readouterr().err
+
+
+def test_oversized_term_exits_1_with_its_line(tmp_path, capsys):
+    p = tmp_path / "big.txt"
+    p.write_text("1 2 1 5\n1 2 1 4294967296\n")
+    assert main(["build", str(p), "-o", str(tmp_path / "x.tgx")]) == 1
+    assert "line 2: term exceeds the 32-bit id range" in capsys.readouterr().err

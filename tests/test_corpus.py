@@ -35,6 +35,14 @@ def test_parse_errors_carry_source_line_numbers():
         parse_contacts("# head\n1 2 1 5\n\n1 2 6 6\n")
     with pytest.raises(ValueError, match="line 2: terms must be >= 1"):
         parse_contacts("1 2 1 5\n0 2 1 5\n")
+    with pytest.raises(ValueError, match="line 3: term exceeds the 32-bit id range"):
+        parse_contacts("1 2 1 5\n# note\n1 2 1 4294967296\n")
+
+
+def test_oversized_term_names_its_row():
+    # rows are checked before sorting, so the index is the input row
+    with pytest.raises(ValueError, match="contact 1: term exceeds the 32-bit id range"):
+        ContactSet([(3, 1, 1, 2), (1, 2 ** 32, 1, 2)])
 
 
 def test_contactset_sorts_and_keeps_duplicates():

@@ -88,6 +88,12 @@ def test_truncated_image_is_rejected():
             deserialize_index(blob[:cut])
 
 
+def test_image_without_bitmap_sections_is_rejected():
+    head = serialize_index(build_index(ContactSet(G5_CONTACTS)))[:_HEAD.size + _SHAPE.size]
+    with pytest.raises(ValueError, match="two bitmap sections"):
+        deserialize_index(_emit(head, []))
+
+
 def test_sections_are_padded_to_words():
     blob = serialize_index(build_index(ContactSet(G5_CONTACTS)))
     assert len(blob) % 8 == 0
@@ -172,6 +178,25 @@ def test_vbyte_offset_tables_must_match_their_bitmaps():
             bad[at] ^= 0xFF
             with pytest.raises(ValueError, match="offset tables"):
                 deserialize_index(bytes(bad))
+
+
+@pytest.mark.parametrize("kind", ALL_CODECS + ("edgelog",))
+def test_every_byte_flip_is_rejected_or_canonical(kind):
+    # reserved bytes, padding, bits past a bitmap's end and header fields
+    # the index kind does not use have one valid value each, so a load
+    # that accepts a flipped byte must reproduce the flipped image
+    cs = ContactSet(G5_CONTACTS)
+    blob = serialize_index(EdgeLogIndex.build(cs) if kind == "edgelog"
+                           else build_index(cs, codec=kind))
+    for at in range(len(blob)):
+        for mask in (0x01, 0x80, 0xFF):
+            bad = bytearray(blob)
+            bad[at] ^= mask
+            try:
+                back = deserialize_index(bytes(bad))
+            except ValueError:
+                continue
+            assert serialize_index(back) == bad, (at, mask)
 
 
 def i64(*values):
@@ -290,6 +315,16 @@ def test_image_bytes_are_pinned(graph, codec):
         blob = serialize_index(build_index(cs, codec=codec, t_psi=t))
         key = (graph, codec) if codec == "plain" else (graph, codec, t)
         assert hashlib.sha256(blob).hexdigest() == IMAGE_DIGESTS[key], t
+
+
+@pytest.mark.parametrize("graph, digest", [
+    ("g5", "da9ecf5dc25fcaf2699fe11e8f3d67d4f670e6169b035e5a439d1d5e40d0668a"),
+    ("ba", "9f61bf24ae64eb2e558c1cd88933be47a0f5bba835730cd3e3b92e55e8816b06"),
+])
+def test_edgelog_image_bytes_are_pinned(graph, digest):
+    cs = ContactSet(G5_CONTACTS) if graph == "g5" else small_ba(overlap="forbid")
+    blob = serialize_index(EdgeLogIndex.build(cs))
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_arity3_image_bytes_are_pinned():

@@ -6,8 +6,10 @@ on crafted sequences that force runs across samples, oversized gaps,
 and sign escapes.
 """
 
+import hashlib
 import random
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,29 +36,27 @@ def g5_psi_d():
 
 
 def test_vbyte_frozen_bytes():
-    assert bytes(psienc.vbyte_encode(135)) == bytes([0x07, 0x81])
-    assert bytes(psienc.vbyte_encode(5)) == bytes([0x85])
-    assert bytes(psienc.vbyte_encode(0)) == bytes([0x80])
+    assert psienc.vbyte_codes([135])[0] == bytes([0x07, 0x81])
+    assert psienc.vbyte_codes([5])[0] == bytes([0x85])
+    assert psienc.vbyte_codes([0])[0] == bytes([0x80])
     assert psienc.vbyte_decode(bytes([0x07, 0x81])) == (135, 2)
     assert psienc.vbyte_decode(bytes([0x85])) == (5, 1)
 
 
 def test_vbyte_roundtrip_random():
     rng = random.Random(3)
-    buf = bytearray()
     values = [rng.randrange(0, 2**28) for _ in range(300)]
-    for v in values:
-        psienc.vbyte_encode(v, buf)
+    buf, ends = psienc.vbyte_codes(values)
     pos = 0
-    for v in values:
+    for v, end in zip(values, ends):
         got, pos = psienc.vbyte_decode(buf, pos)
-        assert got == v
+        assert (got, pos) == (v, end)
     assert pos == len(buf)
 
 
 def test_vbyte_continuation_bit_is_final_byte_only():
     for v in (0, 1, 127, 128, 16383, 16384, 2**21):
-        raw = bytes(psienc.vbyte_encode(v))
+        raw = psienc.vbyte_codes([v])[0]
         assert all(b < 0x80 for b in raw[:-1])
         assert raw[-1] >= 0x80
 
@@ -262,6 +262,126 @@ def test_huffman_long_codes_and_escapes_match_plain(t):
         lo = rng.randint(1, n)
         hi = min(n, lo + rng.randint(0, 3 * t))
         assert enc.range(lo, hi) == plain.range(lo, hi), (lo, hi)
+
+
+# sha256 of each codec's to_sections() on the crafted and long-code
+# sequences, every section prefixed by its u64 length. These cover
+# escapes of both signs, descents and codes longer than the decode table.
+SECTION_DIGESTS = {
+    ("crafted", "vbyte-rle", 1): "26135211f503daac42a83791900f95ea34f85eda6741bb82b796a7d280728bff",
+    ("crafted", "vbyte-rle", 4): "01b1d0993129a1679b177229b56eeeea8c3bb1044f86b9279a36a26d3566807a",
+    ("crafted", "vbyte-rle", 64): "a6103c88d20d00c1f469dd9ab165deeb2febe4b019e9017dcf86dcd3750f30e1",
+    ("crafted", "vbyte-rle", 256): "15014ab2c82abe6396e87fb75070b99e3ecfc1b3d6a011e2f99cf4f6076ba7eb",
+    ("crafted", "huff-rle-opt", 1): "df436bf256d4bdd9778c5f14f2b78d9a22195a1dbc6f4b47c7b5c43ab202caa4",
+    ("crafted", "huff-rle-opt", 4): "2ca68b92cc0379b32578d6533bc00f97e98a570a0bf26629e0dc609ec33a2403",
+    ("crafted", "huff-rle-opt", 64): "49865001b435fddb024804318db612dd66aea413d05453e677cb4f3ead2917e3",
+    ("crafted", "huff-rle-opt", 256): "a350e0801a69e434700413ec4e5ef079533b38eb52e650d4c8c575e0b215f7ef",
+    ("long", "vbyte-rle", 1): "f4f7b9353693ac1bebc804501ec46954b8c42cf41cfee2fb0df200fcc71b0564",
+    ("long", "vbyte-rle", 4): "b97742af52c17146e8ed7174fcf437ed2200e4579bb7b0f4cd82436377f22d58",
+    ("long", "vbyte-rle", 64): "ce37add4111fb25782b7f856b19750d58e1e909c0879af18c84bc76c3fcff229",
+    ("long", "vbyte-rle", 256): "f46de953f56aa8966e2537494bfed3ea407b3b11a602c76fa78b68b9d159d86d",
+    ("long", "huff-rle-opt", 1): "1789bf70d7a2c410ce66e57fc035b9d84558897176efd93da82aafcd91994d19",
+    ("long", "huff-rle-opt", 4): "86e16fdd73645116ff7d6b180f2a62128ef3d7d6dd8ec2f2efdeedfb643fbd06",
+    ("long", "huff-rle-opt", 64): "ca6c2fa107a435dcb50a99ada96186c02fdafb8368bc5302c8aca3f171634908",
+    ("long", "huff-rle-opt", 256): "412d84bf3da94fa3195b6e063a7383724fb5abd59c55e20d5f612ac4ef9aebf2",
+}
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("sequence", ("crafted", "long"))
+def test_section_bytes_are_pinned(sequence, codec):
+    psi, D = (crafted_sequence if sequence == "crafted" else long_code_sequence)()
+    for t in (1, 4, 64, 256):
+        sections = psienc.encode(psi, D, codec=codec, t_psi=t).to_sections()
+        blob = b"".join(struct.pack("<Q", len(s)) + s for s in sections)
+        assert hashlib.sha256(blob).hexdigest() == SECTION_DIGESTS[(sequence, codec, t)], t
+
+
+def byte_code(x):
+    out = []
+    while x >= 0x80:
+        out.append(x & 0x7F)
+        x >>= 7
+    return out + [0x80 | x]
+
+
+def loop_vbyte(psi, D, t):
+    """vbyte-rle's stream and tables (s0, ptr0, s1, ptr1, run1), written
+    by one loop over the positions."""
+    psi, starts = psi.tolist(), set(D.positions().tolist())
+    stream, tables = [], ([], [], [], [], [])
+    i = 1
+    while i <= len(psi):
+        if i in starts:
+            l = i
+            tables[0].append(psi[i - 1])
+            tables[1].append(len(stream))
+            i += 1
+            continue
+        g, j = psi[i - 1] - psi[i - 2], i
+        if g == 1:
+            while j < len(psi) and j + 1 not in starts and psi[j] - psi[j - 1] == 1:
+                j += 1
+            stream += byte_code(1) + byte_code(j - i + 1)
+        else:
+            stream += byte_code(g) if g > 1 else byte_code(0) + byte_code(-g)
+        for p in range(i, j + 1):
+            if (p - l) % t == 0:
+                for table, x in zip(tables[2:], (psi[p - 1], len(stream), j - p)):
+                    table.append(x)
+        i = j + 1
+    return bytes(stream), tables
+
+
+def loop_huffman(psi, t):
+    """huff-rle-opt's code lengths, stream bits and span pointers,
+    written by one loop over the spans."""
+    psi, nsv, esc = psi.tolist(), psienc.NSV, psienc.ESC_CLASSES
+    tokens, spans = [], []     # (symbol, raw bits as text), first token of each span
+    for p in range(1, len(psi) + 1, t):
+        spans.append(len(tokens))
+        i, end = p + 1, min(p + t, len(psi))
+        while i <= end:
+            g, r = psi[i - 1] - psi[i - 2], 1
+            if g == 1:
+                while i + r <= end and psi[i + r - 1] - psi[i + r - 2] == 1:
+                    r += 1
+                tokens.append((r - 1, ""))
+            elif 2 <= g <= nsv + 1:
+                tokens.append((t + g - 2, ""))
+            else:
+                m, base = (g - nsv - 2, t + nsv) if g > 1 else (-g - 1, t + nsv + esc)
+                k = m.bit_length()
+                tokens.append((base + k, format(m, "b")[1:]))
+            i += r
+    lengths = psienc._huff_lengths(Counter(s for s, _ in tokens))
+    lengths_u8 = bytes(lengths.get(s, 0) for s in range(max(lengths, default=-1) + 1))
+    syms, lens, first, _, offset = psienc._canonical_code(lengths_u8)
+    code = {s: format(first[ln] + i - offset[ln], f"0{ln}b")
+            for i, (s, ln) in enumerate(zip(syms.tolist(), lens.tolist()))}
+    words = [code[s] + raw for s, raw in tokens]
+    at = np.cumsum([0] + [len(w) for w in words]).tolist()
+    return lengths_u8, "".join(words), [at[k] for k in spans]
+
+
+def test_encoders_match_loop_reference():
+    # random graphs with duplicate contacts, at both arities, and the
+    # crafted sequences, against loops that write one token at a time
+    inputs = [psi_and_d(cs) for cs in search_graphs()] + [crafted_sequence(),
+                                                         long_code_sequence()]
+    for psi, D in inputs:
+        for t in (1, 2, 3, 7, 64):
+            enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=t)
+            stream, tables = loop_vbyte(psi, D, t)
+            assert enc._stream == stream
+            assert [list(a) for a in (enc._s0, enc._ptr0, enc._s1, enc._ptr1,
+                                      enc._run1)] == list(tables)
+            enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
+            lengths_u8, bits, ptrs = loop_huffman(psi, t)
+            assert enc._lengths_u8 == lengths_u8
+            assert enc._stream_bits == len(bits) and list(enc._ptr) == ptrs
+            padded = bits + "0" * (-len(bits) % 8)
+            assert enc._stream == int("1" + padded, 2).to_bytes(len(padded) // 8 + 1, "big")[1:]
 
 
 def huffman_sections(forge=lambda enc: {}):
