@@ -1,17 +1,18 @@
-"""Plain bit vectors with rank and select over their sorted one-positions.
+"""Plain bit vectors held as their sorted one-positions.
 
 Positions are 1-based everywhere: access(pos) reads bit pos, rank1(pos)
 counts ones in [1, pos] (rank1(0) == 0), and select1(k) returns the
 position of the k-th one. The off-by-one convention matches the rest of
 the index, where 0 doubles as the boundary "before everything".
 
-Each bitmap of the index has at most one one per contact term, so
-besides its words a bitmap keeps the ascending list of its
-one-positions: select1 indexes that list and rank1 bisects it.
+Each bitmap of the index has at most one one per contact term, so a
+bitmap is just its length and the ascending list of its one-positions:
+select1 indexes that list, and rank1 and access bisect it. Memory grows
+with the ones, not with the length.
 
 Instances are immutable after construction and safe to share between
-threads. Serialization stores the bit length and the payload words; the
-one-position list is recomputed on load.
+threads. Serialization stores the bit length and the bits as 64-bit
+words; the words exist only in the image bytes.
 """
 
 from __future__ import annotations
@@ -24,53 +25,35 @@ import numpy as np
 
 
 class BitSequence:
-    """Uncompressed bitmap over 64-bit little-endian words.
+    """Bitmap of nbits bits, kept as its sorted 1-based one-positions.
 
-    Bit i of the sequence lives at bit (i-1) % 64 of word (i-1) // 64.
-    The words serve access, serialization and equality; the sorted
-    1-based one-positions (a signed 64-bit array) serve rank and select.
+    In the serialized words, bit i of the sequence lives at bit
+    (i-1) % 64 of little-endian word (i-1) // 64.
     """
 
-    __slots__ = ("nbits", "_words", "_ones_at")
+    __slots__ = ("nbits", "_ones_at")
 
-    def __init__(self, words, nbits: int):
-        nbits = int(nbits)
-        if nbits < 0:
-            raise ValueError("negative bit length")
-        words = np.array(words, dtype=np.uint64, copy=True)
-        if len(words) != (nbits + 63) // 64:
-            raise ValueError(
-                f"payload has {len(words)} words, {nbits} bits need {(nbits + 63) // 64}"
-            )
-        if nbits % 64 and len(words):
-            words[-1] &= np.uint64((1 << (nbits % 64)) - 1)
-        self.nbits = nbits
-        self._words = words
-        bits = np.unpackbits(words.view(np.uint8), bitorder="little", count=nbits)
-        self._ones_at = array("q", (np.flatnonzero(bits) + 1).astype(np.int64).tobytes())
+    def __init__(self, positions, nbits: int):
+        """Wrap positions already ascending, distinct and in [1, nbits];
+        from_positions checks and orders arbitrary input."""
+        self.nbits = int(nbits)
+        self._ones_at = array("q", np.asarray(positions, dtype=np.int64).tobytes())
 
     @classmethod
     def from_bits(cls, bits) -> "BitSequence":
-        """Build from a sequence of 0/1 values (list, tuple, or array)."""
-        arr = np.asarray(bits, dtype=np.uint8)
-        if arr.ndim != 1:
-            raise ValueError("expected a flat bit sequence")
-        packed = np.packbits(arr, bitorder="little")
-        pad = (-len(packed)) % 8
-        if pad:
-            packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-        return cls(packed.view(np.uint64), len(arr))
+        """Build from a flat sequence of 0/1 values (list, tuple, or array)."""
+        return cls.from_positions(np.flatnonzero(bits) + 1, len(bits))
 
     @classmethod
     def from_positions(cls, positions, nbits: int) -> "BitSequence":
-        """Build an nbits-long bitmap with ones at the given 1-based positions."""
-        bits = np.zeros(nbits, dtype=np.uint8)
-        pos = np.asarray(positions, dtype=np.int64)
-        if len(pos):
-            if pos.min() < 1 or pos.max() > nbits:
-                raise ValueError("one-position out of [1, nbits]")
-            bits[pos - 1] = 1
-        return cls.from_bits(bits)
+        """Build an nbits-long bitmap with ones at the given 1-based
+        positions, in any order; a repeated position sets its bit once."""
+        if int(nbits) < 0:
+            raise ValueError("negative bit length")
+        pos = np.unique(np.asarray(positions, dtype=np.int64))
+        if len(pos) and (pos[0] < 1 or pos[-1] > nbits):
+            raise ValueError("one-position out of [1, nbits]")
+        return cls(pos, nbits)
 
     def __len__(self) -> int:
         return self.nbits
@@ -78,10 +61,10 @@ class BitSequence:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitSequence):
             return NotImplemented
-        return self.nbits == other.nbits and np.array_equal(self._words, other._words)
+        return self.nbits == other.nbits and self._ones_at == other._ones_at
 
     def __hash__(self):
-        return hash((self.nbits, self._words.tobytes()))
+        return hash((self.nbits, self._ones_at.tobytes()))
 
     @property
     def ones(self) -> int:
@@ -91,8 +74,8 @@ class BitSequence:
     def access(self, pos: int) -> int:
         if not 1 <= pos <= self.nbits:
             raise ValueError(f"access({pos}) outside [1, {self.nbits}]")
-        q, r = divmod(pos - 1, 64)
-        return int(self._words[q]) >> r & 1
+        k = bisect_right(self._ones_at, pos)
+        return int(k > 0 and self._ones_at[k - 1] == pos)
 
     def rank1(self, pos: int) -> int:
         """Count ones in [1, pos]; pos may be 0."""
@@ -114,7 +97,16 @@ class BitSequence:
 
     def serialize(self) -> bytes:
         """Bit length as u64 LE, then the payload padded to whole words."""
-        return struct.pack("<Q", self.nbits) + self._words.astype("<u8").tobytes()
+        out = np.zeros(1 + (self.nbits + 63) // 64, dtype="<u8")
+        out[0] = self.nbits
+        at = self.positions() - 1
+        if len(at):
+            # OR together the bits of each run of positions in one word
+            word = at >> 6
+            first = np.flatnonzero(np.diff(word, prepend=-1))
+            bits = np.left_shift(np.uint64(1), (at & 63).astype(np.uint64))
+            out[1 + word[first]] = np.bitwise_or.reduceat(bits, first)
+        return out.tobytes()
 
     @classmethod
     def deserialize(cls, buf) -> "BitSequence":
@@ -129,10 +121,13 @@ class BitSequence:
         words = np.frombuffer(buf, dtype="<u8", offset=8, count=nwords)
         if nbits % 64 and int(words[-1]) >> (nbits % 64):
             raise ValueError(f"bitmap blob sets bits past its {nbits} bits")
-        return cls(words, nbits)
+        used = np.flatnonzero(words)
+        bits = np.unpackbits(words[used].view(np.uint8), bitorder="little")
+        at = np.flatnonzero(bits.view(bool))  # numpy scans bools far faster than bytes
+        return cls(used[at >> 6] * 64 + (at & 63) + 1, nbits)
 
     def serialized_length(self) -> int:
-        return 8 + 8 * len(self._words)
+        return 8 + 8 * ((self.nbits + 63) // 64)
 
     def __repr__(self):
         return f"BitSequence(nbits={self.nbits}, ones={self.ones})"

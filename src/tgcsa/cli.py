@@ -357,6 +357,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"tgcsa: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("tgcsa: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -33,6 +33,15 @@ class Contact(NamedTuple):
     te: Optional[int] = None
 
 
+class ContactError(ValueError):
+    """A contact that ContactSet rejects; row is its index in the input."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"contact {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
 class ContactSet:
     """Sorted multiset of contacts plus the universe sizes nu and tau.
 
@@ -55,15 +64,15 @@ class ContactSet:
         rows = list(contacts)
         for i, c in enumerate(rows):
             if len(c) != arity:
-                raise ValueError(f"contact {i}: expected {arity} terms, got {len(c)}")
+                raise ContactError(i, f"expected {arity} terms, got {len(c)}")
         cols = np.array(rows, dtype=np.int64).reshape(len(rows), arity)
         if len(rows):
             if cols.min() < 1:
                 bad = int(np.argmin(cols.min(axis=1)))
-                raise ValueError(f"contact {bad}: terms must be >= 1")
+                raise ContactError(bad, "terms must be >= 1")
             if cols.max() > _LIMIT:
                 bad = int(np.argmax(cols.max(axis=1)))
-                raise ValueError(f"contact {bad}: term exceeds the 32-bit id range")
+                raise ContactError(bad, "term exceeds the 32-bit id range")
 
         u, v, ts = cols[:, 0], cols[:, 1], cols[:, 2]
         te = cols[:, 3] if arity == 4 else None
@@ -72,15 +81,16 @@ class ContactSet:
         seen_tau = int(te.max(initial=0)) if arity == 4 else int(ts.max(initial=0))
         self.nu = seen_nu if nu is None else int(nu)
         self.tau = seen_tau if tau is None else int(tau)
+        if max(self.nu, self.tau) > _LIMIT:
+            raise ValueError(f"declared universe (nu={self.nu}, tau={self.tau}) "
+                             f"exceeds the 32-bit id range")
         if self.nu < seen_nu:
             raise ValueError(f"vertex {seen_nu} outside the declared universe [1, {self.nu}]")
         if self.tau < seen_tau:
             raise ValueError(f"time {seen_tau} outside the declared lifetime [1, {self.tau}]")
         if arity == 4 and len(rows) and not np.all(ts < te):
             bad = int(np.argmax(ts >= te))
-            raise ValueError(
-                f"contact {bad}: empty interval (ts={int(ts[bad])}, te={int(te[bad])})"
-            )
+            raise ContactError(bad, f"empty interval (ts={int(ts[bad])}, te={int(te[bad])})")
 
         order = np.lexsort((te, ts, v, u)) if arity == 4 else np.lexsort((ts, v, u))
         self.u = u[order]
@@ -123,7 +133,7 @@ def parse_contacts(source, arity: int = 4, nu: int | None = None,
     """Parse contact text: one contact per line, whitespace-separated
     integers, # starts a comment. Errors carry 1-based line numbers."""
     lines = source.splitlines() if isinstance(source, str) else source
-    rows = []
+    rows, line_of = [], []
     for ln, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -135,20 +145,11 @@ def parse_contacts(source, arity: int = 4, nu: int | None = None,
             rows.append(tuple(int(p) for p in parts))
         except ValueError:
             raise ValueError(f"line {ln}: fields must be integers") from None
+        line_of.append(ln)
     try:
         return ContactSet(rows, arity=arity, nu=nu, tau=tau, semantics=semantics)
-    except ValueError as exc:
-        msg = str(exc)
-        if msg.startswith("contact "):
-            # translate the row index back into a source line number
-            idx = int(msg.split()[1].rstrip(":"))
-            count = -1
-            for ln, raw in enumerate(lines, 1):
-                if raw.split("#", 1)[0].strip():
-                    count += 1
-                    if count == idx:
-                        raise ValueError(f"line {ln}: {msg.split(': ', 1)[1]}") from None
-        raise
+    except ContactError as exc:
+        raise ValueError(f"line {line_of[exc.row]}: {exc.reason}") from None
 
 
 def load_contacts(path, arity: int = 4, nu: int | None = None,
@@ -165,6 +166,12 @@ def write_contacts(cs: ContactSet, fh, header=()) -> None:
         fh.write(" ".join(str(t) for t in c if t is not None) + "\n")
 
 
+def _layout(arity: int, nu: int, tau: int) -> tuple[tuple[int, ...], int]:
+    """The per-section gaps of the shifted universe, and its size."""
+    gaps = (0, nu, 2 * nu, 2 * nu + tau)[:arity]
+    return gaps, gaps[-1] + tau
+
+
 class AlphabetMap:
     """Dense ids over the used contact terms of all sections.
 
@@ -178,12 +185,7 @@ class AlphabetMap:
         self.arity = arity
         self.nu = nu
         self.tau = tau
-        if arity == 4:
-            self.gaps = (0, nu, 2 * nu, 2 * nu + tau)
-            universe = 2 * nu + 2 * tau
-        else:
-            self.gaps = (0, nu, 2 * nu)
-            universe = 2 * nu + tau
+        self.gaps, universe = _layout(arity, nu, tau)
         if len(bitmap) != universe:
             raise ValueError(f"bitmap length {len(bitmap)} != universe {universe}")
         self.B = bitmap
@@ -194,45 +196,24 @@ class AlphabetMap:
 
     @classmethod
     def build(cls, cs: ContactSet) -> "AlphabetMap":
-        nu, tau, arity = cs.nu, cs.tau, cs.arity
-        if arity == 4:
-            gaps = (0, nu, 2 * nu, 2 * nu + tau)
-            universe = 2 * nu + 2 * tau
-            cols = (cs.u, cs.v, cs.ts, cs.te)
-        else:
-            gaps = (0, nu, 2 * nu)
-            universe = 2 * nu + tau
-            cols = (cs.u, cs.v, cs.ts)
-        if len(cs):
-            shifted = np.concatenate([col + g for col, g in zip(cols, gaps)])
-            used = np.unique(shifted)
-        else:
-            used = np.zeros(0, dtype=np.int64)
-        return cls(arity, nu, tau, BitSequence.from_positions(used, universe))
+        gaps, universe = _layout(cs.arity, cs.nu, cs.tau)
+        cols = (cs.u, cs.v, cs.ts, cs.te)[:cs.arity]
+        used = np.concatenate([col + g for col, g in zip(cols, gaps)])
+        return cls(cs.arity, cs.nu, cs.tau, BitSequence.from_positions(used, universe))
 
     def _section_max(self, section: int) -> int:
         if not 1 <= section <= self.arity:
             raise ValueError(f"no section {section} at arity {self.arity}")
         return self.nu if section <= 2 else self.tau
 
-    def map_id(self, value: int) -> int:
-        """Dense id of a shifted-universe position, 0 if unused."""
-        if not 1 <= value <= len(self.B):
-            raise ValueError(f"value {value} outside the universe [1, {len(self.B)}]")
-        return self.B.rank1(value) if self.B.access(value) else 0
-
-    def unmap_id(self, sid: int) -> int:
-        """Shifted-universe position of a dense id."""
-        if not 1 <= sid <= self.sigma:
-            raise ValueError(f"id {sid} outside [1, {self.sigma}]")
-        return self.B.select1(sid)
-
     def getmap(self, value: int, section: int) -> int:
         """Id of a raw term in its section, 0 if the term never occurs."""
         limit = self._section_max(section)
         if not 1 <= value <= limit:
             raise ValueError(f"value {value} outside section {section} universe [1, {limit}]")
-        return self.map_id(value + self.gaps[section - 1])
+        value += self.gaps[section - 1]
+        sid = self.B.rank1(value)
+        return sid if sid and self.B.select1(sid) == value else 0
 
     def getmap_floor(self, value: int, section: int) -> int:
         """Id of the nearest used symbol at or before value in a time section.
@@ -251,7 +232,7 @@ class AlphabetMap:
     def getunmap(self, sid: int, section: int) -> int:
         """Raw term of a dense id, interpreted in the given section."""
         self._section_max(section)
-        return self.unmap_id(sid) - self.gaps[section - 1]
+        return self.B.select1(sid) - self.gaps[section - 1]
 
     def __repr__(self):
         return (f"AlphabetMap(arity={self.arity}, nu={self.nu}, tau={self.tau}, "

@@ -495,31 +495,24 @@ TABLE_BITS = 16  # widest code prefix the decode table indexes
 
 
 def _huff_lengths(freqs: dict[int, int]) -> dict[int, int]:
-    if not freqs:
-        return {}
     if len(freqs) == 1:
         return {next(iter(freqs)): 1}
-    heap = []
-    tick = 0
-    for sym, f in sorted(freqs.items()):
-        heap.append((f, tick, sym))
-        tick += 1
+    # a symbol's code length is the number of merges its subtree joins;
+    # subtrees list indices into syms
+    syms = sorted(freqs)
+    heap = [(freqs[sym], i, [i]) for i, sym in enumerate(syms)]
     heapq.heapify(heap)
+    depth = [0] * len(syms)
+    tick = len(heap)
     while len(heap) > 1:
         f1, _, a = heapq.heappop(heap)
         f2, _, b = heapq.heappop(heap)
-        heapq.heappush(heap, (f1 + f2, tick, ("n", a, b)))
+        a += b
+        for i in a:
+            depth[i] += 1
+        heapq.heappush(heap, (f1 + f2, tick, a))
         tick += 1
-    lengths = {}
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, tuple) and node[0] == "n":
-            stack.append((node[1], depth + 1))
-            stack.append((node[2], depth + 1))
-        else:
-            lengths[node] = max(depth, 1)
-    return lengths
+    return dict(zip(syms, depth))
 
 
 def _canonical_code(lengths_u8: bytes):

@@ -94,12 +94,9 @@ def cyclic_adjust(psi: np.ndarray, arity: int) -> np.ndarray:
 
 def build_d(sid: np.ndarray, A: np.ndarray) -> BitSequence:
     """Group marks along A: a one wherever a new first symbol starts."""
-    first = sid[A - 1]
-    bits = np.empty(len(A), dtype=np.uint8)
-    if len(A):
-        bits[0] = 1
-        np.not_equal(first[1:], first[:-1], out=bits[1:].view(bool))
-    return BitSequence.from_bits(bits)
+    # ids are >= 1, so the prepended 0 marks position 1
+    starts = np.flatnonzero(np.diff(sid[A - 1], prepend=0)) + 1
+    return BitSequence.from_positions(starts, len(A))
 
 
 class TgcsaIndex:

@@ -1,6 +1,8 @@
 """Rank/select bitmap checked against per-bit loops."""
 
 import random
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,16 @@ def naive_select(bits, k):
 
 def random_bits(rng, n, density):
     return [1 if rng.random() < density else 0 for _ in range(n)]
+
+
+def ref_blob(bits):
+    """The image format by hand: the bit length as u64 LE, then bit i at
+    bit (i-1) % 64 of little-endian word (i-1) // 64."""
+    words = [0] * ((len(bits) + 63) // 64)
+    for i, b in enumerate(bits):
+        if b:
+            words[i // 64] |= 1 << (i % 64)
+    return struct.pack(f"<{1 + len(words)}Q", len(bits), *words)
 
 
 def test_small_handmade():
@@ -109,6 +121,9 @@ def test_bounds_are_rejected():
         bs.select1(0)
     with pytest.raises(ValueError):
         bs.select1(3)
+    for pos, nbits in (([0, 2], 3), ([4], 3), ([], -1)):
+        with pytest.raises(ValueError):
+            BitSequence.from_positions(pos, nbits)
 
 
 def test_serialize_roundtrip():
@@ -131,15 +146,18 @@ def test_equality_ignores_directories_but_not_content():
     b = BitSequence.from_bits([1, 0, 1])
     c = BitSequence.from_bits([1, 0, 0])
     d = BitSequence.from_bits([1, 0, 1, 0])
+    e = BitSequence.from_bits([1, 1, 0])
     assert a == b
     assert a != c
     assert a != d
+    assert a != e
     assert a != "101"
 
 
 def test_deserialize_rejects_a_blob_of_the_wrong_length():
     blob = BitSequence.from_bits([1, 0, 1] * 30).serialize()
-    for bad in (blob[:5], blob[:-8], blob + bytes(8), b"\xff" * 8 + blob[8:]):
+    past_end = blob[:-1] + bytes([blob[-1] | 0x80])   # bit 128 of a 90-bit bitmap
+    for bad in (blob[:5], blob[:-8], blob + bytes(8), b"\xff" * 8 + blob[8:], past_end):
         with pytest.raises(ValueError, match="bitmap blob"):
             BitSequence.deserialize(bad)
 
@@ -150,3 +168,38 @@ def test_positions_is_a_read_only_view():
     with pytest.raises(ValueError):
         pos[0] = 5
     assert bs.select1(1) == 2
+
+
+@pytest.mark.parametrize("nbits", [0, 1, 63, 64, 65, 1000, 4096])
+def test_serialize_matches_a_reference_word_packer(nbits):
+    rng = random.Random(nbits)
+    # empty, sparse, half-full and full
+    for density in (0.0, 0.02, 0.5, 1.0):
+        bits = random_bits(rng, nbits, density)
+        pos = [i + 1 for i, b in enumerate(bits) if b]
+        blob = ref_blob(bits)
+        assert BitSequence.from_positions(pos, nbits).serialize() == blob
+        assert BitSequence.from_bits(bits).serialize() == blob
+        assert list(BitSequence.deserialize(blob).positions()) == pos
+
+
+def test_sparse_bitmaps_cost_memory_by_ones_not_bits():
+    n = 10 ** 8
+    raw = bytearray(8 + 8 * ((n + 63) // 64))
+    struct.pack_into("<Q", raw, 0, n)
+    raw[8] = 1                                   # bit 1
+    raw[8 + (n - 1) // 8] |= 1 << ((n - 1) % 8)  # bit n
+    blob = bytes(raw)
+    del raw
+    tracemalloc.start()
+    try:
+        bs = BitSequence.from_positions([1, n], n)
+        assert (bs.rank1(n - 1), bs.rank1(n), bs.select1(2)) == (1, 2, n)
+        assert (bs.access(1), bs.access(n - 1), bs.access(n)) == (1, 0, 1)
+        back = BitSequence.deserialize(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == bs
+    # one byte per bit would be n bytes; the blob itself was made before tracing
+    assert peak < n // 20

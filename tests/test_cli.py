@@ -283,3 +283,26 @@ def test_oversized_term_exits_1_with_its_line(tmp_path, capsys):
     p.write_text("1 2 1 5\n1 2 1 4294967296\n")
     assert main(["build", str(p), "-o", str(tmp_path / "x.tgx")]) == 1
     assert "line 2: term exceeds the 32-bit id range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--nu", "1000000000000"],
+                                   ["--engine", "edgelog", "--nu", "99999999999"]])
+def test_declared_universe_past_the_id_range_exits_1(tmp_path, capsys, extra):
+    p = tmp_path / "one.txt"
+    p.write_text("1 2 1 5\n")
+    out = tmp_path / "x.tgx"
+    assert main(["build", str(p), "-o", str(out)] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tgcsa: ") and "exceeds the 32-bit id range" in err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_1_with_one_line(g5_file, tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("tgcsa.cli.build_index", exhausted)
+    out = tmp_path / "x.tgx"
+    assert main(["build", str(g5_file), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "tgcsa: out of memory\n"
+    assert not out.exists()

@@ -37,12 +37,23 @@ def test_parse_errors_carry_source_line_numbers():
         parse_contacts("1 2 1 5\n0 2 1 5\n")
     with pytest.raises(ValueError, match="line 3: term exceeds the 32-bit id range"):
         parse_contacts("1 2 1 5\n# note\n1 2 1 4294967296\n")
+    # a file-like source is read once; its line numbers must survive
+    with pytest.raises(ValueError, match="line 3: empty interval"):
+        parse_contacts(io.StringIO("# c\n1 2 3 4\n5 6 7 2\n"))
 
 
 def test_oversized_term_names_its_row():
     # rows are checked before sorting, so the index is the input row
     with pytest.raises(ValueError, match="contact 1: term exceeds the 32-bit id range"):
         ContactSet([(3, 1, 1, 2), (1, 2 ** 32, 1, 2)])
+
+
+def test_declared_universe_is_bounded_by_the_id_range():
+    for kw in (dict(nu=2 ** 32), dict(tau=10 ** 12)):
+        with pytest.raises(ValueError, match="exceeds the 32-bit id range"):
+            ContactSet([(1, 2, 1, 2)], **kw)
+    cs = ContactSet([(1, 2, 1, 2)], nu=2 ** 32 - 1, tau=2 ** 32 - 1)
+    assert (cs.nu, cs.tau) == (2 ** 32 - 1, 2 ** 32 - 1)
 
 
 def test_contactset_sorts_and_keeps_duplicates():
@@ -123,14 +134,15 @@ def test_map_and_unmap_are_inverse_on_used_symbols():
     cs = ContactSet(G5_CONTACTS)
     am = AlphabetMap.build(cs)
     for sid in range(1, am.sigma + 1):
-        assert am.map_id(am.unmap_id(sid)) == sid
+        section = sum(am.values[sid - 1] > g for g in am.gaps)
+        assert am.getmap(am.getunmap(sid, section), section) == sid
     # unused universe positions map to 0
-    assert am.map_id(3) == 0
-    assert am.map_id(5) == 0
+    assert am.getmap(3, 1) == 0
+    assert am.getmap(5, 1) == 0
     with pytest.raises(ValueError):
-        am.map_id(0)
+        am.getmap(0, 1)
     with pytest.raises(ValueError):
-        am.unmap_id(am.sigma + 1)
+        am.getunmap(am.sigma + 1, 4)
 
 
 def test_getmap_by_section():
