@@ -17,7 +17,13 @@ neighbour queries find each target's contacts started by the cut with
 one search, and reverse_neighbors decodes only the stretch of its group
 inside the window. Snapshot and the change queries scan their window.
 
-Positions are 1-based throughout, matching the bitmaps.
+Positions are 1-based throughout, matching the bitmaps. Every time cut
+is the right edge of a time group (_cut), and a window is the stretch
+between two cuts (_window). The window queries hop from it to the
+section-1 and section-2 positions of their contacts and turn each list
+of positions into terms in one array step: a position's symbol id is
+the number of D's group marks up to it (np.searchsorted on D's
+one-positions), and the term is values[id - 1] less the section's gap.
 """
 
 from __future__ import annotations
@@ -91,30 +97,26 @@ def symbol_range(idx, c: int) -> tuple[int, int]:
     return l, r
 
 
-def _right_bound(idx, c: int) -> int:
-    if c == 0:
-        return 0
+def _cut(idx, section: int, value: int) -> int:
+    """Last position of the groups of time section 3 or 4 whose time is
+    at most value."""
+    c = idx.am.getmap_floor(value, section)
     if c >= idx.sigma:
         return idx.arity * idx.n
     return idx.D.select1(c + 1) - 1
 
 
-def _rt_start(idx, value: int) -> int:
-    """Right edge of the last start-time group with symbol value <= value."""
-    return _right_bound(idx, idx.am.getmap_floor(value, 3))
-
-
-def _rt_end(idx, value: int) -> int:
-    """Same for end times."""
-    return _right_bound(idx, idx.am.getmap_floor(value, 4))
+def _window(idx, section: int, after: int, upto: int) -> tuple[int, int]:
+    """Positions [lo, hi] of the contacts whose time in the section lies
+    in (after, upto]; lo > hi when there are none."""
+    first = (section - 1) * idx.n + 1
+    return max(_cut(idx, section, after) + 1, first), _cut(idx, section, upto)
 
 
 def time_bounds(idx, t: int) -> tuple[int, int | None]:
     """(start cut, end cut) for instant t; the end cut is None without
     an end-time section."""
-    if idx.arity == 4:
-        return _rt_start(idx, t), _rt_end(idx, t)
-    return _rt_start(idx, t), None
+    return _cut(idx, 3, t), (_cut(idx, 4, t) if idx.arity == 4 else None)
 
 
 def pattern_range(idx, ids) -> tuple[int, int]:
@@ -167,21 +169,34 @@ def _section3_window(idx, p1: int, p2: int):
     """
     base = 2 * idx.n
     if idx.semantics == "interval":
-        return base + 1, _rt_start(idx, p1), _rt_end(idx, p2)
+        return base + 1, _cut(idx, 3, p1), _cut(idx, 4, p2)
     if idx.semantics == "incremental":
         if p2 >= idx.tau:
             return base + 1, base, None
-        return base + 1, _rt_start(idx, p1), None
-    lo = max(_rt_start(idx, p2 - 1) + 1, base + 1)
-    return lo, _rt_start(idx, p1), None
+        return base + 1, _cut(idx, 3, p1), None
+    return (*_window(idx, 3, p2 - 1, p1), None)
 
 
-def _source_of(idx, pos1: int) -> int:
-    return idx.am.getunmap(idx.D.rank1(pos1), 1)
+def _terms(idx, positions, section: int) -> np.ndarray:
+    """The section's terms at the given Psi positions, as one array.
+
+    A position's symbol id is the number of group marks of D up to it,
+    and the id's shifted value is values[id - 1]; positions are checked
+    first, so that no corrupted value reaches numpy.
+    """
+    total = idx.arity * idx.n
+    if len(positions) and not (1 <= min(positions) and max(positions) <= total):
+        raise ValueError(f"Psi positions {min(positions)}..{max(positions)} "
+                         f"are outside 1..{total}")
+    ids = np.searchsorted(idx.D.positions(), positions, side="right")
+    return idx.am.values[ids - 1] - idx.am.gaps[section - 1]
 
 
-def _target_of(idx, pos2: int) -> int:
-    return idx.am.getunmap(idx.D.rank1(pos2), 2)
+def _edges(idx, pos1) -> list[tuple[int, int]]:
+    """Sorted distinct (u, v) of the contacts at section-1 positions pos1."""
+    u = _terms(idx, pos1, 1).tolist()
+    v = _terms(idx, [idx.psi.access(p) for p in pos1], 2).tolist()
+    return sorted(set(zip(u, v)))
 
 
 def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
@@ -267,17 +282,10 @@ def reverse_neighbors(idx, v: int, sem: TimeSemantics) -> list[int]:
     psi = idx.psi
     end = psi.search(l, r, hi + 1)
     start = psi.search(l, end - 1, lo) if lo > 2 * idx.n + 1 else l
-    out = set()
-    for y in psi.range(start, end - 1):
-        if zfloor is None:
-            pos1 = psi.access(y)
-        else:
-            z = psi.access(y)
-            if z <= zfloor:
-                continue
-            pos1 = psi.access(z)
-        out.add(_source_of(idx, pos1))
-    return sorted(out)
+    nxt = [psi.access(y) for y in psi.range(start, end - 1)]
+    if zfloor is not None:
+        nxt = [psi.access(z) for z in nxt if z > zfloor]
+    return sorted(set(_terms(idx, nxt, 1).tolist()))
 
 
 def active_edge(idx, u: int, v: int, sem: TimeSemantics) -> bool:
@@ -315,25 +323,20 @@ def snapshot(idx, sem: TimeSemantics, contacts: bool = False):
     if lo > hi:
         return []
     psi = idx.psi
-    out = set()
-    for off, nxt in enumerate(psi.range(lo, hi)):
-        if zfloor is None:
-            pos1 = nxt
-        else:
-            if nxt <= zfloor:
-                continue
-            pos1 = psi.access(nxt)
-        u = _source_of(idx, pos1)
-        v = _target_of(idx, psi.access(pos1))
-        if contacts:
-            ts = idx.am.getunmap(idx.D.rank1(lo + off), 3)
-            if zfloor is None:
-                out.add((u, v, ts))
-            else:
-                out.add((u, v, ts, idx.am.getunmap(idx.D.rank1(nxt), 4)))
-        else:
-            out.add((u, v))
-    return sorted(out)
+    nxt = psi.range(lo, hi)
+    if zfloor is None:  # no end section: Psi leads from a start straight to section 1
+        pos1 = nxt
+    else:
+        ends = [z for z in nxt if z > zfloor]
+        pos1 = [psi.access(z) for z in ends]
+    if not contacts:
+        return _edges(idx, pos1)
+    starts = [q for q, z in enumerate(nxt, lo) if zfloor is None or z > zfloor]
+    cols = [_terms(idx, pos1, 1), _terms(idx, [psi.access(p) for p in pos1], 2),
+            _terms(idx, starts, 3)]
+    if zfloor is not None:
+        cols.append(_terms(idx, ends, 4))
+    return sorted(set(zip(*(c.tolist() for c in cols))))
 
 
 def _check_event_time(idx, t: int, t_end: int | None) -> int:
@@ -346,19 +349,13 @@ def _check_event_time(idx, t: int, t_end: int | None) -> int:
     return t_end
 
 
-def _edges_in(idx, lo: int, hi: int, end_section: bool):
-    """Distinct edges whose start (or end) position falls in [lo, hi]."""
-    psi = idx.psi
-    out = set()
-    for nxt in psi.range(lo, hi):
-        if end_section:
-            pos1 = nxt
-        elif idx.arity == 4:
-            pos1 = psi.access(nxt)
-        else:
-            pos1 = nxt
-        out.add((_source_of(idx, pos1), _target_of(idx, psi.access(pos1))))
-    return sorted(out)
+def _edges_in(idx, section: int, after: int, upto: int):
+    """Distinct edges whose time in section 3 or 4 lies in (after, upto]."""
+    lo, hi = _window(idx, section, after, upto)
+    pos1 = idx.psi.range(lo, hi)
+    if section < idx.arity:
+        pos1 = [idx.psi.access(p) for p in pos1]
+    return _edges(idx, pos1)
 
 
 def activated_edges(idx, t: int, t_end: int | None = None):
@@ -367,11 +364,7 @@ def activated_edges(idx, t: int, t_end: int | None = None):
     if idx.n == 0:
         return []
     t_end = _check_event_time(idx, t, t_end)
-    lo = max(_rt_start(idx, t - 1) + 1, 2 * idx.n + 1)
-    hi = _rt_start(idx, t_end - 1)
-    if lo > hi:
-        return []
-    return _edges_in(idx, lo, hi, end_section=False)
+    return _edges_in(idx, 3, t - 1, t_end - 1)
 
 
 def deactivated_edges(idx, t: int, t_end: int | None = None):
@@ -387,11 +380,7 @@ def deactivated_edges(idx, t: int, t_end: int | None = None):
         if lo_ts >= hi_ts:
             return []
         return activated_edges(idx, lo_ts, hi_ts)
-    lo = max(_rt_end(idx, t - 1) + 1, 3 * idx.n + 1)
-    hi = _rt_end(idx, t_end - 1)
-    if lo > hi:
-        return []
-    return _edges_in(idx, lo, hi, end_section=True)
+    return _edges_in(idx, 4, t - 1, t_end - 1)
 
 
 def reconstruct_contact(idx, i: int) -> Contact:

@@ -112,7 +112,9 @@ class PyOracle:
         return any(r[0] == u and r[1] == v and self._alive(r, sem)
                    for r in self.rows)
 
-    def snapshot(self, sem):
+    def snapshot(self, sem, contacts=False):
+        if contacts:
+            return sorted({r for r in self.rows if self._alive(r, sem)})
         return sorted({(r[0], r[1]) for r in self.rows if self._alive(r, sem)})
 
     def activated_edges(self, t, t_end=None):
@@ -189,6 +191,7 @@ def assert_same_answers(a, b, rng: random.Random, instants=8, intervals=5,
         for u, v in zip(pick(), pick()):
             assert a.active_edge(u, v, sem) == b.active_edge(u, v, sem)
         assert a.snapshot(sem) == b.snapshot(sem)
+        assert a.snapshot(sem, contacts=True) == b.snapshot(sem, contacts=True)
         assert a.activated_edges(t) == b.activated_edges(t)
         if not incremental:
             assert a.deactivated_edges(t) == b.deactivated_edges(t)
@@ -203,6 +206,7 @@ def assert_same_answers(a, b, rng: random.Random, instants=8, intervals=5,
                 assert a.active_edge(u, v, sem) == b.active_edge(u, v, sem)
         strong = TimeSemantics.strong(t, t_end)
         assert a.snapshot(strong) == b.snapshot(strong)
+        assert a.snapshot(strong, contacts=True) == b.snapshot(strong, contacts=True)
         assert a.activated_edges(t, t_end) == b.activated_edges(t, t_end)
         if not incremental:
             assert a.deactivated_edges(t, t_end) == b.deactivated_edges(t, t_end)

@@ -267,10 +267,10 @@ def test_criterion_7_query_cost_scaling():
         idx = build_index(ContactSet(rows, nu=400, tau=64),
                           codec="vbyte-rle", t_psi=64)
 
-        from tgcsa.query import _rt_start
+        from tgcsa.query import time_bounds
 
         def window(t):
-            return _rt_start(idx, t) - 2 * idx.n
+            return time_bounds(idx, t)[0] - 2 * idx.n
 
         t_lo, t_hi = 8, 56
         w_lo, w_hi = window(t_lo), window(t_hi)

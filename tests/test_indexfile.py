@@ -180,6 +180,19 @@ def test_vbyte_offset_tables_must_match_their_bitmaps():
                 deserialize_index(bytes(bad))
 
 
+@pytest.mark.parametrize("codec", ALL_CODECS)
+def test_group_bitmap_must_open_with_a_mark(codec):
+    # G5's D reads 1011...; moving its first mark to position 2 keeps the
+    # length and the mark count, but leaves position 1 outside every group
+    blob = bytearray(serialize_index(build_index(ContactSet(G5_CONTACTS), codec=codec,
+                                                 t_psi=16)))
+    start, _ = section_spans(blob)[1]
+    assert blob[start + 8] & 0b11 == 0b01
+    blob[start + 8] ^= 0b11
+    with pytest.raises(ValueError, match="does not open with a group mark"):
+        deserialize_index(bytes(blob))
+
+
 @pytest.mark.parametrize("kind", ALL_CODECS + ("edgelog",))
 def test_every_byte_flip_is_rejected_or_canonical(kind):
     # reserved bytes, padding, bits past a bitmap's end and header fields

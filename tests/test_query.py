@@ -8,7 +8,8 @@ import pytest
 from tgcsa.baseline import OracleIndex
 from tgcsa.corpus import Contact, ContactSet
 from tgcsa.sacsa import build_index
-from tgcsa.query import (TimeSemantics, active_edge, activated_edges,
+from tgcsa.synth import GenSpec, generate
+from tgcsa.query import (TimeSemantics, _terms, active_edge, activated_edges,
                          deactivated_edges, direct_neighbors, pattern_range,
                          reconstruct_contact, reverse_neighbors, snapshot,
                          symbol_range, time_bounds)
@@ -307,3 +308,23 @@ def test_pair_lookups_skip_pointwise_access(codec, monkeypatch):
     # a live contact does take hops, so the counter sees them
     assert active_edge(idx, 1, 2, TimeSemantics.instant(13)) is True
     assert calls
+
+
+@pytest.mark.parametrize("graph", ("g5", "ba"))
+def test_terms_match_rank_then_unmap(graph):
+    cs = ContactSet(G5_CONTACTS) if graph == "g5" else generate(
+        GenSpec(nu=40, m=3, lifetime=40, dist="uniform", dist_param=5, seed=2))
+    idx = build_index(cs, codec="vbyte-rle", t_psi=16)
+    every = list(range(1, idx.arity * idx.n + 1))
+    for section in range(1, idx.arity + 1):
+        want = [idx.am.getunmap(idx.D.rank1(p), section) for p in every]
+        assert _terms(idx, every, section).tolist() == want
+        assert _terms(idx, every[::-1], section).tolist() == want[::-1]
+    assert _terms(idx, [], 1).tolist() == []
+
+
+def test_terms_reject_positions_outside_the_index(g5_index):
+    total = g5_index.arity * g5_index.n
+    for bad in (0, total + 1, 2**70, -2**70):
+        with pytest.raises(ValueError, match="outside"):
+            _terms(g5_index, [1, bad], 1)
