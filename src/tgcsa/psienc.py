@@ -1,14 +1,20 @@
 """Psi encodings.
 
 Three ways to store the permutation, all exposing the same small surface
-(access, range, search, size_bits, serialization sections). search(lo,
-hi, x) returns the first i in [lo, hi] with psi(i) >= x, or hi + 1; it
-is valid where that predicate is monotone on [lo, hi], which holds
-inside any group of sections 1..arity-1 when x is a group start of the
-next section. The sampled codecs answer it the way a compressed suffix
-array does: bisect the stored samples, then decode forward inside one
-sample block. Positions outside 1..n raise ValueError, and so does a
-code that runs past the end of its stream.
+(access, range, access_many, search, size_bits, serialization
+sections). access_many(positions) returns psi at a list or int64 array
+of positions as an int64 array, taking each sample block the positions
+touch once; it has a fixed cost of about 25 pointwise accesses, so the
+window queries (snapshot, activated and deactivated edges) hop through
+it, while the pattern, pair, neighbour and reconstruction queries stay
+with access. search(lo, hi, x) returns the first i in [lo, hi] with
+psi(i) >= x, or hi + 1; it is valid where that predicate is monotone on
+[lo, hi], which holds inside any group of sections 1..arity-1 when x is
+a group start of the next section. The sampled codecs answer it the
+way a compressed suffix array does: bisect the stored samples, then
+decode forward inside one sample block. Positions outside 1..n raise
+ValueError, and so does a code that runs past the end of its stream or
+a decoded value outside 1..vmax, which an index image sets to arity*n.
 
 * plain: every value bit-packed at a fixed width. Fast, no compression.
 * vbyte-rle: per-group gap streams. Within a group the first value is a
@@ -20,8 +26,10 @@ code that runs past the end of its stream.
   both derived from D and t_psi. The image also stores the group
   starts, the sample positions and a sample bitmap; a load compares
   them with what D and t_psi give, checks the table lengths against the
-  groups and samples, and the stream pointers against the stream. Tag
-  2, an earlier variant without the stored positions, is retired.
+  groups and samples, the samples against vmax, and the stream
+  pointers against the stream: they must not decrease from block to
+  block, since each block's codes end where the next block's begin.
+  Tag 2, an earlier variant without the stored positions, is retired.
 * huff-rle-opt: samples every t_psi positions globally, then Huffman-codes
   run lengths, small literal gaps, and escape classes for everything
   else into a single bitstream. Decoding looks each token up in a table
@@ -30,9 +38,10 @@ code that runs past the end of its stream.
 
 Byte codes use 7-bit little-endian groups with the high bit set on the
 final byte only, so 5 encodes as 0x85 and 135 as 0x07 0x81. vbyte_codes
-writes a whole array of them at once; the vbyte decoders read each gap
-code inline, and only run lengths and escaped magnitudes go through
-vbyte_decode. Both sampled codecs encode with array operations over all
+writes a whole array of them at once; the pointwise vbyte decoders read
+each gap code inline, and only run lengths and escaped magnitudes go
+through vbyte_decode, while access_many decodes whole blocks of codes
+with numpy. Both sampled codecs encode with array operations over all
 of Psi, with no Python loop per group, span or token. Gaps inside a
 group are never zero (the permutation has no repeats) but can be
 negative when duplicate contacts or the end-section remap invert the
@@ -53,6 +62,7 @@ from .bitseq import BitSequence
 TAGS = {"plain": 0, "vbyte-rle": 1, "huff-rle-opt": 3}
 NAMES = {tag: name for name, tag in TAGS.items()}
 T_PSI_MAX = 0xFFFF  # the TGX1 header stores t_psi in 16 bits
+INT64_MAX = (1 << 63) - 1
 _SECTION_COUNTS = {0: 1, 1: 9, 3: 4}
 
 
@@ -123,6 +133,38 @@ def _outside(lo: int, hi: int, n: int) -> ValueError:
                       else f"Psi positions {lo}..{hi} are outside 1..{n}")
 
 
+def checked_positions(positions, n: int) -> np.ndarray:
+    """positions as an int64 array, each in 1..n or ValueError. A list is
+    checked before numpy sees it, so no Python int past int64 reaches it."""
+    if not isinstance(positions, np.ndarray):
+        if len(positions) and not (1 <= min(positions) and max(positions) <= n):
+            raise _outside(min(positions), max(positions), n)
+        return np.array(positions, dtype=np.int64)
+    positions = positions.astype(np.int64, copy=False)
+    if len(positions) and (positions.min() < 1 or positions.max() > n):
+        raise _outside(int(positions.min()), int(positions.max()), n)
+    return positions
+
+
+def _value_bound(vmax, stream_len: int) -> int:
+    """The largest value a sampled codec decodes: vmax (an index passes
+    arity*n), and never so large that stream_len + 1 values of that size
+    could sum past int64."""
+    return min(INT64_MAX if vmax is None else vmax, INT64_MAX // (stream_len + 2))
+
+
+def _checked_values(out, vmax: int):
+    """out, if every decoded value lies in 1..vmax; only a corrupted image
+    decodes to anything else."""
+    if len(out) and not (1 <= min(out) and max(out) <= vmax):
+        raise _bad_value(vmax)
+    return out
+
+
+def _bad_value(vmax: int) -> ValueError:
+    return ValueError(f"decoded Psi value outside 1..{vmax}")
+
+
 class PlainPsi:
     """Fixed-width array: value v stored as v-1 in ceil(log2 N) bits."""
 
@@ -153,6 +195,9 @@ class PlainPsi:
         if lo < 1 or hi > self._n:
             raise _outside(lo, hi, self._n)
         return self._vals[lo - 1:hi].tolist()
+
+    def access_many(self, positions) -> np.ndarray:
+        return self._vals[checked_positions(positions, self._n) - 1]
 
     def search(self, lo: int, hi: int, x: int) -> int:
         """First i in [lo, hi] with psi(i) >= x, or hi + 1; the predicate
@@ -216,14 +261,34 @@ class VbyteRlePsi:
     tag = 1
 
     def __init__(self, stream: bytes, s0, ptr0, s1, ptr1, run1,
-                 D: BitSequence, t_psi: int):
+                 D: BitSequence, t_psi: int, vmax: int | None = None):
         self._stream = bytes(stream)
+        self._vmax = _value_bound(vmax, len(self._stream))
         self._s0, self._ptr0 = _u64_array(s0), _u64_array(ptr0)
         self._s1, self._ptr1, self._run1 = _u64_array(s1), _u64_array(ptr1), _u64_array(run1)
         self._D = D
         self._n = D.nbits
         self.t_psi = t_psi
-        self._before = _u64_array(_samples(D, t_psi)[0])
+        before, at = _samples(D, t_psi)
+        self._before = _u64_array(before)
+        # the same samples as one table of blocks in stream order (each
+        # group's opening sample, then its level-two samples), for
+        # access_many: start position, value, +1 steps left (clipped to
+        # t_psi) and stream offset; position n + 1 and the stream end
+        # close the position and offset columns
+        opens = np.zeros(len(before) + len(at), dtype=bool)
+        opens[np.arange(len(before)) + before] = True
+
+        def blocks(first, rest, dtype):
+            out = np.empty(len(opens), dtype=dtype)
+            out[opens], out[~opens] = first, rest
+            return out
+
+        self._bpos = np.append(blocks(D.positions(), at, np.int64), D.nbits + 1)
+        self._bval = blocks(s0, s1, np.uint64).astype(np.int64)
+        self._brem = np.minimum(blocks(0, run1, np.uint64), t_psi).astype(np.int64)
+        self._bptr = np.append(blocks(ptr0, ptr1, np.int64), len(self._stream))
+        self._bytes = np.frombuffer(self._stream, dtype=np.uint8)
 
     def __len__(self):
         return self._n
@@ -251,7 +316,8 @@ class VbyteRlePsi:
         ptr0 = np.append(0, tok_end)[np.searchsorted(first, starts)]
         at = _samples(D, t_psi)[1] - 1
         k = np.searchsorted(first, at, side="right") - 1
-        return cls(stream, psi[starts], ptr0, psi[at], tok_end[k], last[k] - at, D, t_psi)
+        return cls(stream, psi[starts], ptr0, psi[at], tok_end[k], last[k] - at, D, t_psi,
+                   int(psi.max()) if n else 0)
 
     def _sample(self, c: int, l: int, j: int) -> tuple[int, int, int, int]:
         """(p, v, pos, rem) at the j-th sample of group c, which opens at l:
@@ -301,6 +367,8 @@ class VbyteRlePsi:
                     steps -= 1
         except IndexError:
             raise _overrun() from None
+        if not 1 <= v <= self._vmax:
+            raise _bad_value(self._vmax)
         return v
 
     def range(self, lo: int, hi: int) -> list[int]:
@@ -355,6 +423,119 @@ class VbyteRlePsi:
                 raise _overrun() from None
             lo = stop + 1
             c += 1
+        return _checked_values(out, self._vmax)
+
+    def access_many(self, positions) -> np.ndarray:
+        """psi at each of the positions, in the order given, as int64.
+
+        The positions are mapped to their sample blocks, and each block
+        they touch is decoded once with array operations, up to the
+        furthest position asked in it. Terminator bits give the code
+        boundaries. Codes start at a token boundary in every block, so in
+        a maximal run of 0/1-valued codes markers and payloads alternate,
+        and a code after a marker is its payload: a <1, L> pair is L +1
+        steps (clipped to t_psi, as is a sample's leading run), a <0, m>
+        pair one step down by m, any other code one step by its value.
+        Every position is then read off the blocks' cumulative steps and
+        values with one searchsorted.
+
+        A block's bytes are read only as far as its share of them for
+        the furthest position, plus a margin; a block that falls short
+        is read again in full.
+        """
+        n, t, vmax = self._n, self.t_psi, self._vmax
+        i = checked_positions(positions, n)
+        out = np.empty(len(i), dtype=np.int64)
+        if not len(i):
+            return out
+        order = np.argsort(i, kind="stable")
+        i = i[order]
+        b = np.searchsorted(self._bpos, i, side="right") - 1
+        edge = np.ones(len(i) + 1, dtype=bool)          # where the block changes
+        np.not_equal(b[1:], b[:-1], out=edge[1:-1])
+        blk = b[edge[:-1]]                              # the touched blocks
+        r = edge[:-1].cumsum() - 1                      # each position's index in blk
+        off = i - self._bpos[b]                         # its steps past the sample
+        far = off[edge[1:]]                             # the furthest one per block
+        v0, rem = self._bval[blk], self._brem[blk]
+        a, full = self._bptr[blk], self._bptr[blk + 1]
+        size = self._bpos[blk + 1] - self._bpos[blk]
+        wmax = max(1, -(-vmax.bit_length() // 7))
+        stop = np.minimum(full, a + (full - a) * (far + 1) // size + 2 * wmax)
+        H = (rem + 1).cumsum()    # sample and leading-run steps of the blocks so far
+        while True:
+            lens = stop - a
+            at = lens.cumsum() - lens                   # each block's first byte in buf
+            buf = self._bytes[np.arange(int(lens.sum())) + np.repeat(a - at, lens)]
+            term = buf >= 0x80
+            term[(at + lens - 1)[lens > 0]] = True      # no code runs into the next block
+            ends = np.flatnonzero(term)
+            m = len(ends)
+            width = ends + 1
+            width[1:] -= ends[:-1] + 1
+            fc = np.searchsorted(ends, at)              # each block's first code
+            fcn = np.append(fc[1:], m)                  # and the first after it
+            # the last code of a shortened block may be cut short: it
+            # counts for nothing (a cut code is never wider or larger
+            # than the whole one, so the checks below still hold)
+            cut = fcn[(stop < full) & (lens > 0)] - 1
+            # a code wider than vmax needs is rejected before it is summed,
+            # so no sum below wraps
+            if m and width.max() > wmax:
+                raise ValueError(f"vbyte code wider than any value up to {vmax}")
+            starts = ends - width + 1
+            val = (buf[starts] & 0x7F).astype(np.int64)
+            for k in range(1, int(width.max()) if m else 0):
+                has = np.flatnonzero(width > k)
+                val[has] |= (buf[starts[has] + k] & 0x7F).astype(np.int64) << 7 * k
+            if m and val.max() > vmax:
+                raise ValueError(f"vbyte code above {vmax}")
+            opens = np.zeros(m + 1, dtype=bool)
+            opens[fc] = True
+            opens[m] = True
+            small = np.flatnonzero(val <= 1)
+            j = np.arange(len(small))
+            run = np.ones(len(small), dtype=bool)       # a run of 0/1 codes starts
+            np.not_equal(small[1:], small[:-1] + 1, out=run[1:])
+            run |= opens[small]
+            marker = small[(j - np.maximum.accumulate(np.where(run, j, 0))) & 1 == 0]
+            pay = marker[~opens[marker + 1]] + 1
+            steps = np.ones(m, dtype=np.int64)
+            delta = val.copy()
+            steps[marker] = delta[marker] = 0
+            ones = pay[val[pay - 1] == 1]
+            steps[ones] = delta[ones] = np.minimum(val[ones], t)
+            esc = pay[val[pay - 1] == 0]
+            delta[esc] = -val[esc]
+            steps[cut] = delta[cut] = 0
+            isrun = np.zeros(m, dtype=bool)
+            isrun[ones] = True
+            isrun[cut] = False
+            cs = np.zeros(m + 1, dtype=np.int64)
+            steps.cumsum(out=cs[1:])
+            before = cs[fc]
+            short = cs[fcn] - before + rem < far
+            if not short.any():
+                break
+            if np.any(stop[short] == full[short]):
+                raise _overrun()
+            stop = np.where(short, full, stop)
+        # G is the step count at the end of each code, every block's
+        # sample and leading run counted as 1 + rem steps before its codes
+        G = cs[1:] + np.repeat(H, fcn - fc)
+        T = before[r] + H[r] - rem[r] + off
+        k = np.minimum(np.searchsorted(G, T), m - 1)
+        dv = np.zeros(m + 1, dtype=np.int64)
+        delta.cumsum(out=dv[1:])
+        vals = v0[r] + off
+        tail = off > rem[r]
+        if tail.any():
+            k, rt = k[tail], r[tail]
+            vals[tail] = (v0[rt] + rem[rt] + dv[k + 1] - dv[fc[rt]]
+                          - (G[k] - T[tail]) * isrun[k])
+        if vals.min() < 1 or vals.max() > vmax:
+            raise _bad_value(vmax)
+        out[order] = vals
         return out
 
     def search(self, lo: int, hi: int, x: int) -> int:
@@ -437,7 +618,8 @@ class VbyteRlePsi:
                 *(_u64_bytes(a) for a in (self._s1, self._ptr1, self._run1)), off1, d1]
 
     @classmethod
-    def from_sections(cls, sections, D: BitSequence, t_psi: int) -> "VbyteRlePsi":
+    def from_sections(cls, sections, D: BitSequence, t_psi: int,
+                      vmax: int | None = None) -> "VbyteRlePsi":
         stream, s0, ptr0, off0, s1, ptr1, run1, off1, d1 = sections
         want_off0, want_off1, want_d1 = _derived_sections(D, t_psi)
         if off0 != want_off0 or off1 != want_off1:
@@ -455,7 +637,14 @@ class VbyteRlePsi:
                              f"lengths, the image holds {len(s1)}, {len(ptr1)} and {len(run1)}")
         if any(len(a) and int(a.max()) > len(stream) for a in (ptr0, ptr1)):
             raise ValueError("vbyte stream pointer past the end of the stream")
-        return cls(stream, s0, ptr0, s1, ptr1, run1, D, t_psi)
+        psi = cls(stream, s0, ptr0, s1, ptr1, run1, D, t_psi, vmax)
+        # a sample past int64 reads as negative in the block table
+        if len(psi._bval) and (psi._bval.min() < 1 or psi._bval.max() > psi._vmax):
+            raise ValueError(f"vbyte sample outside 1..{psi._vmax}")
+        # each block's codes end where the next block's begin
+        if np.any(np.diff(psi._bptr) < 0):
+            raise ValueError("vbyte stream pointers decrease along the stream")
+        return psi
 
 
 def _samples(D: BitSequence, t_psi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -587,13 +776,14 @@ class HuffRlePsi:
     tag = 3
 
     def __init__(self, lengths_u8: bytes, samples, ptrs, stream: bytes,
-                 stream_bits: int, t_psi: int, n_total: int):
+                 stream_bits: int, t_psi: int, n_total: int, vmax: int | None = None):
         self._lengths_u8 = bytes(lengths_u8)
         self._s, self._ptr = _u64_array(samples), _u64_array(ptrs)
         self._stream = bytes(stream)
         self._stream_bits = stream_bits
         self.t_psi = t_psi
         self._n = n_total
+        self._vmax = INT64_MAX if vmax is None else vmax
         # zero padding lets a peek run past the end; _limit catches it
         self._padded = self._stream + bytes(16)
         self._limit = 8 * len(self._stream)
@@ -661,7 +851,8 @@ class HuffRlePsi:
                            np.concatenate((width, nraw[has])),
                            np.concatenate((start, (start + width)[has])), stream_bits)
         ptrs = np.append(start, stream_bits)[np.searchsorted(first, np.arange(0, len(psi), t))]
-        return cls(lens_of.tobytes(), psi[::t], ptrs, stream, stream_bits, t, len(psi))
+        return cls(lens_of.tobytes(), psi[::t], ptrs, stream, stream_bits, t, len(psi),
+                   int(psi.max()) if len(psi) else 0)
 
     def _peek(self, pos: int, width: int) -> int:
         """The width stream bits from bit pos on, first bit highest."""
@@ -722,6 +913,8 @@ class HuffRlePsi:
             else:
                 v += delta
                 steps -= 1
+        if not 1 <= v <= self._vmax:
+            raise _bad_value(self._vmax)
         return v
 
     def range(self, lo: int, hi: int) -> list[int]:
@@ -747,6 +940,40 @@ class HuffRlePsi:
                 p += 1
                 if p >= lo:
                     out.append(v)
+        return _checked_values(out, self._vmax)
+
+    def access_many(self, positions) -> np.ndarray:
+        """psi at each of the positions, in the order given, as int64.
+        The positions are taken in sorted order, so each span they touch
+        is decoded once, from its sample up to the last of them."""
+        i = checked_positions(positions, self._n)
+        order = np.argsort(i, kind="stable")
+        vals = []
+        span = -1
+        for q in i[order].tolist():
+            if (q - 1) // self.t_psi != span:
+                span = (q - 1) // self.t_psi
+                p, v, pos = self._sample(span)
+                left = 0      # +1 steps left in the run last decoded
+            steps = q - p
+            take = min(steps, left)
+            v += take
+            steps -= take
+            left -= take
+            while steps:
+                run, delta, pos = self._step(pos)
+                if delta == 0:
+                    take = min(steps, run)
+                    v += take
+                    steps -= take
+                    left = run - take
+                else:
+                    v += delta
+                    steps -= 1
+            p = q
+            vals.append(v)
+        out = np.empty(len(i), dtype=np.int64)
+        out[order] = _checked_values(vals, self._vmax)
         return out
 
     def search(self, lo: int, hi: int, x: int) -> int:
@@ -797,7 +1024,8 @@ class HuffRlePsi:
                 stream]
 
     @classmethod
-    def from_sections(cls, sections, t_psi: int, n_total: int) -> "HuffRlePsi":
+    def from_sections(cls, sections, t_psi: int, n_total: int,
+                      vmax: int | None = None) -> "HuffRlePsi":
         lengths_u8, s_b, ptr_b, stream_b = sections
         samples = np.frombuffer(s_b, dtype="<u8")
         ptrs = np.frombuffer(ptr_b, dtype="<u8")
@@ -813,7 +1041,7 @@ class HuffRlePsi:
         if np.any(ptrs[1:] < ptrs[:-1]) or (spans and int(ptrs[-1]) > stream_bits):
             raise ValueError("Huffman span pointers are out of order or past the stream")
         return cls(lengths_u8, samples, ptrs, stream_b[8:], stream_bits,
-                   t_psi, n_total)
+                   t_psi, n_total, vmax)
 
 
 def encode(psi: np.ndarray, D: BitSequence, codec: str = "plain",
@@ -830,8 +1058,13 @@ def encode(psi: np.ndarray, D: BitSequence, codec: str = "plain",
     return HuffRlePsi.build(psi, t_psi=t_psi)
 
 
-def from_sections(tag: int, sections, D: BitSequence, t_psi: int):
-    """Rebuild an encoding from its serialized sections."""
+def from_sections(tag: int, sections, D: BitSequence, t_psi: int,
+                  vmax: int | None = None):
+    """Rebuild an encoding from its serialized sections.
+
+    vmax bounds the values a sampled codec may decode; an index image
+    passes arity*n, the length of D. Without it only int64 bounds them,
+    so a sequence that is no permutation of 1..len(D) still loads."""
     if tag not in NAMES:
         raise ValueError(f"unknown psi codec tag {tag}")
     if len(sections) != _SECTION_COUNTS[tag]:
@@ -841,8 +1074,8 @@ def from_sections(tag: int, sections, D: BitSequence, t_psi: int):
         return PlainPsi.from_sections(sections, D)
     _check_t_psi(t_psi)
     if tag == 1:
-        return VbyteRlePsi.from_sections(sections, D, t_psi)
-    return HuffRlePsi.from_sections(sections, t_psi, D.nbits)
+        return VbyteRlePsi.from_sections(sections, D, t_psi, vmax)
+    return HuffRlePsi.from_sections(sections, t_psi, D.nbits, vmax)
 
 
 def _check_t_psi(t_psi: int) -> None:

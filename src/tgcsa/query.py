@@ -19,11 +19,15 @@ inside the window. Snapshot and the change queries scan their window.
 
 Positions are 1-based throughout, matching the bitmaps. Every time cut
 is the right edge of a time group (_cut), and a window is the stretch
-between two cuts (_window). The window queries hop from it to the
-section-1 and section-2 positions of their contacts and turn each list
-of positions into terms in one array step: a position's symbol id is
-the number of D's group marks up to it (np.searchsorted on D's
-one-positions), and the term is values[id - 1] less the section's gap.
+between two cuts (_window). The window queries (snapshot, activated and
+deactivated edges) hop from it to the section-1 and section-2 positions
+of their contacts in batches: each hop is one psi.access_many call,
+which decodes every sample block the hop touches once. The other
+queries make a handful of hops each and keep pointwise psi.access, as a
+batch has a fixed cost of some 25 single accesses. Lists of positions
+become terms in one array step: a position's symbol id is the number
+of D's group marks up to it (np.searchsorted on D's one-positions), and
+the term is values[id - 1] less the section's gap.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Contact
+from .psienc import checked_positions
 
 
 @dataclass(frozen=True)
@@ -181,13 +186,11 @@ def _terms(idx, positions, section: int) -> np.ndarray:
     """The section's terms at the given Psi positions, as one array.
 
     A position's symbol id is the number of group marks of D up to it,
-    and the id's shifted value is values[id - 1]; positions are checked
-    first, so that no corrupted value reaches numpy.
+    and the id's shifted value is values[id - 1]. The positions, a list
+    or a codec's int64 array, are checked first; a list before numpy
+    sees it, so that no corrupted value reaches numpy.
     """
-    total = idx.arity * idx.n
-    if len(positions) and not (1 <= min(positions) and max(positions) <= total):
-        raise ValueError(f"Psi positions {min(positions)}..{max(positions)} "
-                         f"are outside 1..{total}")
+    positions = checked_positions(positions, idx.arity * idx.n)
     ids = np.searchsorted(idx.D.positions(), positions, side="right")
     return idx.am.values[ids - 1] - idx.am.gaps[section - 1]
 
@@ -195,7 +198,7 @@ def _terms(idx, positions, section: int) -> np.ndarray:
 def _edges(idx, pos1) -> list[tuple[int, int]]:
     """Sorted distinct (u, v) of the contacts at section-1 positions pos1."""
     u = _terms(idx, pos1, 1).tolist()
-    v = _terms(idx, [idx.psi.access(p) for p in pos1], 2).tolist()
+    v = _terms(idx, idx.psi.access_many(pos1), 2).tolist()
     return sorted(set(zip(u, v)))
 
 
@@ -323,16 +326,17 @@ def snapshot(idx, sem: TimeSemantics, contacts: bool = False):
     if lo > hi:
         return []
     psi = idx.psi
-    nxt = psi.range(lo, hi)
+    nxt = np.array(psi.range(lo, hi), dtype=np.int64)
+    starts = np.arange(lo, hi + 1)
     if zfloor is None:  # no end section: Psi leads from a start straight to section 1
         pos1 = nxt
     else:
-        ends = [z for z in nxt if z > zfloor]
-        pos1 = [psi.access(z) for z in ends]
+        live = nxt > zfloor
+        starts, ends = starts[live], nxt[live]
+        pos1 = psi.access_many(ends)
     if not contacts:
         return _edges(idx, pos1)
-    starts = [q for q, z in enumerate(nxt, lo) if zfloor is None or z > zfloor]
-    cols = [_terms(idx, pos1, 1), _terms(idx, [psi.access(p) for p in pos1], 2),
+    cols = [_terms(idx, pos1, 1), _terms(idx, psi.access_many(pos1), 2),
             _terms(idx, starts, 3)]
     if zfloor is not None:
         cols.append(_terms(idx, ends, 4))
@@ -354,7 +358,7 @@ def _edges_in(idx, section: int, after: int, upto: int):
     lo, hi = _window(idx, section, after, upto)
     pos1 = idx.psi.range(lo, hi)
     if section < idx.arity:
-        pos1 = [idx.psi.access(p) for p in pos1]
+        pos1 = idx.psi.access_many(pos1)
     return _edges(idx, pos1)
 
 

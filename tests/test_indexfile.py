@@ -263,8 +263,9 @@ def small_ba(overlap="allow"):
 def query_corrupted_images(blob, trials, seed):
     """Load and query `trials` 1-3-byte corruptions of a small_ba image,
     drawn from random.Random(seed). Each corruption must answer or
-    raise ValueError. Wrong answers stay possible: the streams and
-    samples carry no checksum."""
+    raise ValueError, through every query and through verify_core.
+    Wrong answers stay possible: the streams and samples carry no
+    checksum."""
     rng = random.Random(seed)
     for _ in range(trials):
         bad = bytearray(blob)
@@ -280,6 +281,12 @@ def query_corrupted_images(blob, trials, seed):
                 idx.reverse_neighbors(u, sem)
                 idx.active_edge(u, 1, sem)
                 idx.active_edge(u, 2, TimeSemantics.weak(3, 30))
+            for t in (5, 20, 35):
+                idx.activated_edges(t)
+                idx.deactivated_edges(t)
+                idx.snapshot(TimeSemantics.instant(t), contacts=True)
+            if idx.kind == "tgcsa":
+                verify_core(idx)
         except ValueError:
             pass
 
@@ -298,6 +305,17 @@ def test_corrupted_image_queries_raise_only_value_error(codec):
 def test_corrupted_edgelog_queries_raise_only_value_error():
     blob = serialize_index(EdgeLogIndex.build(small_ba(overlap="forbid")))
     query_corrupted_images(blob, 600, "corrupt-edgelog")
+
+
+@pytest.mark.parametrize("at, byte", [(2807, 242), (3351, 233), (3743, 130)])
+def test_corrupted_vbyte_sample_is_a_value_error_not_an_overflow(at, byte):
+    # single-byte edits of the small-BA vbyte image (t_psi 16) that set a
+    # high byte of a stored sample; verify_core once raised OverflowError
+    # on the value they decode to
+    bad = bytearray(serialize_index(build_index(small_ba(), codec="vbyte-rle", t_psi=16)))
+    bad[at] = byte
+    with pytest.raises(ValueError, match="outside"):
+        verify_core(deserialize_index(bytes(bad)))
 
 
 # sha256 of serialize_index(build_index(graph, codec, t_psi)); plain

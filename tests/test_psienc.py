@@ -9,6 +9,7 @@ and sign escapes.
 import hashlib
 import random
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -562,6 +563,14 @@ def test_vbyte_samples_follow_from_d_and_t_psi():
             assert [v for v in vars(enc).values() if isinstance(v, BitSequence)] == [D]
 
 
+def swap_first_rise(a):
+    """a with its first pair of adjacent, increasing entries swapped."""
+    a = list(a)
+    k = next(k for k in range(len(a) - 1) if a[k] < a[k + 1])
+    a[k], a[k + 1] = a[k + 1], a[k]
+    return a
+
+
 @pytest.mark.parametrize("forge, message", [
     (lambda p: dict(s0=list(p._s0) + [1]), "group samples and pointers"),
     (lambda p: dict(s1=p._s1[:-1]), "samples, pointers and run lengths"),
@@ -571,7 +580,10 @@ def test_vbyte_samples_follow_from_d_and_t_psi():
      "sample bitmap disagrees"),
     (lambda p: dict(ptr1=list(p._ptr1[:-1]) + [len(p._stream) + 1]), "past the end"),
     (lambda p: dict(ptr0=[len(p._stream) + 1]), "past the end"),
-], ids=["s0", "s1", "run1", "D1", "ptr1", "ptr0"])
+    # two sample pointers swapped: each still inside the stream
+    (lambda p: dict(ptr1=swap_first_rise(p._ptr1)), "decrease along the stream"),
+    (lambda p: dict(s1=[0] + list(p._s1[1:])), "sample outside"),
+], ids=["s0", "s1", "run1", "D1", "ptr1", "ptr0", "ptr1-order", "s1-value"])
 def test_vbyte_load_rejects_forged_sections(forge, message):
     sections, D = vbyte_sections(forge)
     with pytest.raises(ValueError, match=message):
@@ -594,3 +606,126 @@ def test_vbyte_decode_stops_at_the_stream_end():
                  lambda: short.search(n - 1, n, n + 1)):
         with pytest.raises(ValueError, match="past the end of the stream"):
             call()
+
+
+def access_many_inputs():
+    """(name, psi, D) for the batch-access tests: the crafted group (a
+    run that crosses and covers samples, escaped descents, 1- to 3-byte
+    codes), the long-code group, the search graphs (duplicates, both
+    arities) and one more arity-3 graph."""
+    yield ("crafted", *crafted_sequence())
+    yield ("long", *long_code_sequence())
+    for k, cs in enumerate(search_graphs()):
+        yield (f"search-{k}", *psi_and_d(cs))
+    rng = random.Random(733)
+    rows = [(rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 12)) for _ in range(60)]
+    yield ("arity-3", *psi_and_d(ContactSet(rows, arity=3, nu=9, tau=12)))
+
+
+def position_lists(D, rng):
+    n = len(D)
+    starts = D.positions().tolist()
+    ends = [l - 1 for l in starts[1:]] + [n]
+    every = list(range(1, n + 1))
+    return [[], [1], [n], [rng.randint(1, n)], starts, ends, starts + ends,
+            every, every[::-1], [rng.randint(1, n) for _ in range(60)],
+            [rng.choice(starts)] * 3 + [n] * 2]
+
+
+@pytest.mark.parametrize("codec", ("plain",) + CODECS)
+def test_access_many_matches_access(codec):
+    rng = random.Random(f"access-many-{codec}")
+    for name, psi, D in access_many_inputs():
+        n = len(psi)
+        if name == "crafted" and codec == "vbyte-rle":
+            enc = psienc.encode(psi, D, codec=codec, t_psi=64)
+            ends = np.flatnonzero(np.frombuffer(enc._stream, dtype=np.uint8) >= 0x80)
+            assert max(enc._run1) > 0
+            assert set(np.diff(ends, prepend=-1).tolist()) == {1, 2, 3}
+        for t in (1, 2, 3, 7, 64, 256):
+            enc = psienc.encode(psi, D, codec=codec, t_psi=t)
+            for ps in position_lists(D, rng):
+                want = psi[np.array(ps, dtype=np.int64) - 1].tolist()
+                if len(ps) <= 60:
+                    assert [enc.access(p) for p in ps] == want
+                for arg in (ps, np.array(ps, dtype=np.int64)):
+                    got = enc.access_many(arg)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == want, (name, t, ps)
+            for bad in ([0], [n + 1], [1, n + 1, 2], [-5], [2**70], [-2**70],
+                        np.array([1, 0]), np.array([n + 1], dtype=np.uint64)):
+                with pytest.raises(ValueError, match="outside"):
+                    enc.access_many(bad)
+
+
+def one_run_codec(n, t_psi, run, run1=None, vmax=None):
+    """A vbyte codec over one group 1, 2, ..., n stored as the sample 1
+    and one <1, run> pair; run1 replaces the samples' run lengths."""
+    D = BitSequence.from_positions([1], n)
+    stream = psienc.vbyte_codes([1, run])[0]
+    k = (n - 1) // t_psi
+    s1 = [1 + j * t_psi for j in range(1, k + 1)]
+    return psienc.VbyteRlePsi(stream, [1], [0], s1, [len(stream)] * k,
+                              run1 if run1 is not None else [n - p for p in s1],
+                              D, t_psi, vmax)
+
+
+def test_forged_run_lengths_allocate_nothing_in_proportion():
+    # a <1, 2**40> pair and sample run lengths of 2**40: every batch
+    # block clips them to t_psi
+    n, big = 300, 2**40
+    one_run_codec(n, 64, n - 1).access_many(np.arange(1, n + 1))  # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        enc = one_run_codec(n, 64, big, run1=[big] * 4)
+        got = enc.access_many(np.arange(1, n + 1))
+        got_list = enc.access_many(list(range(n, 0, -1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == list(range(1, n + 1))
+    assert got_list.tolist() == list(range(n, 0, -1))
+    assert enc.range(1, n) == list(range(1, n + 1))
+    assert peak < 1 << 20
+    # with the index's bound, a run longer than any value is a code out of range
+    with pytest.raises(ValueError, match="vbyte code"):
+        one_run_codec(n, 64, big, vmax=n).access_many([2])
+
+
+def test_decoded_values_outside_the_bound_raise_value_error():
+    # one group 40, 70: the gap code 30 is in range, the value it leads to is not
+    D = BitSequence.from_positions([1], 2)
+    stream = psienc.vbyte_codes([30])[0]
+    enc = psienc.VbyteRlePsi(stream, [40], [0], [], [], [], D, 64, vmax=50)
+    # and one group 5, -5: an escaped descent below 1
+    down = psienc.VbyteRlePsi(psienc.vbyte_codes([0, 10])[0], [5], [0], [], [], [],
+                              D, 64, vmax=50)
+    for codec in (enc, down):
+        assert codec.access(1) == codec.access_many([1])[0]
+        for call in (lambda: codec.access(2), lambda: codec.range(1, 2),
+                     lambda: codec.access_many([2, 1])):
+            with pytest.raises(ValueError, match="outside 1..50"):
+                call()
+    # eight codes 10 (runs of 2) from the sample 1: position p holds p
+    huff = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xaa", 16, 64, 64, vmax=10)
+    assert huff.access(10) == huff.access_many([10])[0] == 10
+    for call in (lambda: huff.access(11), lambda: huff.range(1, 11),
+                 lambda: huff.access_many([11, 1])):
+        with pytest.raises(ValueError, match="outside 1..10"):
+            call()
+
+
+def test_access_many_reads_a_shortened_block_again_in_full():
+    # one 64-position group: 30 one-byte gaps, a three-byte gap, a run
+    # pair and five more three-byte gaps, 50 bytes in all. For position
+    # 32 the batch decoder first reads the block's share for 32 of 64
+    # positions plus a margin, 31 bytes: that cuts the three-byte code
+    # position 32 needs after its first byte, so the block falls short
+    # and is read again in full.
+    gaps = [2] * 30 + [20000] + [1] * 27 + [20000] * 5
+    psi = np.cumsum([1] + gaps)
+    D = BitSequence.from_positions([1], len(psi))
+    enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=64)
+    assert len(enc._stream) == 50
+    for ps in ([32], [31, 32], [32, 64], list(range(1, 65))):
+        assert enc.access_many(ps).tolist() == psi[np.array(ps) - 1].tolist()

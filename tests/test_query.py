@@ -328,3 +328,23 @@ def test_terms_reject_positions_outside_the_index(g5_index):
     for bad in (0, total + 1, 2**70, -2**70):
         with pytest.raises(ValueError, match="outside"):
             _terms(g5_index, [1, bad], 1)
+
+
+def test_window_queries_match_the_oracle_on_every_codec():
+    # the batch Psi hops of snapshot and the change queries, on every
+    # codec, at arity 4 (with duplicates) and arity 3 (both semantics)
+    rng = random.Random(1111)
+    graphs = [random_contactset(seed=rng.randrange(10**9), duplicates=True,
+                                n_edges=rng.randint(4, 30)) for _ in range(4)]
+    for semantics in ("incremental", "point"):
+        for _ in range(2):
+            nu, tau = rng.randint(2, 9), rng.randint(3, 12)
+            rows = [(rng.randint(1, nu), rng.randint(1, nu), rng.randint(1, tau))
+                    for _ in range(rng.randint(4, 40))]
+            graphs.append(ContactSet(rows, arity=3, nu=nu, tau=tau, semantics=semantics))
+    for cs in graphs:
+        oracle = OracleIndex(cs)
+        for codec in ("plain", "vbyte-rle", "huff-rle-opt"):
+            for t_psi in (1, 3, 16):
+                idx = build_index(cs, codec=codec, t_psi=t_psi)
+                assert_same_answers(idx, oracle, rng, instants=6, intervals=4)
