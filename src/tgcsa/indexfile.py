@@ -115,7 +115,7 @@ def deserialize_index(buf: bytes):
         raise ValueError("group bitmap disagrees with the header")
     if n and not D.access(1):
         raise ValueError("group bitmap does not open with a group mark")
-    psi = psienc.from_sections(codec, sections[2:], D, t_psi, vmax=len(D))
+    psi = psienc.from_sections(codec, sections[2:], D, t_psi)
     return TgcsaIndex(am, D, psi, n, _SEMANTICS_BACK[flags])
 
 

@@ -13,23 +13,29 @@ psi(i) >= x, or hi + 1; it is valid where that predicate is monotone on
 a group start of the next section. The sampled codecs answer it the
 way a compressed suffix array does: bisect the stored samples, then
 decode forward inside one sample block. Positions outside 1..n raise
-ValueError, and so does a code that runs past the end of its stream or
-a decoded value outside 1..vmax, which an index image sets to arity*n.
+ValueError, and so does a code that runs past the end of its stream.
+Decoded values are not checked against 1..n; where a caller uses one
+as a position (the next access, query._terms, verify_core) it is
+checked there, so a corrupted image still ends in ValueError.
 
 * plain: every value bit-packed at a fixed width. Fast, no compression.
 * vbyte-rle: per-group gap streams. Within a group the first value is a
   sample; the rest are byte codes for the successive differences, with
   maximal runs of +1 folded into a <1, length> pair. A second sample
   level, every t_psi positions from each group start, cuts decode work
-  to at most t_psi steps. Group starts come from select on D, and a
-  sample's table entry from a per-group count of the samples before it,
-  both derived from D and t_psi. The image also stores the group
-  starts, the sample positions and a sample bitmap; a load compares
-  them with what D and t_psi give, checks the table lengths against the
-  groups and samples, the samples against vmax, and the stream
-  pointers against the stream: they must not decrease from block to
-  block, since each block's codes end where the next block's begin.
-  Tag 2, an earlier variant without the stored positions, is retired.
+  to at most t_psi steps. The codec holds its samples as one table of
+  blocks in position order (each group's opening sample, then its
+  level-two samples), whose start positions follow from D and t_psi;
+  access finds a position's block with one bisect of them, range and
+  search from the group's first block. The image stores the two sample
+  levels apart, and also the group starts, the sample positions and a
+  sample bitmap; a load compares those three with what D and t_psi
+  give, checks the table lengths against the groups and samples, the
+  samples against a bound that keeps the batch decoder's sums inside
+  int64, and the stream pointers against the stream: they must not
+  decrease from block to block, since each block's codes end where the
+  next block's begin. Tag 2, an earlier variant without the stored
+  positions, is retired.
 * huff-rle-opt: samples every t_psi positions globally, then Huffman-codes
   run lengths, small literal gaps, and escape classes for everything
   else into a single bitstream. Decoding looks each token up in a table
@@ -53,7 +59,7 @@ from __future__ import annotations
 import heapq
 import struct
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -146,23 +152,10 @@ def checked_positions(positions, n: int) -> np.ndarray:
     return positions
 
 
-def _value_bound(vmax, stream_len: int) -> int:
-    """The largest value a sampled codec decodes: vmax (an index passes
-    arity*n), and never so large that stream_len + 1 values of that size
-    could sum past int64."""
-    return min(INT64_MAX if vmax is None else vmax, INT64_MAX // (stream_len + 2))
-
-
-def _checked_values(out, vmax: int):
-    """out, if every decoded value lies in 1..vmax; only a corrupted image
-    decodes to anything else."""
-    if len(out) and not (1 <= min(out) and max(out) <= vmax):
-        raise _bad_value(vmax)
-    return out
-
-
-def _bad_value(vmax: int) -> ValueError:
-    return ValueError(f"decoded Psi value outside 1..{vmax}")
+def _i64_array(a) -> array:
+    """A non-negative table as an array("q"): indexing and bisect see
+    Python ints, and np.frombuffer views it as int64 without a copy."""
+    return array("q", np.asarray(a, dtype=np.uint64).astype(np.int64).tobytes())
 
 
 class PlainPsi:
@@ -237,18 +230,20 @@ class PlainPsi:
 class VbyteRlePsi:
     """Gap-coded groups with run folding and two sample levels.
 
-    First level, one entry per group: the opening value (s0) and the byte
-    offset of the group's codes (ptr0). Second level, one entry at every
-    position l + j*t_psi inside a group that opens at l: the value there
-    (s1), the byte offset just past the code that covers it (ptr1), and,
-    when that code is a run pair, how many +1 steps of the run remain
-    (run1). Where the samples sit follows from the group bitmap D and
-    t_psi alone, so the codec keeps only a per-group count of the
-    samples before it; group starts come from select on D. The image
-    also carries three sections that D and t_psi determine: the group
-    starts (off0), the sample positions (off1) and a bitmap marking them
-    (D1). They are written from D and t_psi, compared against them on
-    load, and never held in memory.
+    First level, one sample per group: the opening value (s0) and the
+    byte offset of the group's codes (ptr0). Second level, one sample at
+    every position l + j*t_psi inside a group that opens at l: the value
+    there (s1), the byte offset just past the code that covers it (ptr1),
+    and, when that code is a run pair, how many +1 steps of the run
+    remain (run1). The codec holds both levels as one table of blocks in
+    position order, which is also stream order: a block opens at a
+    sample, runs up to the next one, and keeps the sample's position,
+    value, stream offset and leftover run steps (none at a group start).
+    Where the samples sit follows from the group bitmap D and t_psi
+    alone. The image also carries three sections that D and t_psi
+    determine: the group starts (off0), the sample positions (off1) and
+    a bitmap marking them (D1). They are written from D and t_psi,
+    compared against them on load, and never held in memory.
 
     build cuts the gaps into tokens in one pass (a +1 run opens at a
     group start or after any other gap), writes every token's codes with
@@ -261,34 +256,30 @@ class VbyteRlePsi:
     tag = 1
 
     def __init__(self, stream: bytes, s0, ptr0, s1, ptr1, run1,
-                 D: BitSequence, t_psi: int, vmax: int | None = None):
+                 D: BitSequence, t_psi: int):
         self._stream = bytes(stream)
-        self._vmax = _value_bound(vmax, len(self._stream))
-        self._s0, self._ptr0 = _u64_array(s0), _u64_array(ptr0)
-        self._s1, self._ptr1, self._run1 = _u64_array(s1), _u64_array(ptr1), _u64_array(run1)
+        self._bytes = np.frombuffer(self._stream, dtype=np.uint8)
         self._D = D
         self._n = D.nbits
         self.t_psi = t_psi
+        # access_many rejects any code above this before it sums them, so
+        # no sum over the stream's codes wraps int64
+        self._bound = INT64_MAX // (len(self._stream) + 2)
         before, at = _samples(D, t_psi)
-        self._before = _u64_array(before)
-        # the same samples as one table of blocks in stream order (each
-        # group's opening sample, then its level-two samples), for
-        # access_many: start position, value, +1 steps left (clipped to
-        # t_psi) and stream offset; position n + 1 and the stream end
-        # close the position and offset columns
         opens = np.zeros(len(before) + len(at), dtype=bool)
         opens[np.arange(len(before)) + before] = True
 
-        def blocks(first, rest, dtype):
-            out = np.empty(len(opens), dtype=dtype)
+        def blocks(first, rest):
+            out = np.zeros(len(opens), dtype=np.uint64)
             out[opens], out[~opens] = first, rest
             return out
 
-        self._bpos = np.append(blocks(D.positions(), at, np.int64), D.nbits + 1)
-        self._bval = blocks(s0, s1, np.uint64).astype(np.int64)
-        self._brem = np.minimum(blocks(0, run1, np.uint64), t_psi).astype(np.int64)
-        self._bptr = np.append(blocks(ptr0, ptr1, np.int64), len(self._stream))
-        self._bytes = np.frombuffer(self._stream, dtype=np.uint8)
+        # position n + 1 and the stream end close the start and offset columns
+        self._open = _i64_array(np.flatnonzero(opens))   # each group's first block
+        self._bpos = _i64_array(np.append(blocks(D.positions(), at), D.nbits + 1))
+        self._bval = _i64_array(blocks(s0, s1))
+        self._brem = _i64_array(blocks(0, run1))
+        self._bptr = _i64_array(np.append(blocks(ptr0, ptr1), len(self._stream)))
 
     def __len__(self):
         return self._n
@@ -316,26 +307,24 @@ class VbyteRlePsi:
         ptr0 = np.append(0, tok_end)[np.searchsorted(first, starts)]
         at = _samples(D, t_psi)[1] - 1
         k = np.searchsorted(first, at, side="right") - 1
-        return cls(stream, psi[starts], ptr0, psi[at], tok_end[k], last[k] - at, D, t_psi,
-                   int(psi.max()) if n else 0)
+        return cls(stream, psi[starts], ptr0, psi[at], tok_end[k], last[k] - at, D, t_psi)
 
-    def _sample(self, c: int, l: int, j: int) -> tuple[int, int, int, int]:
-        """(p, v, pos, rem) at the j-th sample of group c, which opens at l:
-        its position and value, the stream offset after it, and the +1
-        steps left in the run that covers it. The sample table holds the
-        groups' samples in order, so sample j >= 1 is entry
-        before[c - 1] + j - 1."""
-        if j == 0:
-            return l, self._s0[c - 1], self._ptr0[c - 1], 0
-        k = self._before[c - 1] + j - 1
-        return l + j * self.t_psi, self._s1[k], self._ptr1[k], self._run1[k]
+    def _sample(self, b: int) -> tuple[int, int, int, int]:
+        """(p, v, pos, rem) at the sample that opens block b: its position
+        and value, the stream offset after it, and the +1 steps left in
+        the run that covers it."""
+        return self._bpos[b], self._bval[b], self._bptr[b], self._brem[b]
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """The block table as int64 views: start position, value, run
+        steps left and stream offset."""
+        return tuple(np.frombuffer(a, dtype=np.int64)
+                     for a in (self._bpos, self._bval, self._brem, self._bptr))
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self._n:
             raise _outside(i, i, self._n)
-        c = self._D.rank1(i)
-        l = self._D.select1(c)
-        p, v, pos, rem = self._sample(c, l, (i - l) // self.t_psi)
+        p, v, pos, rem = self._sample(bisect_right(self._bpos, i) - 1)
         steps = i - p
         if steps and rem:
             take = min(steps, rem)
@@ -367,8 +356,6 @@ class VbyteRlePsi:
                     steps -= 1
         except IndexError:
             raise _overrun() from None
-        if not 1 <= v <= self._vmax:
-            raise _bad_value(self._vmax)
         return v
 
     def range(self, lo: int, hi: int) -> list[int]:
@@ -379,13 +366,13 @@ class VbyteRlePsi:
             raise _outside(lo, hi, self._n)
         out = []
         stream = self._stream
-        sigma = len(self._s0)
+        sigma = len(self._open)
         c = self._D.rank1(lo)
         while lo <= hi:
-            l = self._D.select1(c)
+            g = self._open[c - 1]
             r = self._D.select1(c + 1) - 1 if c < sigma else self._n
             stop = min(hi, r)
-            p, v, pos, rem = self._sample(c, l, (lo - l) // self.t_psi)
+            p, v, pos, rem = self._sample(g + (lo - self._bpos[g]) // self.t_psi)
             if p >= lo:
                 out.append(v)
             try:
@@ -423,7 +410,7 @@ class VbyteRlePsi:
                 raise _overrun() from None
             lo = stop + 1
             c += 1
-        return _checked_values(out, self._vmax)
+        return out
 
     def access_many(self, positions) -> np.ndarray:
         """psi at each of the positions, in the order given, as int64.
@@ -443,24 +430,25 @@ class VbyteRlePsi:
         the furthest position, plus a margin; a block that falls short
         is read again in full.
         """
-        n, t, vmax = self._n, self.t_psi, self._vmax
-        i = checked_positions(positions, n)
+        t, bound = self.t_psi, self._bound
+        i = checked_positions(positions, self._n)
         out = np.empty(len(i), dtype=np.int64)
         if not len(i):
             return out
         order = np.argsort(i, kind="stable")
         i = i[order]
-        b = np.searchsorted(self._bpos, i, side="right") - 1
+        bpos, bval, brem, bptr = self._columns()
+        b = np.searchsorted(bpos, i, side="right") - 1
         edge = np.ones(len(i) + 1, dtype=bool)          # where the block changes
         np.not_equal(b[1:], b[:-1], out=edge[1:-1])
         blk = b[edge[:-1]]                              # the touched blocks
         r = edge[:-1].cumsum() - 1                      # each position's index in blk
-        off = i - self._bpos[b]                         # its steps past the sample
+        off = i - bpos[b]                               # its steps past the sample
         far = off[edge[1:]]                             # the furthest one per block
-        v0, rem = self._bval[blk], self._brem[blk]
-        a, full = self._bptr[blk], self._bptr[blk + 1]
-        size = self._bpos[blk + 1] - self._bpos[blk]
-        wmax = max(1, -(-vmax.bit_length() // 7))
+        v0, rem = bval[blk], np.minimum(brem[blk], t)
+        a, full = bptr[blk], bptr[blk + 1]
+        size = bpos[blk + 1] - bpos[blk]
+        wmax = -(-bound.bit_length() // 7)              # the widest code up to bound
         stop = np.minimum(full, a + (full - a) * (far + 1) // size + 2 * wmax)
         H = (rem + 1).cumsum()    # sample and leading-run steps of the blocks so far
         while True:
@@ -479,17 +467,17 @@ class VbyteRlePsi:
             # counts for nothing (a cut code is never wider or larger
             # than the whole one, so the checks below still hold)
             cut = fcn[(stop < full) & (lens > 0)] - 1
-            # a code wider than vmax needs is rejected before it is summed,
-            # so no sum below wraps
+            # a code above bound is rejected before it is summed, so no
+            # sum below wraps
             if m and width.max() > wmax:
-                raise ValueError(f"vbyte code wider than any value up to {vmax}")
+                raise ValueError(f"vbyte code wider than {wmax} bytes")
             starts = ends - width + 1
             val = (buf[starts] & 0x7F).astype(np.int64)
             for k in range(1, int(width.max()) if m else 0):
                 has = np.flatnonzero(width > k)
                 val[has] |= (buf[starts[has] + k] & 0x7F).astype(np.int64) << 7 * k
-            if m and val.max() > vmax:
-                raise ValueError(f"vbyte code above {vmax}")
+            if m and val.max() > bound:
+                raise ValueError(f"vbyte code above {bound}")
             opens = np.zeros(m + 1, dtype=bool)
             opens[fc] = True
             opens[m] = True
@@ -533,8 +521,6 @@ class VbyteRlePsi:
             k, rt = k[tail], r[tail]
             vals[tail] = (v0[rt] + rem[rt] + dv[k + 1] - dv[fc[rt]]
                           - (G[k] - T[tail]) * isrun[k])
-        if vals.min() < 1 or vals.max() > vmax:
-            raise _bad_value(vmax)
         out[order] = vals
         return out
 
@@ -552,21 +538,20 @@ class VbyteRlePsi:
         if lo < 1 or hi > self._n:
             raise _outside(lo, hi, self._n)
         c = self._D.rank1(lo)
-        l = self._D.select1(c)
-        if c < len(self._s0) and hi >= self._D.select1(c + 1):
+        if c < len(self._open) and hi >= self._D.select1(c + 1):
             raise ValueError(f"Psi search {lo}..{hi} crosses a group end")
-        t = self.t_psi
-        j = (lo - l) // t
-        last = (hi - l) // t
+        g = self._open[c - 1]
+        l = self._bpos[g]
+        b = g + (lo - l) // self.t_psi
+        last = g + (hi - l) // self.t_psi
         stop = hi
-        if last > j:
-            # sample j' >= 1 of the group is table entry base + j'
-            base = self._before[c - 1] - 1
-            k = bisect_left(self._s1, x, base + j + 1, base + last + 1) - base
+        if last > b:
+            # blocks b + 1..last open at the group's samples inside (lo, hi]
+            k = bisect_left(self._bval, x, b + 1, last + 1)
             if k <= last:
-                stop = l + k * t
-            j = k - 1
-        p, v, pos, rem = self._sample(c, l, j)
+                stop = self._bpos[k]
+            b = k - 1
+        p, v, pos, rem = self._sample(b)
         if p >= lo and v >= x:
             return p
         stream = self._stream
@@ -606,20 +591,23 @@ class VbyteRlePsi:
         return hi + 1
 
     def size_bits(self) -> int:
-        # counts off0 (one entry per group), off1 (one per sample) and the
-        # n bits of D1 as the image stores them
+        # as the image stores them: s0, ptr0 and off0 per group; s1, ptr1,
+        # run1 and off1 per level-two sample; the n bits of D1
+        groups = self._D.ones
         return (8 * len(self._stream) + self._n
-                + 64 * (len(self._s0) + len(self._ptr0) + self._D.ones
-                        + 2 * len(self._s1) + len(self._ptr1) + len(self._run1)))
+                + 64 * (3 * groups + 4 * (len(self._bval) - groups)))
 
     def to_sections(self) -> list[bytes]:
+        _, val, rem, ptr = self._columns()
+        opens = np.zeros(len(val), dtype=bool)
+        opens[np.frombuffer(self._open, dtype=np.int64)] = True
+        ptr = ptr[:-1]
         off0, off1, d1 = _derived_sections(self._D, self.t_psi)
-        return [self._stream, _u64_bytes(self._s0), _u64_bytes(self._ptr0), off0,
-                *(_u64_bytes(a) for a in (self._s1, self._ptr1, self._run1)), off1, d1]
+        return [self._stream, _u64_bytes(val[opens]), _u64_bytes(ptr[opens]), off0,
+                *(_u64_bytes(a[~opens]) for a in (val, ptr, rem)), off1, d1]
 
     @classmethod
-    def from_sections(cls, sections, D: BitSequence, t_psi: int,
-                      vmax: int | None = None) -> "VbyteRlePsi":
+    def from_sections(cls, sections, D: BitSequence, t_psi: int) -> "VbyteRlePsi":
         stream, s0, ptr0, off0, s1, ptr1, run1, off1, d1 = sections
         want_off0, want_off1, want_d1 = _derived_sections(D, t_psi)
         if off0 != want_off0 or off1 != want_off1:
@@ -637,12 +625,16 @@ class VbyteRlePsi:
                              f"lengths, the image holds {len(s1)}, {len(ptr1)} and {len(run1)}")
         if any(len(a) and int(a.max()) > len(stream) for a in (ptr0, ptr1)):
             raise ValueError("vbyte stream pointer past the end of the stream")
-        psi = cls(stream, s0, ptr0, s1, ptr1, run1, D, t_psi, vmax)
-        # a sample past int64 reads as negative in the block table
-        if len(psi._bval) and (psi._bval.min() < 1 or psi._bval.max() > psi._vmax):
-            raise ValueError(f"vbyte sample outside 1..{psi._vmax}")
+        psi = cls(stream, s0, ptr0, s1, ptr1, run1, D, t_psi)
+        # samples up to the codes' bound keep access_many's sums in int64
+        # (a sample past it may be past int64 too, which would read as
+        # negative); a run length of n or more runs out of Psi
+        if any(len(a) and (int(a.min()) < 1 or int(a.max()) > psi._bound) for a in (s0, s1)):
+            raise ValueError(f"vbyte sample outside 1..{psi._bound}")
+        if len(run1) and int(run1.max()) >= D.nbits:
+            raise ValueError("vbyte sample run length past the end of Psi")
         # each block's codes end where the next block's begin
-        if np.any(np.diff(psi._bptr) < 0):
+        if np.any(np.diff(psi._columns()[3]) < 0):
             raise ValueError("vbyte stream pointers decrease along the stream")
         return psi
 
@@ -776,14 +768,13 @@ class HuffRlePsi:
     tag = 3
 
     def __init__(self, lengths_u8: bytes, samples, ptrs, stream: bytes,
-                 stream_bits: int, t_psi: int, n_total: int, vmax: int | None = None):
+                 stream_bits: int, t_psi: int, n_total: int):
         self._lengths_u8 = bytes(lengths_u8)
         self._s, self._ptr = _u64_array(samples), _u64_array(ptrs)
         self._stream = bytes(stream)
         self._stream_bits = stream_bits
         self.t_psi = t_psi
         self._n = n_total
-        self._vmax = INT64_MAX if vmax is None else vmax
         # zero padding lets a peek run past the end; _limit catches it
         self._padded = self._stream + bytes(16)
         self._limit = 8 * len(self._stream)
@@ -851,8 +842,7 @@ class HuffRlePsi:
                            np.concatenate((width, nraw[has])),
                            np.concatenate((start, (start + width)[has])), stream_bits)
         ptrs = np.append(start, stream_bits)[np.searchsorted(first, np.arange(0, len(psi), t))]
-        return cls(lens_of.tobytes(), psi[::t], ptrs, stream, stream_bits, t, len(psi),
-                   int(psi.max()) if len(psi) else 0)
+        return cls(lens_of.tobytes(), psi[::t], ptrs, stream, stream_bits, t, len(psi))
 
     def _peek(self, pos: int, width: int) -> int:
         """The width stream bits from bit pos on, first bit highest."""
@@ -903,19 +893,27 @@ class HuffRlePsi:
         if not 1 <= i <= self._n:
             raise _outside(i, i, self._n)
         p, v, pos = self._sample((i - 1) // self.t_psi)
-        steps = i - p
+        return self._walk(pos, v, i - p, 0)[0]
+
+    def _walk(self, pos: int, v: int, steps: int, left: int) -> tuple[int, int, int]:
+        """Advance value v by steps positions, decoding from stream bit
+        pos, when the run token last decoded has left +1 steps unused;
+        returns (v, pos, left) after them."""
+        take = min(steps, left)
+        v += take
+        steps -= take
+        left -= take
         while steps:
             run, delta, pos = self._step(pos)
             if delta == 0:
                 take = min(steps, run)
                 v += take
                 steps -= take
+                left = run - take
             else:
                 v += delta
                 steps -= 1
-        if not 1 <= v <= self._vmax:
-            raise _bad_value(self._vmax)
-        return v
+        return v, pos, left
 
     def range(self, lo: int, hi: int) -> list[int]:
         if lo > hi:
@@ -940,7 +938,7 @@ class HuffRlePsi:
                 p += 1
                 if p >= lo:
                     out.append(v)
-        return _checked_values(out, self._vmax)
+        return out
 
     def access_many(self, positions) -> np.ndarray:
         """psi at each of the positions, in the order given, as int64.
@@ -954,26 +952,17 @@ class HuffRlePsi:
             if (q - 1) // self.t_psi != span:
                 span = (q - 1) // self.t_psi
                 p, v, pos = self._sample(span)
-                left = 0      # +1 steps left in the run last decoded
-            steps = q - p
-            take = min(steps, left)
-            v += take
-            steps -= take
-            left -= take
-            while steps:
-                run, delta, pos = self._step(pos)
-                if delta == 0:
-                    take = min(steps, run)
-                    v += take
-                    steps -= take
-                    left = run - take
-                else:
-                    v += delta
-                    steps -= 1
+                left = 0
+            v, pos, left = self._walk(pos, v, q - p, left)
             p = q
             vals.append(v)
         out = np.empty(len(i), dtype=np.int64)
-        out[order] = _checked_values(vals, self._vmax)
+        try:
+            out[order] = vals
+        except OverflowError:
+            # escapes carry up to 63 raw bits, so a corrupted stream can
+            # sum past int64
+            raise ValueError("Huffman stream decodes a value past int64") from None
         return out
 
     def search(self, lo: int, hi: int, x: int) -> int:
@@ -1024,8 +1013,7 @@ class HuffRlePsi:
                 stream]
 
     @classmethod
-    def from_sections(cls, sections, t_psi: int, n_total: int,
-                      vmax: int | None = None) -> "HuffRlePsi":
+    def from_sections(cls, sections, t_psi: int, n_total: int) -> "HuffRlePsi":
         lengths_u8, s_b, ptr_b, stream_b = sections
         samples = np.frombuffer(s_b, dtype="<u8")
         ptrs = np.frombuffer(ptr_b, dtype="<u8")
@@ -1041,7 +1029,7 @@ class HuffRlePsi:
         if np.any(ptrs[1:] < ptrs[:-1]) or (spans and int(ptrs[-1]) > stream_bits):
             raise ValueError("Huffman span pointers are out of order or past the stream")
         return cls(lengths_u8, samples, ptrs, stream_b[8:], stream_bits,
-                   t_psi, n_total, vmax)
+                   t_psi, n_total)
 
 
 def encode(psi: np.ndarray, D: BitSequence, codec: str = "plain",
@@ -1058,13 +1046,8 @@ def encode(psi: np.ndarray, D: BitSequence, codec: str = "plain",
     return HuffRlePsi.build(psi, t_psi=t_psi)
 
 
-def from_sections(tag: int, sections, D: BitSequence, t_psi: int,
-                  vmax: int | None = None):
-    """Rebuild an encoding from its serialized sections.
-
-    vmax bounds the values a sampled codec may decode; an index image
-    passes arity*n, the length of D. Without it only int64 bounds them,
-    so a sequence that is no permutation of 1..len(D) still loads."""
+def from_sections(tag: int, sections, D: BitSequence, t_psi: int):
+    """Rebuild an encoding from its serialized sections."""
     if tag not in NAMES:
         raise ValueError(f"unknown psi codec tag {tag}")
     if len(sections) != _SECTION_COUNTS[tag]:
@@ -1074,8 +1057,8 @@ def from_sections(tag: int, sections, D: BitSequence, t_psi: int,
         return PlainPsi.from_sections(sections, D)
     _check_t_psi(t_psi)
     if tag == 1:
-        return VbyteRlePsi.from_sections(sections, D, t_psi, vmax)
-    return HuffRlePsi.from_sections(sections, t_psi, D.nbits, vmax)
+        return VbyteRlePsi.from_sections(sections, D, t_psi)
+    return HuffRlePsi.from_sections(sections, t_psi, D.nbits)
 
 
 def _check_t_psi(t_psi: int) -> None:

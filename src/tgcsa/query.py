@@ -326,7 +326,7 @@ def snapshot(idx, sem: TimeSemantics, contacts: bool = False):
     if lo > hi:
         return []
     psi = idx.psi
-    nxt = np.array(psi.range(lo, hi), dtype=np.int64)
+    nxt = checked_positions(psi.range(lo, hi), idx.arity * idx.n)
     starts = np.arange(lo, hi + 1)
     if zfloor is None:  # no end section: Psi leads from a start straight to section 1
         pos1 = nxt

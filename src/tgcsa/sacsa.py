@@ -185,7 +185,11 @@ def verify_core(idx: TgcsaIndex, cs: ContactSet | None = None) -> list[str]:
     problems = []
     total = idx.arity * idx.n
     if total:
-        vals = np.asarray(idx.psi.range(1, total), dtype=np.int64)
+        vals = idx.psi.range(1, total)
+        # a corrupted image can decode values past int64, so out-of-range
+        # values are turned away before numpy sees them
+        in_range = 1 <= min(vals) and max(vals) <= total
+        vals = np.array(vals if in_range else [], dtype=np.int64)
         if not np.array_equal(np.sort(vals), np.arange(1, total + 1)):
             problems.append("psi is not a permutation of [1, arity*n]")
             return problems

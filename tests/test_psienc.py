@@ -85,9 +85,9 @@ def test_run_groups_share_one_pair():
     # plain gap of 2
     psi, D = g5_psi_d()
     enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=64)
-    start = int(enc._ptr0[12])
+    start = int(vbyte_table(enc, "ptr0")[12])
     assert list(enc._stream[start:start + 3]) == [0x81, 0x81, 0x82]
-    assert int(enc._s0[12]) == 1
+    assert int(vbyte_table(enc, "s0")[12]) == 1
 
 
 def test_negative_gap_uses_zero_escape():
@@ -95,9 +95,9 @@ def test_negative_gap_uses_zero_escape():
     # stored as sample 2 then the pair (0 escape, magnitude 1)
     psi, D = psi_and_d(ContactSet([(1, 2, 1, 5), (2, 1, 1, 5)]))
     enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=64)
-    start = int(enc._ptr0[-1])
+    start = int(vbyte_table(enc, "ptr0")[-1])
     assert list(enc._stream[start:]) == [0x80, 0x81]
-    assert int(enc._s0[-1]) == 2
+    assert int(vbyte_table(enc, "s0")[-1]) == 2
 
 
 def test_stored_codewords_are_never_negative():
@@ -375,8 +375,8 @@ def test_encoders_match_loop_reference():
             enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=t)
             stream, tables = loop_vbyte(psi, D, t)
             assert enc._stream == stream
-            assert [list(a) for a in (enc._s0, enc._ptr0, enc._s1, enc._ptr1,
-                                      enc._run1)] == list(tables)
+            assert [vbyte_table(enc, name).tolist()
+                    for name in ("s0", "ptr0", "s1", "ptr1", "run1")] == list(tables)
             enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
             lengths_u8, bits, ptrs = loop_huffman(psi, t)
             assert enc._lengths_u8 == lengths_u8
@@ -541,9 +541,14 @@ def vbyte_sections(forge=lambda enc: {}):
     return sections, D
 
 
+def vbyte_table(enc, name):
+    """The encoding's u64 table of that name, read from its section."""
+    return np.frombuffer(enc.to_sections()[VBYTE_SECTIONS.index(name)], dtype="<u8")
+
+
 def sample_positions(enc):
     """Where the encoding's level-two samples sit, read from its off1 section."""
-    return np.frombuffer(enc.to_sections()[VBYTE_SECTIONS.index("off1")], dtype="<u8")
+    return vbyte_table(enc, "off1")
 
 
 def test_vbyte_samples_follow_from_d_and_t_psi():
@@ -559,7 +564,7 @@ def test_vbyte_samples_follow_from_d_and_t_psi():
             want = [l + j * t for l, nxt in zip(bounds, bounds[1:])
                     for j in range(1, (nxt - 1 - l) // t + 1)]
             assert sample_positions(enc).tolist() == want
-            assert list(enc._s1) == [int(psi[p - 1]) for p in want]
+            assert vbyte_table(enc, "s1").tolist() == [int(psi[p - 1]) for p in want]
             assert [v for v in vars(enc).values() if isinstance(v, BitSequence)] == [D]
 
 
@@ -572,18 +577,21 @@ def swap_first_rise(a):
 
 
 @pytest.mark.parametrize("forge, message", [
-    (lambda p: dict(s0=list(p._s0) + [1]), "group samples and pointers"),
-    (lambda p: dict(s1=p._s1[:-1]), "samples, pointers and run lengths"),
-    (lambda p: dict(run1=list(p._run1) + [0]), "samples, pointers and run lengths"),
+    (lambda p: dict(s0=list(vbyte_table(p, "s0")) + [1]), "group samples and pointers"),
+    (lambda p: dict(s1=vbyte_table(p, "s1")[:-1]), "samples, pointers and run lengths"),
+    (lambda p: dict(run1=list(vbyte_table(p, "run1")) + [0]), "samples, pointers and run lengths"),
     # same number of samples, each one position late
     (lambda p: dict(D1=BitSequence.from_positions(sample_positions(p) + 1, len(p))),
      "sample bitmap disagrees"),
-    (lambda p: dict(ptr1=list(p._ptr1[:-1]) + [len(p._stream) + 1]), "past the end"),
+    (lambda p: dict(ptr1=list(vbyte_table(p, "ptr1")[:-1]) + [len(p._stream) + 1]), "past the end"),
     (lambda p: dict(ptr0=[len(p._stream) + 1]), "past the end"),
     # two sample pointers swapped: each still inside the stream
-    (lambda p: dict(ptr1=swap_first_rise(p._ptr1)), "decrease along the stream"),
-    (lambda p: dict(s1=[0] + list(p._s1[1:])), "sample outside"),
-], ids=["s0", "s1", "run1", "D1", "ptr1", "ptr0", "ptr1-order", "s1-value"])
+    (lambda p: dict(ptr1=swap_first_rise(vbyte_table(p, "ptr1"))), "decrease along the stream"),
+    (lambda p: dict(s1=[0] + list(vbyte_table(p, "s1")[1:])), "sample outside"),
+    (lambda p: dict(s0=[2**63] + list(vbyte_table(p, "s0")[1:])), "sample outside"),
+    (lambda p: dict(run1=[len(p)] + list(vbyte_table(p, "run1")[1:])), "run length past"),
+], ids=["s0", "s1", "run1", "D1", "ptr1", "ptr0", "ptr1-order", "s1-value", "s0-value",
+        "run1-value"])
 def test_vbyte_load_rejects_forged_sections(forge, message):
     sections, D = vbyte_sections(forge)
     with pytest.raises(ValueError, match=message):
@@ -598,7 +606,7 @@ def test_vbyte_decode_stops_at_the_stream_end():
         psienc.from_sections(psienc.TAGS["vbyte-rle"], sections[:-1], D, 64)
     # cut the stream just past its last sample pointer: every pointer
     # still fits, but the codes after it are gone
-    cut = max(back._ptr1)
+    cut = int(vbyte_table(back, "ptr1").max())
     sections[0] = sections[0][:cut]
     short = psienc.from_sections(psienc.TAGS["vbyte-rle"], sections, D, 64)
     n = len(D)
@@ -640,7 +648,7 @@ def test_access_many_matches_access(codec):
         if name == "crafted" and codec == "vbyte-rle":
             enc = psienc.encode(psi, D, codec=codec, t_psi=64)
             ends = np.flatnonzero(np.frombuffer(enc._stream, dtype=np.uint8) >= 0x80)
-            assert max(enc._run1) > 0
+            assert vbyte_table(enc, "run1").max() > 0
             assert set(np.diff(ends, prepend=-1).tolist()) == {1, 2, 3}
         for t in (1, 2, 3, 7, 64, 256):
             enc = psienc.encode(psi, D, codec=codec, t_psi=t)
@@ -658,7 +666,7 @@ def test_access_many_matches_access(codec):
                     enc.access_many(bad)
 
 
-def one_run_codec(n, t_psi, run, run1=None, vmax=None):
+def one_run_codec(n, t_psi, run, run1=None):
     """A vbyte codec over one group 1, 2, ..., n stored as the sample 1
     and one <1, run> pair; run1 replaces the samples' run lengths."""
     D = BitSequence.from_positions([1], n)
@@ -667,7 +675,7 @@ def one_run_codec(n, t_psi, run, run1=None, vmax=None):
     s1 = [1 + j * t_psi for j in range(1, k + 1)]
     return psienc.VbyteRlePsi(stream, [1], [0], s1, [len(stream)] * k,
                               run1 if run1 is not None else [n - p for p in s1],
-                              D, t_psi, vmax)
+                              D, t_psi)
 
 
 def test_forged_run_lengths_allocate_nothing_in_proportion():
@@ -687,32 +695,20 @@ def test_forged_run_lengths_allocate_nothing_in_proportion():
     assert got_list.tolist() == list(range(n, 0, -1))
     assert enc.range(1, n) == list(range(1, n + 1))
     assert peak < 1 << 20
-    # with the index's bound, a run longer than any value is a code out of range
-    with pytest.raises(ValueError, match="vbyte code"):
-        one_run_codec(n, 64, big, vmax=n).access_many([2])
 
 
-def test_decoded_values_outside_the_bound_raise_value_error():
-    # one group 40, 70: the gap code 30 is in range, the value it leads to is not
+def test_access_many_rejects_codes_that_could_wrap_int64():
+    # one group 1, 2: the gap after the sample is a ten-byte code, or a
+    # nine-byte code above what the stream's codes may sum to
     D = BitSequence.from_positions([1], 2)
-    stream = psienc.vbyte_codes([30])[0]
-    enc = psienc.VbyteRlePsi(stream, [40], [0], [], [], [], D, 64, vmax=50)
-    # and one group 5, -5: an escaped descent below 1
-    down = psienc.VbyteRlePsi(psienc.vbyte_codes([0, 10])[0], [5], [0], [], [], [],
-                              D, 64, vmax=50)
-    for codec in (enc, down):
-        assert codec.access(1) == codec.access_many([1])[0]
-        for call in (lambda: codec.access(2), lambda: codec.range(1, 2),
-                     lambda: codec.access_many([2, 1])):
-            with pytest.raises(ValueError, match="outside 1..50"):
-                call()
-    # eight codes 10 (runs of 2) from the sample 1: position p holds p
-    huff = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xaa", 16, 64, 64, vmax=10)
-    assert huff.access(10) == huff.access_many([10])[0] == 10
-    for call in (lambda: huff.access(11), lambda: huff.range(1, 11),
-                 lambda: huff.access_many([11, 1])):
-        with pytest.raises(ValueError, match="outside 1..10"):
-            call()
+    bound = psienc.INT64_MAX // 11
+    for stream, message in ((bytes(9) + b"\x81", "wider than 9 bytes"),
+                            (psienc.vbyte_codes([bound + 1])[0], "above")):
+        assert len(stream) == 9 or message.startswith("wider")
+        enc = psienc.VbyteRlePsi(stream, [1], [0], [], [], [], D, 64)
+        assert enc.access(1) == 1
+        with pytest.raises(ValueError, match=f"vbyte code {message}"):
+            enc.access_many([2, 1])
 
 
 def test_access_many_reads_a_shortened_block_again_in_full():
@@ -729,3 +725,11 @@ def test_access_many_reads_a_shortened_block_again_in_full():
     assert len(enc._stream) == 50
     for ps in ([32], [31, 32], [32, 64], list(range(1, 65))):
         assert enc.access_many(ps).tolist() == psi[np.array(ps) - 1].tolist()
+
+
+def test_huffman_batch_values_past_int64_are_a_value_error():
+    # the sample 2**64 - 1 fits the u64 sample table, not an int64 array
+    huff = psienc.HuffRlePsi(bytes([1, 2]), [2**64 - 1], [0], b"\xaa\xaa", 16, 64, 64)
+    assert huff.access(1) == 2**64 - 1
+    with pytest.raises(ValueError, match="past int64"):
+        huff.access_many([1])

@@ -7,7 +7,8 @@ import pytest
 
 from tgcsa.baseline import OracleIndex
 from tgcsa.corpus import Contact, ContactSet
-from tgcsa.sacsa import build_index
+from tgcsa import psienc
+from tgcsa.sacsa import TgcsaIndex, build_index, verify_core
 from tgcsa.synth import GenSpec, generate
 from tgcsa.query import (TimeSemantics, _terms, active_edge, activated_edges,
                          deactivated_edges, direct_neighbors, pattern_range,
@@ -348,3 +349,29 @@ def test_window_queries_match_the_oracle_on_every_codec():
             for t_psi in (1, 3, 16):
                 idx = build_index(cs, codec=codec, t_psi=t_psi)
                 assert_same_answers(idx, oracle, rng, instants=6, intervals=4)
+
+
+def test_out_of_range_values_end_in_value_error_at_the_caller(g5):
+    # g5's vbyte stream with its first byte raised to the code 127: the
+    # codec decodes values past arity*n = 20 without a check of its own,
+    # and the window queries and verify_core turn them away as positions
+    idx = build_index(g5, codec="vbyte-rle", t_psi=64)
+    sections = idx.psi.to_sections()
+    sections[0] = b"\xff" + sections[0][1:]
+    psi = psienc.from_sections(idx.psi.tag, sections, idx.D, 64)
+    bad = TgcsaIndex(idx.am, idx.D, psi, idx.n, idx.semantics)
+    vals = psi.range(1, 20)
+    out = [p for p, v in enumerate(vals, 1) if not 1 <= v <= 20]
+    assert out
+    assert psi.access_many(out).tolist() == [vals[p - 1] for p in out]
+    assert verify_core(bad) == ["psi is not a permutation of [1, arity*n]"]
+    raised = 0
+    for t in range(10):
+        for query in (lambda: bad.snapshot(TimeSemantics.instant(t), contacts=True),
+                      lambda: bad.activated_edges(t), lambda: bad.deactivated_edges(t)):
+            try:
+                query()
+            except ValueError as e:
+                assert "outside" in str(e)
+                raised += 1
+    assert raised
