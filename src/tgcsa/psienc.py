@@ -893,27 +893,17 @@ class HuffRlePsi:
         if not 1 <= i <= self._n:
             raise _outside(i, i, self._n)
         p, v, pos = self._sample((i - 1) // self.t_psi)
-        return self._walk(pos, v, i - p, 0)[0]
-
-    def _walk(self, pos: int, v: int, steps: int, left: int) -> tuple[int, int, int]:
-        """Advance value v by steps positions, decoding from stream bit
-        pos, when the run token last decoded has left +1 steps unused;
-        returns (v, pos, left) after them."""
-        take = min(steps, left)
-        v += take
-        steps -= take
-        left -= take
+        steps = i - p
         while steps:
             run, delta, pos = self._step(pos)
             if delta == 0:
                 take = min(steps, run)
                 v += take
                 steps -= take
-                left = run - take
             else:
                 v += delta
                 steps -= 1
-        return v, pos, left
+        return v
 
     def range(self, lo: int, hi: int) -> list[int]:
         if lo > hi:
@@ -942,20 +932,20 @@ class HuffRlePsi:
 
     def access_many(self, positions) -> np.ndarray:
         """psi at each of the positions, in the order given, as int64.
-        The positions are taken in sorted order, so each span they touch
-        is decoded once, from its sample up to the last of them."""
+        Each span the positions touch is decoded once, by one range call
+        from the first position asked in it to the last."""
         i = checked_positions(positions, self._n)
         order = np.argsort(i, kind="stable")
+        qs = i[order].tolist()
+        t = self.t_psi
         vals = []
-        span = -1
-        for q in i[order].tolist():
-            if (q - 1) // self.t_psi != span:
-                span = (q - 1) // self.t_psi
-                p, v, pos = self._sample(span)
-                left = 0
-            v, pos, left = self._walk(pos, v, q - p, left)
-            p = q
-            vals.append(v)
+        j = 0
+        while j < len(qs):
+            lo = qs[j]
+            k = bisect_right(qs, (lo - 1) // t * t + t, j)  # past lo's span
+            got = self.range(lo, qs[k - 1])
+            vals += [got[q - lo] for q in qs[j:k]]
+            j = k
         out = np.empty(len(i), dtype=np.int64)
         try:
             out[order] = vals
