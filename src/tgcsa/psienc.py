@@ -662,8 +662,8 @@ def _derived_sections(D: BitSequence, t_psi: int) -> tuple[bytes, bytes, bytes]:
             BitSequence.from_positions(positions, D.nbits).serialize())
 
 
-def _overrun() -> ValueError:
-    return ValueError("vbyte code runs past the end of the stream")
+def _overrun(code: str = "vbyte") -> ValueError:
+    return ValueError(f"{code} code runs past the end of the stream")
 
 
 # Huffman-coded variant. Symbol ids: run lengths 1..t map to 0..t-1,
@@ -775,9 +775,9 @@ class HuffRlePsi:
         self._stream_bits = stream_bits
         self.t_psi = t_psi
         self._n = n_total
-        # zero padding lets a peek run past the end; _limit catches it
+        # zero padding lets a walk read past the end; _limit catches it
         self._padded = self._stream + bytes(16)
-        self._limit = 8 * len(self._stream)
+        self._limit = stream_bits
         self._build_table()
 
     def _build_table(self):
@@ -790,7 +790,7 @@ class HuffRlePsi:
         k = np.where(neg, rel - NSV - ESC_CLASSES, rel - NSV).clip(0)
         half = (1 << (k - 1).clip(0)) * (k > 0)
         run = np.where(rel < 0, rel + t + 1, 1)
-        base = np.select([rel < 0, rel < NSV, neg], [0, rel + 2, -1 - half], NSV + 2 + half)
+        base = np.select([rel < 0, rel < NSV, neg], [run, rel + 2, -1 - half], NSV + 2 + half)
         nraw = (k - 1).clip(0) * np.where(neg, -1, 1)
         self._entries = list(zip(lens.tolist(), run.tolist(), base.tolist(), nraw.tolist()))
         maxlen = len(first) - 1
@@ -856,34 +856,11 @@ class HuffRlePsi:
         first, count, offset = self._first, self._count, self._offset
         for ln in range(self._k + 1, len(first)):
             if pos + ln > self._limit:
-                raise ValueError("Huffman code runs past the end of the stream")
+                raise _overrun("Huffman")
             idx = self._peek(pos, ln) - first[ln]
             if 0 <= idx < count[ln]:
                 return self._entries[offset[ln] + idx]
         raise ValueError("corrupt Huffman stream")
-
-    def _step(self, pos: int) -> tuple[int, int, int]:
-        """Next token as (run, delta, new pos).
-
-        Returns (run_length, 0, pos) for a run token and (1, gap, pos)
-        for everything else.
-        """
-        b = pos >> 3
-        x = int.from_bytes(self._padded[b:b + 3], "big")
-        e = self._table[(x >> (24 - self._k - (pos & 7))) & self._mask]
-        if e is None:
-            e = self._long_code(pos)
-        ln, run, delta, nraw = e
-        pos += ln
-        if nraw > 0:
-            delta += self._peek(pos, nraw)
-            pos += nraw
-        elif nraw:
-            delta -= self._peek(pos, -nraw)
-            pos -= nraw
-        if pos > self._limit:
-            raise ValueError("Huffman token runs past the end of the stream")
-        return run, delta, pos
 
     def _sample(self, k: int) -> tuple[int, int, int]:
         """(p, v, pos): position, value and stream bit offset of sample k."""
@@ -894,16 +871,28 @@ class HuffRlePsi:
             raise _outside(i, i, self._n)
         p, v, pos = self._sample((i - 1) // self.t_psi)
         steps = i - p
-        while steps:
-            run, delta, pos = self._step(pos)
-            if delta == 0:
-                take = min(steps, run)
-                v += take
-                steps -= take
-            else:
+        P, table, mask, shift = self._padded, self._table, self._mask, 24 - self._k
+        try:
+            while steps > 0:
+                b = pos >> 3
+                e = table[(P[b] << 16 | P[b + 1] << 8 | P[b + 2]) >> (shift - (pos & 7)) & mask]
+                if e is None:
+                    e = self._long_code(pos)
+                ln, run, delta, nraw = e
+                pos += ln
+                if nraw > 0:
+                    delta += self._peek(pos, nraw)
+                    pos += nraw
+                elif nraw:
+                    delta -= self._peek(pos, -nraw)
+                    pos -= nraw
                 v += delta
-                steps -= 1
-        return v
+                steps -= run
+        except IndexError:
+            raise _overrun("Huffman") from None
+        if pos > self._limit:
+            raise _overrun("Huffman")
+        return v + steps  # a last run that overshoots leaves steps < 0
 
     def range(self, lo: int, hi: int) -> list[int]:
         if lo > hi:
@@ -911,28 +900,44 @@ class HuffRlePsi:
         if lo < 1 or hi > self._n:
             raise _outside(lo, hi, self._n)
         p, v, pos = self._sample((lo - 1) // self.t_psi)
-        out = []
-        if p >= lo:
-            out.append(v)
-        while p < hi:
-            run, delta, pos = self._step(pos)
-            if delta == 0:
-                take = min(run, hi - p)
-                start = max(lo, p + 1)
-                if start <= p + take:
-                    out.extend(range(v + (start - p), v + take + 1))
-                v += take
-                p += take
-            else:
+        out = [v] if p >= lo else []
+        P, table, mask, shift = self._padded, self._table, self._mask, 24 - self._k
+        try:
+            while p < hi:
+                b = pos >> 3
+                e = table[(P[b] << 16 | P[b + 1] << 8 | P[b + 2]) >> (shift - (pos & 7)) & mask]
+                if e is None:
+                    e = self._long_code(pos)
+                ln, run, delta, nraw = e
+                pos += ln
+                if nraw > 0:
+                    delta += self._peek(pos, nraw)
+                    pos += nraw
+                elif nraw:
+                    delta -= self._peek(pos, -nraw)
+                    pos -= nraw
+                elif run > 1:
+                    if run > hi - p:
+                        run = hi - p
+                    if p + run >= lo:
+                        out.extend(range(v + max(lo - p, 1), v + run + 1))
+                    v += run
+                    p += run
+                    continue
                 v += delta
                 p += 1
                 if p >= lo:
                     out.append(v)
+        except IndexError:
+            raise _overrun("Huffman") from None
+        if pos > self._limit:
+            raise _overrun("Huffman")
         return out
 
     def access_many(self, positions) -> np.ndarray:
         """psi at each of the positions, in the order given, as int64.
-        Each span the positions touch is decoded once, by one range call
+        Each span the positions touch is decoded once: by one access
+        walk when it holds one asked position, else by one range call
         from the first position asked in it to the last."""
         i = checked_positions(positions, self._n)
         order = np.argsort(i, kind="stable")
@@ -943,8 +948,12 @@ class HuffRlePsi:
         while j < len(qs):
             lo = qs[j]
             k = bisect_right(qs, (lo - 1) // t * t + t, j)  # past lo's span
-            got = self.range(lo, qs[k - 1])
-            vals += [got[q - lo] for q in qs[j:k]]
+            hi = qs[k - 1]
+            if lo == hi:
+                vals += [self.access(lo)] * (k - j)
+            else:
+                got = self.range(lo, hi)
+                vals += [got[q - lo] for q in qs[j:k]]
             j = k
         out = np.empty(len(i), dtype=np.int64)
         try:
@@ -975,21 +984,42 @@ class HuffRlePsi:
         p, v, pos = self._sample(k)
         if p >= lo and v >= x:
             return p
-        while p < stop:
-            run, delta, pos = self._step(pos)
-            if delta == 0:
-                take = min(run, stop - p)
-                q = max(lo, p + 1, p + x - v)
-                if q <= p + take:
-                    return q
-                v += take
-                p += take
-            else:
+        P, table, mask, shift = self._padded, self._table, self._mask, 24 - self._k
+        found = hi + 1
+        try:
+            while p < stop:
+                b = pos >> 3
+                e = table[(P[b] << 16 | P[b + 1] << 8 | P[b + 2]) >> (shift - (pos & 7)) & mask]
+                if e is None:
+                    e = self._long_code(pos)
+                ln, run, delta, nraw = e
+                pos += ln
+                if nraw > 0:
+                    delta += self._peek(pos, nraw)
+                    pos += nraw
+                elif nraw:
+                    delta -= self._peek(pos, -nraw)
+                    pos -= nraw
+                elif run > 1:
+                    if run > stop - p:
+                        run = stop - p
+                    q = max(lo, p + 1, p + x - v)
+                    if q <= p + run:
+                        found = q
+                        break
+                    v += run
+                    p += run
+                    continue
                 v += delta
                 p += 1
                 if p >= lo and v >= x:
-                    return p
-        return hi + 1
+                    found = p
+                    break
+        except IndexError:
+            raise _overrun("Huffman") from None
+        if pos > self._limit:
+            raise _overrun("Huffman")
+        return found
 
     def size_bits(self) -> int:
         return (self._stream_bits + 64 * (len(self._s) + len(self._ptr))
@@ -1014,12 +1044,16 @@ class HuffRlePsi:
         if len(stream_b) < 8:
             raise ValueError("Huffman stream section is shorter than its header")
         (stream_bits,) = struct.unpack_from("<Q", stream_b, 0)
-        if stream_bits > 8 * (len(stream_b) - 8):
+        stream = stream_b[8:]
+        if stream_bits > 8 * len(stream):
             raise ValueError("Huffman stream is shorter than its bit count")
+        if len(stream) > -(-stream_bits // 8):
+            raise ValueError("Huffman stream holds bytes past its bit count")
+        if stream_bits % 8 and stream[-1] & 0xFF >> stream_bits % 8:
+            raise ValueError("Huffman stream sets bits past its bit count")
         if np.any(ptrs[1:] < ptrs[:-1]) or (spans and int(ptrs[-1]) > stream_bits):
             raise ValueError("Huffman span pointers are out of order or past the stream")
-        return cls(lengths_u8, samples, ptrs, stream_b[8:], stream_bits,
-                   t_psi, n_total)
+        return cls(lengths_u8, samples, ptrs, stream, stream_bits, t_psi, n_total)
 
 
 def encode(psi: np.ndarray, D: BitSequence, codec: str = "plain",

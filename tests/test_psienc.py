@@ -413,27 +413,66 @@ def test_huffman_sections_load_back():
     (lambda p: dict(samples=p._s[:-1]), "samples and pointers"),
     (lambda p: dict(ptrs=list(p._ptr) + [0]), "samples and pointers"),
     (lambda p: dict(stream_bits=8 * len(p._stream) + 1), "shorter than its bit count"),
+    (lambda p: dict(stream=p._stream + b"\x00"), "bytes past its bit count"),
+    # 91 stream bits: the last byte's five low bits are padding
+    (lambda p: dict(stream=p._stream[:-1] + bytes([p._stream[-1] | 1])),
+     "bits past its bit count"),
     (lambda p: dict(ptrs=p._ptr[::-1]), "out of order"),
     (lambda p: dict(ptrs=list(p._ptr[:-1]) + [p._stream_bits + 1]), "past the stream"),
-], ids=["kraft", "symbol", "samples", "ptrs", "stream-bits", "ptr-order", "ptr-end"])
+], ids=["kraft", "symbol", "samples", "ptrs", "stream-bits", "stream-byte",
+        "stream-pad", "ptr-order", "ptr-end"])
 def test_huffman_load_rejects_forged_sections(forge, message):
     sections, D = huffman_sections(forge)
     with pytest.raises(ValueError, match=message):
         psienc.from_sections(psienc.TAGS["huff-rle-opt"], sections, D, 64)
 
 
+def decode_calls(enc, i):
+    """Every entry point asked for position i, each from a walk that
+    has to decode it: access, range, search, and access_many alone and
+    with the position before it (so through range)."""
+    return [lambda: enc.access(i), lambda: enc.range(1, i),
+            lambda: enc.search(1, i, 2**70), lambda: enc.access_many([i]),
+            lambda: enc.access_many([i - 1, i])]
+
+
 def test_huffman_decode_stops_at_bad_codes_and_the_stream_end():
     # run symbols 0 and 1 coded 0 and 10: the prefix 11 is unassigned
     enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xff", 8, 4, 4)
-    with pytest.raises(ValueError, match="corrupt Huffman stream"):
-        enc.access(2)
+    for call in decode_calls(enc, 2):
+        with pytest.raises(ValueError, match="corrupt Huffman stream"):
+            call()
     # eight codes 10 (runs of 2) fill the stream; a ninth token would start at its end
     enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xaa", 16, 64, 64)
-    assert enc.access(17) == 17
-    with pytest.raises(ValueError, match="past the end"):
-        enc.access(18)
+    assert enc.access(17) == 17 and enc.range(1, 17) == list(range(1, 18))
+    assert enc.search(1, 17, 18) == 18 and enc.access_many([16, 17]).tolist() == [16, 17]
+    for call in decode_calls(enc, 18) + [lambda: enc.search(1, 40, 18)]:
+        with pytest.raises(ValueError, match="past the end"):
+            call()
     with pytest.raises(ValueError, match="outside"):
         enc.access(65)
+    # six runs of 2 in 12 bits: the four zero bits after them are no codes
+    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xa0", 12, 64, 64)
+    assert enc.range(1, 13) == list(range(1, 14))
+    for call in decode_calls(enc, 14):
+        with pytest.raises(ValueError, match="past the end"):
+            call()
+    # a walk of 1-bit codes runs past the zero padding behind the stream
+    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\x00", 8, 1000, 1000)
+    assert enc.access(9) == 9
+    for call in decode_calls(enc, 999):
+        with pytest.raises(ValueError, match="past the end"):
+            call()
+    # run symbol 0 coded 0 and the positive escape class 20 coded 1: the
+    # escape's 19 raw bits run past the 8-bit stream
+    t = 4
+    lengths = bytearray(t + psienc.NSV + 21)
+    lengths[0] = lengths[-1] = 1
+    enc = psienc.HuffRlePsi(bytes(lengths), [1], [0], b"\x20", 8, t, t)
+    assert enc.range(1, 3) == [1, 2, 3]
+    for call in decode_calls(enc, 4):
+        with pytest.raises(ValueError, match="past the end"):
+            call()
 
 
 def search_graphs():
