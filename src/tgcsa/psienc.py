@@ -4,8 +4,8 @@ Three ways to store the permutation, all exposing the same small surface
 (access, range, access_many, search, size_bits, serialization
 sections). access_many(positions) returns psi at a list or int64 array
 of positions as an int64 array, taking each sample block the positions
-touch once; it has a fixed cost of about 25 pointwise accesses, so the
-window queries (snapshot, activated and deactivated edges) hop through
+touch once; on the vbyte codec it has a fixed cost of about 25
+pointwise accesses, so the window queries (snapshot, activated and deactivated edges) hop through
 it, while the pattern, pair, neighbour and reconstruction queries stay
 with access. search(lo, hi, x) returns the first i in [lo, hi] with
 psi(i) >= x, or hi + 1; it is valid where that predicate is monotone on
@@ -40,7 +40,11 @@ checked there, so a corrupted image still ends in ValueError.
   run lengths, small literal gaps, and escape classes for everything
   else into a single bitstream. Decoding looks each token up in a table
   indexed by the next few stream bits, built from the code lengths when
-  the codec is built or loaded.
+  the codec is built or loaded. access, range and search each walk the
+  stream in one loop with that lookup inline, and check the stream end
+  once per walk, after the loop (search also before it returns). A load
+  takes a stream only when it is exactly the bytes its bit count needs
+  and every bit after the count is zero.
 
 Byte codes use 7-bit little-endian groups with the high bit set on the
 final byte only, so 5 encodes as 0x85 and 135 as 0x07 0x81. vbyte_codes
@@ -750,12 +754,24 @@ class HuffRlePsi:
     the next k = min(maxlen, TABLE_BITS) stream bits; the canonical codes
     of length <= k fill it from prefix 0 upwards, each code repeated
     over the 2**(k - length) prefixes that open with it. An entry holds
-    the whole decoded token as (code length, run length, base delta,
-    signed raw bit count): a run token advances by up to its run length
-    with delta 0, any other token advances one position by the base
-    delta plus (or, for a negative escape, minus) its raw bits. Prefixes
-    past the short codes hold None and finish on the canonical
-    per-length search, which also rejects unassigned codes.
+    the whole decoded token as (code length, steps, base delta, signed
+    raw bit count): a run token advances its run length of +1 steps, so
+    its steps and delta are both that length; any other token advances
+    one position by the base delta plus (or, for a negative escape,
+    minus) its raw bits. Prefixes past the short codes hold None and
+    finish on the canonical per-length search, which also rejects
+    unassigned codes.
+
+    access, range and search each decode in one loop: they bind the
+    padded stream, the table, the mask and the shift once, read the
+    24-bit window at a bit offset from three stream bytes, and add each
+    token's steps and delta in place. access adds every token whole and
+    takes back what a last run overshoots. The stream carries 16 zero
+    bytes of padding, so a walk reads past its end without a check per
+    token; each walk compares its end offset with the stream's bit count
+    once, after its loop (search before it returns a position), and a
+    walk that runs past the padding turns its IndexError into the same
+    ValueError.
 
     build cuts +1 runs at the span starts, takes each escape's class
     from the bit length of its magnitude, counts the symbols with
