@@ -1,22 +1,23 @@
 """Psi encodings.
 
 Three ways to store the permutation, all exposing the same small surface
-(access, range, access_many, search, size_bits, serialization
-sections). access_many(positions) returns psi at a list or int64 array
-of positions as an int64 array, taking each sample block the positions
-touch once; on the vbyte codec it has a fixed cost of about 25
-pointwise accesses, so the window queries (snapshot, activated and deactivated edges) hop through
-it, while the pattern, pair, neighbour and reconstruction queries stay
-with access. search(lo, hi, x) returns the first i in [lo, hi] with
-psi(i) >= x, or hi + 1; it is valid where that predicate is monotone on
-[lo, hi], which holds inside any group of sections 1..arity-1 when x is
-a group start of the next section. The sampled codecs answer it the
-way a compressed suffix array does: bisect the stored samples, then
-decode forward inside one sample block. Positions outside 1..n raise
-ValueError, and so does a code that runs past the end of its stream.
-Decoded values are not checked against 1..n; where a caller uses one
-as a position (the next access, query._terms, verify_core) it is
-checked there, so a corrupted image still ends in ValueError.
+(access, range, access_many, search, size_bits, serialization sections).
+access_many(positions) returns psi at a list or int64 array of positions
+as an int64 array, taking each sample block the positions touch once; on
+the vbyte codec it has a fixed cost of about 25 pointwise accesses, so
+the window queries (snapshot, activated and deactivated edges) hop
+through it, while the pattern, pair, neighbour and reconstruction
+queries stay with access. search(lo, hi, x) returns the first i in
+[lo, hi] with psi(i) >= x, or hi + 1; it is valid where that predicate
+is monotone on [lo, hi], which holds inside any group of sections
+1..arity-1 when x is a group start of the next section. The sampled
+codecs answer it the way a compressed suffix array does: bisect the
+stored samples, then decode forward inside one sample block. Positions
+outside 1..n raise ValueError, and so does a code that runs past the end
+of its stream. Decoded values are not checked against 1..n; where a
+caller uses one as a position (the next access, query._terms,
+verify_core) it is checked there, so a corrupted image still ends in
+ValueError.
 
 * plain: every value bit-packed at a fixed width. Fast, no compression.
 * vbyte-rle: per-group gap streams. Within a group the first value is a
