@@ -1,18 +1,21 @@
 """Psi encodings.
 
 Three ways to store the permutation, all exposing the same small surface
-(access, range, access_many, search, size_bits, serialization sections).
+(access, range, access_many, stretch, size_bits, serialization sections).
 access_many(positions) returns psi at a list or int64 array of positions
 as an int64 array, taking each sample block the positions touch once; on
 the vbyte codec it has a fixed cost of about 25 pointwise accesses, so
 the window queries (snapshot, activated and deactivated edges) hop
 through it, while the pattern, pair, neighbour and reconstruction
-queries stay with access. search(lo, hi, x) returns the first i in
-[lo, hi] with psi(i) >= x, or hi + 1; it is valid where that predicate
-is monotone on [lo, hi], which holds inside any group of sections
-1..arity-1 when x is a group start of the next section. The sampled
-codecs answer it the way a compressed suffix array does: bisect the
-stored samples, then decode forward inside one sample block. Positions
+queries stay with access. stretch(lo, hi, x, y) returns (first, values):
+the first i in [lo, hi] with psi(i) >= x, or hi + 1, and psi(first),
+psi(first + 1), ... while the value is below y and the position at most
+hi. It is valid where both predicates are monotone on [lo, hi], which
+holds inside any group of sections 1..arity-1 when x and y are group
+starts of the next section (or the position past it); with y = x it
+only finds first. The sampled codecs answer it the way a compressed
+suffix array does: bisect the stored samples for x, then decode forward
+once from the sample before first, through the values. Positions
 outside 1..n raise ValueError, and so does a code that runs past the end
 of its stream. Decoded values are not checked against 1..n; where a
 caller uses one as a position (the next access, query._terms,
@@ -28,24 +31,25 @@ ValueError.
   blocks in position order (each group's opening sample, then its
   level-two samples), whose start positions follow from D and t_psi;
   access finds a position's block with one bisect of them, range and
-  search from the group's first block. The image stores the two sample
+  stretch from the group's first block. The image stores the two sample
   levels apart, and also the group starts, the sample positions and a
   sample bitmap; a load compares those three with what D and t_psi
   give, checks the table lengths against the groups and samples, the
   samples against a bound that keeps the batch decoder's sums inside
   int64, and the stream pointers against the stream: they must not
   decrease from block to block, since each block's codes end where the
-  next block's begin. Tag 2, an earlier variant without the stored
+  next block's begin, and the last block's codes must end at the
+  stream's last byte. Tag 2, an earlier variant without the stored
   positions, is retired.
 * huff-rle-opt: samples every t_psi positions globally, then Huffman-codes
   run lengths, small literal gaps, and escape classes for everything
   else into a single bitstream. Decoding looks each token up in a table
   indexed by the next few stream bits, built from the code lengths when
-  the codec is built or loaded. access, range and search each walk the
+  the codec is built or loaded. access, range and stretch each walk the
   stream in one loop with that lookup inline, and check the stream end
-  once per walk, after the loop (search also before it returns). A load
-  takes a stream only when it is exactly the bytes its bit count needs
-  and every bit after the count is zero.
+  once per walk, after the loop. A load takes a stream only when it is
+  exactly the bytes its bit count needs and every bit after the count
+  is zero.
 
 Byte codes use 7-bit little-endian groups with the high bit set on the
 final byte only, so 5 encodes as 0x85 and 135 as 0x07 0x81. vbyte_codes
@@ -197,14 +201,17 @@ class PlainPsi:
     def access_many(self, positions) -> np.ndarray:
         return self._vals[checked_positions(positions, self._n) - 1]
 
-    def search(self, lo: int, hi: int, x: int) -> int:
-        """First i in [lo, hi] with psi(i) >= x, or hi + 1; the predicate
-        must be monotone on [lo, hi]."""
+    def stretch(self, lo: int, hi: int, x: int, y: int) -> tuple[int, list[int]]:
+        """(first, values): the first i in [lo, hi] with psi(i) >= x, or
+        hi + 1, and psi from there on while it is below y and the
+        position at most hi. Both predicates must be monotone on [lo, hi]."""
         if lo > hi:
-            return hi + 1
+            return hi + 1, []
         if lo < 1 or hi > self._n:
             raise _outside(lo, hi, self._n)
-        return bisect_left(self._vals, x, lo - 1, hi) + 1
+        vals = self._vals
+        first = bisect_left(vals, x, lo - 1, hi)
+        return first + 1, vals[first:bisect_left(vals, y, first, hi)].tolist()
 
     def size_bits(self) -> int:
         return len(self._vals) * self.width
@@ -529,27 +536,30 @@ class VbyteRlePsi:
         out[order] = vals
         return out
 
-    def search(self, lo: int, hi: int, x: int) -> int:
-        """First i in [lo, hi] with psi(i) >= x, or hi + 1.
+    def stretch(self, lo: int, hi: int, x: int, y: int) -> tuple[int, list[int]]:
+        """(first, values): the first i in [lo, hi] with psi(i) >= x, or
+        hi + 1, and psi from there on while it is below y and the
+        position at most hi.
 
-        [lo, hi] must lie in one group on which the predicate is
+        [lo, hi] must lie in one group on which both predicates are
         monotone. The samples inside (lo, hi] are bisected for the first
-        one that satisfies it; the answer then lies in the block that
-        ends there (or in the last block), which is decoded forward from
-        the previous sample, a +1 run in one step.
+        one at or above x; first then lies in the block that ends there
+        (or in the last block), and one walk decodes forward from the
+        previous sample, a +1 run in one step, and goes on past first
+        for the values.
         """
         if lo > hi:
-            return hi + 1
+            return hi + 1, []
         if lo < 1 or hi > self._n:
             raise _outside(lo, hi, self._n)
         c = self._D.rank1(lo)
         if c < len(self._open) and hi >= self._D.select1(c + 1):
-            raise ValueError(f"Psi search {lo}..{hi} crosses a group end")
+            raise ValueError(f"Psi stretch {lo}..{hi} crosses a group end")
         g = self._open[c - 1]
         l = self._bpos[g]
         b = g + (lo - l) // self.t_psi
         last = g + (hi - l) // self.t_psi
-        stop = hi
+        stop = hi  # where the walk ends while it seeks first
         if last > b:
             # blocks b + 1..last open at the group's samples inside (lo, hi]
             k = bisect_left(self._bval, x, b + 1, last + 1)
@@ -557,16 +567,33 @@ class VbyteRlePsi:
                 stop = self._bpos[k]
             b = k - 1
         p, v, pos, rem = self._sample(b)
-        if p >= lo and v >= x:
-            return p
+        first, out = hi + 1, []
+        seek = p < lo or v < x
+        if not seek:
+            first, stop = p, hi
+            if v >= y:
+                return first, out
+            out.append(v)
         stream = self._stream
         try:
             while p < stop:
                 if rem:
                     take = min(rem, stop - p)
-                    q = max(lo, p + 1, p + x - v)
-                    if q <= p + take:
-                        return q
+                    if seek:
+                        q = max(lo, p + 1, p + x - v)
+                        if q > p + take:
+                            v += take
+                            p += take
+                            rem -= take
+                            continue
+                        first, seek, stop = q, False, hi
+                        take = min(rem, hi - p)
+                    else:
+                        q = p + 1
+                    if v + take >= y:
+                        out.extend(range(v + q - p, y))
+                        break
+                    out.extend(range(v + q - p, v + take + 1))
                     v += take
                     p += take
                     rem -= take
@@ -589,11 +616,16 @@ class VbyteRlePsi:
                 else:
                     v += g
                 p += 1
-                if p >= lo and v >= x:
-                    return p
+                if seek:
+                    if p < lo or v < x:
+                        continue
+                    first, seek, stop = p, False, hi
+                if v >= y:
+                    break
+                out.append(v)
         except IndexError:
             raise _overrun() from None
-        return hi + 1
+        return first, out
 
     def size_bits(self) -> int:
         # as the image stores them: s0, ptr0 and off0 per group; s1, ptr1,
@@ -641,7 +673,29 @@ class VbyteRlePsi:
         # each block's codes end where the next block's begin
         if np.any(np.diff(psi._columns()[3]) < 0):
             raise ValueError("vbyte stream pointers decrease along the stream")
+        if psi._last_codes_end() < len(stream):
+            raise ValueError("vbyte stream holds bytes past its last code")
         return psi
+
+    def _last_codes_end(self) -> int:
+        """The stream offset just past the last block's codes. Codes that
+        run past the stream's end give its length: decoding rejects them."""
+        if not self._n:
+            return 0
+        p, _, pos, rem = self._sample(len(self._bval) - 1)
+        p += rem
+        stream = self._stream
+        try:
+            while p < self._n:
+                g, pos = vbyte_decode(stream, pos)
+                if g <= 1:
+                    m, pos = vbyte_decode(stream, pos)
+                    p += m if g else 1
+                else:
+                    p += 1
+        except IndexError:
+            return len(stream)
+        return pos
 
 
 def _samples(D: BitSequence, t_psi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -763,16 +817,15 @@ class HuffRlePsi:
     finish on the canonical per-length search, which also rejects
     unassigned codes.
 
-    access, range and search each decode in one loop: they bind the
+    access, range and stretch each decode in one loop: they bind the
     padded stream, the table, the mask and the shift once, read the
     24-bit window at a bit offset from three stream bytes, and add each
     token's steps and delta in place. access adds every token whole and
     takes back what a last run overshoots. The stream carries 16 zero
     bytes of padding, so a walk reads past its end without a check per
     token; each walk compares its end offset with the stream's bit count
-    once, after its loop (search before it returns a position), and a
-    walk that runs past the padding turns its IndexError into the same
-    ValueError.
+    once, after its loop, and a walk that runs past the padding turns
+    its IndexError into the same ValueError.
 
     build cuts +1 runs at the span starts, takes each escape's class
     from the bit length of its magnitude, counts the symbols with
@@ -981,28 +1034,34 @@ class HuffRlePsi:
             raise ValueError("Huffman stream decodes a value past int64") from None
         return out
 
-    def search(self, lo: int, hi: int, x: int) -> int:
-        """First i in [lo, hi] with psi(i) >= x, or hi + 1; the predicate
-        must be monotone on [lo, hi]. Bisects the samples inside (lo, hi],
-        then decodes forward from the one before the first that passes."""
+    def stretch(self, lo: int, hi: int, x: int, y: int) -> tuple[int, list[int]]:
+        """(first, values): the first i in [lo, hi] with psi(i) >= x, or
+        hi + 1, and psi from there on while it is below y and the
+        position at most hi. Both predicates must be monotone on [lo, hi].
+        Bisects the samples inside (lo, hi] for x, then walks forward
+        once from the one before the first that passes."""
         if lo > hi:
-            return hi + 1
+            return hi + 1, []
         if lo < 1 or hi > self._n:
             raise _outside(lo, hi, self._n)
         t = self.t_psi
         k = (lo - 1) // t
         last = (hi - 1) // t
-        stop = hi
+        stop = hi  # where the walk ends while it seeks first
         if last > k:
             j = bisect_left(self._s, x, k + 1, last + 1)
             if j <= last:
                 stop = 1 + j * t
             k = j - 1
         p, v, pos = self._sample(k)
-        if p >= lo and v >= x:
-            return p
+        first, out = hi + 1, []
+        seek = p < lo or v < x
+        if not seek:
+            first, stop = p, hi
+            if v >= y:
+                return first, out
+            out.append(v)
         P, table, mask, shift = self._padded, self._table, self._mask, 24 - self._k
-        found = hi + 1
         try:
             while p < stop:
                 b = pos >> 3
@@ -1020,23 +1079,36 @@ class HuffRlePsi:
                 elif run > 1:
                     if run > stop - p:
                         run = stop - p
-                    q = max(lo, p + 1, p + x - v)
-                    if q <= p + run:
-                        found = q
+                    if seek:
+                        q = max(lo, p + 1, p + x - v)
+                        if q > p + run:
+                            v += run
+                            p += run
+                            continue
+                        first, seek, stop = q, False, hi
+                    else:
+                        q = p + 1
+                    if v + run >= y:
+                        out.extend(range(v + q - p, y))
                         break
+                    out.extend(range(v + q - p, v + run + 1))
                     v += run
                     p += run
                     continue
                 v += delta
                 p += 1
-                if p >= lo and v >= x:
-                    found = p
+                if seek:
+                    if p < lo or v < x:
+                        continue
+                    first, seek, stop = p, False, hi
+                if v >= y:
                     break
+                out.append(v)
         except IndexError:
             raise _overrun("Huffman") from None
         if pos > self._limit:
             raise _overrun("Huffman")
-        return found
+        return first, out
 
     def size_bits(self) -> int:
         return (self._stream_bits + 64 * (len(self._s) + len(self._ptr))

@@ -10,12 +10,16 @@ interval it merely has to touch) only move those two cut points.
 
 Inside a group of sections 1..arity-1 the rotations are sorted by what
 follows, so the symbol of the next position never decreases along the
-group. A cut at a group boundary of the next section is then one Psi
-search, which bisects the codec's samples instead of hopping entry by
-entry: pattern_range narrows by two searches per id, the pair and
-neighbour queries find each target's contacts started by the cut with
-one search, and reverse_neighbors decodes only the stretch of its group
-inside the window. Snapshot and the change queries scan their window.
+group. The positions whose next symbol lies in a range of groups of the
+next section are then one stretch of the group, and one Psi walk,
+psi.stretch, finds and decodes it: it bisects the codec's samples for
+the stretch's start instead of hopping entry by entry, then decodes
+forward to its end. pattern_range makes one walk per id, active_edge
+hands the pair walk's values straight to its hops, and reverse_neighbors
+walks only the part of its group inside the window. The pair and
+neighbour queries find each target's contacts started by the cut with a
+walk that stops at its start. Snapshot and the change queries scan
+their window.
 
 Positions are 1-based throughout, matching the bitmaps. Every time cut
 is the right edge of a time group (_cut), and a window is the stretch
@@ -126,37 +130,42 @@ def time_bounds(idx, t: int) -> tuple[int, int | None]:
     return _cut(idx, 3, t), (_cut(idx, 4, t) if idx.arity == 4 else None)
 
 
+def _next_in(idx, a: int, b: int, c: int) -> tuple[int, list[int]]:
+    """The first position in [a, b] whose Psi falls in symbol c's group
+    or past it (b + 1 if none), and the Psi values from there on that
+    fall in the group: one stretch walk."""
+    cl, cr = symbol_range(idx, c)
+    return idx.psi.stretch(a, b, cl, cr + 1)
+
+
 def pattern_range(idx, ids) -> tuple[int, int]:
     """Positions [l, r] in the first id's section whose rotations start
     with the given id sequence; l > r means no match.
 
     Along a group of sections 1..arity-1 the symbol of the next position
     never decreases, so the rotations that go on with id c are those
-    whose next position falls in c's group, and two Psi searches over
-    the positions reached so far find them. From the third id on, those
-    positions are one hop past the kept ones and no longer contiguous;
-    they are searched over the window they span and filtered by it.
+    whose next position falls in c's group: one Psi walk per id over the
+    positions reached so far finds them, and its values are where the
+    kept rotations go next. From the third id on, those positions are
+    one hop past the kept ones and no longer contiguous; they are walked
+    over the window they span and filtered by it.
     """
     ids = list(ids)
     if not ids:
         raise ValueError("empty pattern")
-    psi = idx.psi
     l, r = symbol_range(idx, ids[0])
-    at = None  # from the third id on: the position each rotation of [l, r] has reached
+    at = None  # from the second id on: the position each rotation of [l, r] has reached
     for k, c in enumerate(ids[1:]):
         if l > r or not 1 <= c <= idx.sigma:
             return l, l - 1
-        if k == 1:
-            at = psi.range(l, r)
-        elif k:
-            at = [psi.access(p) for p in at]
-        a, b = (l, r) if at is None else (min(at), max(at))
-        cl, cr = symbol_range(idx, c)
-        lo = psi.search(a, b, cl)
-        hi = psi.search(lo, b, cr + 1) - 1
         if at is None:
-            l, r = lo, hi
+            l, at = _next_in(idx, l, r, c)
+            r = l + len(at) - 1
             continue
+        if k > 1:
+            at = [idx.psi.access(p) for p in at]
+        lo, vals = _next_in(idx, min(at), max(at), c)
+        hi = lo + len(vals) - 1
         kept = [j for j, p in enumerate(at) if lo <= p <= hi]
         if not kept:
             return l, l - 1
@@ -214,11 +223,12 @@ def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
     and within a target they ascend by start time. A target with one
     contact takes one hop and, when there is an end cut, a second. For
     more, its contacts started by the cut (and, under point semantics,
-    since the lower cut) are found by searching its group over the
-    window they span; the end test then runs from the latest start down
-    and stops at the first live contact.
+    since the lower cut) are found over the window they span by Psi
+    walks that stop at their first position (stretch with y = x); the
+    end test then runs from the latest start down and stops at the first
+    live contact.
     """
-    access, search = idx.psi.access, idx.psi.search
+    access, stretch = idx.psi.access, idx.psi.stretch
     cut_low = lo > 2 * idx.n + 1
     out = []
     j, m = 0, len(pos2)
@@ -233,8 +243,8 @@ def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
         else:
             run = pos2[j:k]
             a, b = min(run), max(run)
-            end = search(a, b, hi + 1)
-            start = search(a, end - 1, lo) if cut_low else a
+            end = stretch(a, b, hi + 1, hi + 1)[0]
+            start = stretch(a, end - 1, lo, lo)[0] if cut_low else a
             started = [q for q in reversed(run) if start <= q < end]
             if zfloor is None:
                 live = bool(started)
@@ -270,8 +280,8 @@ def reverse_neighbors(idx, v: int, sem: TimeSemantics) -> list[int]:
     """Distinct sources of contacts into v alive under sem, ascending.
 
     v's group is ordered by start time, so the contacts in the window
-    are one stretch of it, cut out with one search per cut before any
-    decoding."""
+    are one stretch of it: one Psi walk finds its first position and
+    decodes it, before any hop."""
     if idx.n == 0:
         return []
     p1, p2 = _check_sem(idx, sem)
@@ -283,11 +293,8 @@ def reverse_neighbors(idx, v: int, sem: TimeSemantics) -> list[int]:
     lo, hi, zfloor = _section3_window(idx, p1, p2)
     if lo > hi:
         return []
-    l, r = symbol_range(idx, c)
     psi = idx.psi
-    end = psi.search(l, r, hi + 1)
-    start = psi.search(l, end - 1, lo) if lo > 2 * idx.n + 1 else l
-    nxt = [psi.access(y) for y in psi.range(start, end - 1)]
+    nxt = [psi.access(y) for y in psi.stretch(*symbol_range(idx, c), lo, hi + 1)[1]]
     if zfloor is not None:
         nxt = [psi.access(z) for z in nxt if z > zfloor]
     return sorted(set(_terms(idx, nxt, 1).tolist()))
@@ -307,9 +314,8 @@ def active_edge(idx, u: int, v: int, sem: TimeSemantics) -> bool:
     lo, hi, zfloor = _section3_window(idx, p1, p2)
     if lo > hi:
         return False
-    l, r = pattern_range(idx, (c1, c2))
-    return l <= r and bool(_live_targets(idx, idx.psi.range(l, r), [c2] * (r - l + 1),
-                                         lo, hi, zfloor))
+    pos2 = _next_in(idx, *symbol_range(idx, c1), c2)[1]
+    return bool(_live_targets(idx, pos2, [c2] * len(pos2), lo, hi, zfloor))
 
 
 def snapshot(idx, sem: TimeSemantics, contacts: bool = False):

@@ -429,11 +429,12 @@ def test_huffman_load_rejects_forged_sections(forge, message):
 
 def decode_calls(enc, i):
     """Every entry point asked for position i, each from a walk that
-    has to decode it: access, range, search, and access_many alone and
-    with the position before it (so through range)."""
+    has to decode it: access, range, stretch seeking past every value
+    and collecting every value, and access_many alone and with the
+    position before it (so through range)."""
     return [lambda: enc.access(i), lambda: enc.range(1, i),
-            lambda: enc.search(1, i, 2**70), lambda: enc.access_many([i]),
-            lambda: enc.access_many([i - 1, i])]
+            lambda: enc.stretch(1, i, 2**70, 2**70), lambda: enc.stretch(1, i, 0, 2**70),
+            lambda: enc.access_many([i]), lambda: enc.access_many([i - 1, i])]
 
 
 def test_huffman_decode_stops_at_bad_codes_and_the_stream_end():
@@ -445,8 +446,8 @@ def test_huffman_decode_stops_at_bad_codes_and_the_stream_end():
     # eight codes 10 (runs of 2) fill the stream; a ninth token would start at its end
     enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xaa", 16, 64, 64)
     assert enc.access(17) == 17 and enc.range(1, 17) == list(range(1, 18))
-    assert enc.search(1, 17, 18) == 18 and enc.access_many([16, 17]).tolist() == [16, 17]
-    for call in decode_calls(enc, 18) + [lambda: enc.search(1, 40, 18)]:
+    assert enc.stretch(1, 17, 18, 18)[0] == 18 and enc.access_many([16, 17]).tolist() == [16, 17]
+    for call in decode_calls(enc, 18) + [lambda: enc.stretch(1, 40, 18, 18)]:
         with pytest.raises(ValueError, match="past the end"):
             call()
     with pytest.raises(ValueError, match="outside"):
@@ -496,10 +497,17 @@ def brute_search(psi, lo, hi, x):
     return next((i for i in range(lo, hi + 1) if psi[i - 1] >= x), hi + 1)
 
 
+def brute_stretch(psi, lo, hi, x, y):
+    first = brute_search(psi, lo, hi, x)
+    end = brute_search(psi, first, hi, y)
+    return first, psi[first - 1:end - 1]
+
+
 @pytest.mark.parametrize("codec", ("plain",) + CODECS)
 def test_search_matches_brute_force(codec):
-    # every group of sections 1..arity-1, every group start x of the next
-    # section (and the position past it), and sub-ranges inside the group
+    # every group of sections 1..arity-1, every pair x <= y of group
+    # starts of the next section (and the position past it), and
+    # sub-ranges inside the group
     rng = random.Random(codec)
     for cs in search_graphs():
         psi, D = psi_and_d(cs)
@@ -519,10 +527,11 @@ def test_search_matches_brute_force(codec):
                 if len(spans) > 40:
                     spans = [(l, r)] + rng.sample(spans, 40)
                 for x in xs:
-                    for lo, hi in spans:
-                        assert enc.search(lo, hi, x) == brute_search(want, lo, hi, x), \
-                            (cs.arity, t, lo, hi, x)
-                    assert enc.search(r + 1, r, x) == r + 1
+                    for y in (y for y in xs if y >= x):
+                        for lo, hi in spans:
+                            assert enc.stretch(lo, hi, x, y) == \
+                                brute_stretch(want, lo, hi, x, y), (cs.arity, t, lo, hi, x, y)
+                        assert enc.stretch(r + 1, r, x, y) == (r + 1, [])
 
 
 @pytest.mark.parametrize("codec", ("plain",) + CODECS)
@@ -532,11 +541,16 @@ def test_search_solves_long_runs_and_escapes(codec):
     psi, D = crafted_sequence()
     want = psi.tolist()
     stretches = [(1, 702), (703, 744), (745, 757)]
+    rng = random.Random(codec)
     for t in (1, 3, 64):
         enc = psienc.encode(psi, D, codec=codec, t_psi=t)
         for lo, hi in stretches:
-            for x in range(min(want[lo - 1:hi]) - 1, max(want[lo - 1:hi]) + 2, 7):
-                assert enc.search(lo, hi, x) == brute_search(want, lo, hi, x), (t, lo, hi, x)
+            xs = range(min(want[lo - 1:hi]) - 1, max(want[lo - 1:hi]) + 2, 7)
+            # y = x, and a threshold up to 40 steps above x as the stretch's end
+            for x in xs:
+                for y in (x, x + 7 * rng.randint(1, 40)):
+                    assert enc.stretch(lo, hi, x, y) == brute_stretch(want, lo, hi, x, y), \
+                        (t, lo, hi, x, y)
 
 
 @pytest.mark.parametrize("codec", ("plain",) + CODECS)
@@ -545,7 +559,7 @@ def test_positions_outside_psi_raise_value_error(codec):
     enc = psienc.encode(psi, D, codec=codec, t_psi=4)
     for call in (lambda: enc.access(0), lambda: enc.access(21),
                  lambda: enc.range(0, 3), lambda: enc.range(18, 21),
-                 lambda: enc.search(0, 2, 7), lambda: enc.search(20, 21, 1)):
+                 lambda: enc.stretch(0, 2, 7, 7), lambda: enc.stretch(20, 21, 1, 9)):
         with pytest.raises(ValueError, match="outside"):
             call()
 
@@ -555,9 +569,9 @@ def test_vbyte_search_stays_inside_one_group(codec):
     # G5's first group is positions 1..2; its samples say nothing of position 3
     psi, D = g5_psi_d()
     enc = psienc.encode(psi, D, codec=codec, t_psi=1)
-    assert enc.search(1, 2, 8) == 2
+    assert enc.stretch(1, 2, 8, 8)[0] == 2
     with pytest.raises(ValueError, match="group end"):
-        enc.search(1, 3, 8)
+        enc.stretch(1, 3, 8, 8)
 
 
 VBYTE_SECTIONS = ("stream", "s0", "ptr0", "off0", "s1", "ptr1", "run1", "off1", "D1")
@@ -629,8 +643,10 @@ def swap_first_rise(a):
     (lambda p: dict(s1=[0] + list(vbyte_table(p, "s1")[1:])), "sample outside"),
     (lambda p: dict(s0=[2**63] + list(vbyte_table(p, "s0")[1:])), "sample outside"),
     (lambda p: dict(run1=[len(p)] + list(vbyte_table(p, "run1")[1:])), "run length past"),
+    # two whole codes after the last block's codes: they would never decode
+    (lambda p: dict(stream=p._stream + b"\x85\x85"), "past its last code"),
 ], ids=["s0", "s1", "run1", "D1", "ptr1", "ptr0", "ptr1-order", "s1-value", "s0-value",
-        "run1-value"])
+        "run1-value", "stream-slack"])
 def test_vbyte_load_rejects_forged_sections(forge, message):
     sections, D = vbyte_sections(forge)
     with pytest.raises(ValueError, match=message):
@@ -650,7 +666,7 @@ def test_vbyte_decode_stops_at_the_stream_end():
     short = psienc.from_sections(psienc.TAGS["vbyte-rle"], sections, D, 64)
     n = len(D)
     for call in (lambda: short.access(n), lambda: short.range(1, n),
-                 lambda: short.search(n - 1, n, n + 1)):
+                 lambda: short.stretch(n - 1, n, n + 1, n + 1)):
         with pytest.raises(ValueError, match="past the end of the stream"):
             call()
 

@@ -7,7 +7,7 @@ import pytest
 
 from tgcsa.baseline import OracleIndex
 from tgcsa.corpus import Contact, ContactSet
-from tgcsa import psienc
+from tgcsa import psienc, query
 from tgcsa.sacsa import TgcsaIndex, build_index, verify_core
 from tgcsa.synth import GenSpec, generate
 from tgcsa.query import (TimeSemantics, _terms, active_edge, activated_edges,
@@ -309,6 +309,37 @@ def test_pair_lookups_skip_pointwise_access(codec, monkeypatch):
     # a live contact does take hops, so the counter sees them
     assert active_edge(idx, 1, 2, TimeSemantics.instant(13)) is True
     assert calls
+
+
+@pytest.mark.parametrize("codec", ALL_CODECS)
+def test_pair_and_reverse_lookups_walk_psi_once(codec, monkeypatch):
+    # active_edge and reverse_neighbors find and decode their stretch of
+    # a group in one Psi walk: one stretch call and no range call before
+    # their hops (an access, or _live_targets for the pair)
+    cs = generate(GenSpec(nu=40, m=3, lifetime=40, dist="uniform", dist_param=5, seed=2))
+    idx = build_index(cs, codec=codec, t_psi=16)
+    oracle = OracleIndex(cs)
+    calls = []
+    cls = type(idx.psi)
+    for name in ("access", "range", "stretch", "access_many"):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *args, name=name, method=method:
+                            calls.append(name) or method(self, *args))
+    live = query._live_targets
+    monkeypatch.setattr(query, "_live_targets", lambda *args: calls.append("hop") or live(*args))
+    alive = 0
+    for u, v, ts, te in cs.tuples()[::5]:
+        for sem in (TimeSemantics.instant(ts), TimeSemantics.weak(ts, min(te, idx.tau + 1))):
+            for ask, want in ((lambda: active_edge(idx, u, v, sem), oracle.active_edge(u, v, sem)),
+                              (lambda: reverse_neighbors(idx, v, sem),
+                               oracle.reverse_neighbors(v, sem))):
+                calls.clear()
+                assert ask() == want
+                hop = next((k for k, name in enumerate(calls) if name in ("access", "hop")),
+                           len(calls))
+                assert calls[:hop] == ["stretch"] and "range" not in calls, calls
+                alive += want is True
+    assert alive > 50
 
 
 @pytest.mark.parametrize("graph", ("g5", "ba"))
