@@ -1,7 +1,7 @@
 """Psi encodings.
 
 Three ways to store the permutation, all exposing the same small surface
-(access, range, access_many, stretch, size_bits, serialization sections).
+(access, access_many, stretch, range, size_bits, serialization sections).
 access_many(positions) returns psi at a list or int64 array of positions
 as an int64 array, taking each sample block the positions touch once; on
 the vbyte codec it has a fixed cost of about 25 pointwise accesses, so
@@ -15,7 +15,9 @@ holds inside any group of sections 1..arity-1 when x and y are group
 starts of the next section (or the position past it); with y = x it
 only finds first. The sampled codecs answer it the way a compressed
 suffix array does: bisect the stored samples for x, then decode forward
-once from the sample before first, through the values. Positions
+once from the sample before first, through the values. range(lo, hi)
+is that walk with both cuts open (-TOP and TOP, 2**63), and raises
+ValueError when it comes back short, on a value past int64. Positions
 outside 1..n raise ValueError, and so does a code that runs past the end
 of its stream. Decoded values are not checked against 1..n; where a
 caller uses one as a position (the next access, query._terms,
@@ -30,10 +32,11 @@ ValueError.
   to at most t_psi steps. The codec holds its samples as one table of
   blocks in position order (each group's opening sample, then its
   level-two samples), whose start positions follow from D and t_psi;
-  access finds a position's block with one bisect of them, range and
-  stretch from the group's first block. The image stores the two sample
-  levels apart, and also the group starts, the sample positions and a
-  sample bitmap; a load compares those three with what D and t_psi
+  access finds a position's block with one bisect of them; stretch
+  bisects the group's samples for x, and range walks each group from
+  the block that holds lo. The image stores the two sample levels
+  apart, and also the group starts, the sample positions and a sample
+  bitmap; a load compares those three with what D and t_psi
   give, checks the table lengths against the groups and samples, the
   samples against a bound that keeps the batch decoder's sums inside
   int64, and the stream pointers against the stream: they must not
@@ -45,11 +48,11 @@ ValueError.
   run lengths, small literal gaps, and escape classes for everything
   else into a single bitstream. Decoding looks each token up in a table
   indexed by the next few stream bits, built from the code lengths when
-  the codec is built or loaded. access, range and stretch each walk the
-  stream in one loop with that lookup inline, and check the stream end
-  once per walk, after the loop. A load takes a stream only when it is
-  exactly the bytes its bit count needs and every bit after the count
-  is zero.
+  the codec is built or loaded. access and stretch (range is a stretch)
+  each walk the stream in one loop with that lookup inline, and check
+  the stream end once per walk, after the loop. A load takes a stream
+  only when it is exactly the bytes its bit count needs and every bit
+  after the count is zero.
 
 Byte codes use 7-bit little-endian groups with the high bit set on the
 final byte only, so 5 encodes as 0x85 and 135 as 0x07 0x81. vbyte_codes
@@ -78,6 +81,7 @@ TAGS = {"plain": 0, "vbyte-rle": 1, "huff-rle-opt": 3}
 NAMES = {tag: name for name, tag in TAGS.items()}
 T_PSI_MAX = 0xFFFF  # the TGX1 header stores t_psi in 16 bits
 INT64_MAX = (1 << 63) - 1
+TOP = INT64_MAX + 1  # range's open upper cut: no int64 value reaches it
 _SECTION_COUNTS = {0: 1, 1: 9, 3: 4}
 
 
@@ -159,6 +163,13 @@ def checked_positions(positions, n: int) -> np.ndarray:
     if len(positions) and (positions.min() < 1 or positions.max() > n):
         raise _outside(int(positions.min()), int(positions.max()), n)
     return positions
+
+
+def _whole(vals: list[int], lo: int, hi: int) -> list[int]:
+    """vals, when range's walk gave a value for every position of lo..hi."""
+    if len(vals) <= hi - lo:
+        raise ValueError("Psi decodes a value past int64")
+    return vals
 
 
 def _i64_array(a) -> array:
@@ -252,7 +263,8 @@ class VbyteRlePsi:
     sample, runs up to the next one, and keeps the sample's position,
     value, stream offset and leftover run steps (none at a group start).
     Where the samples sit follows from the group bitmap D and t_psi
-    alone. The image also carries three sections that D and t_psi
+    alone. access decodes in one loop; stretch and range share one walk,
+    _walk. The image also carries three sections that D and t_psi
     determine: the group starts (off0), the sample positions (off1) and
     a bitmap marking them (D1). They are written from D and t_psi,
     compared against them on load, and never held in memory.
@@ -371,58 +383,22 @@ class VbyteRlePsi:
         return v
 
     def range(self, lo: int, hi: int) -> list[int]:
-        """Decode positions lo..hi with one synchronization per group."""
+        """Decode positions lo..hi: stretch's walk with both cuts open,
+        once per group, from the block that holds lo."""
         if lo > hi:
             return []
         if lo < 1 or hi > self._n:
             raise _outside(lo, hi, self._n)
-        out = []
-        stream = self._stream
-        sigma = len(self._open)
+        out, start = [], lo
         c = self._D.rank1(lo)
         while lo <= hi:
             g = self._open[c - 1]
-            r = self._D.select1(c + 1) - 1 if c < sigma else self._n
-            stop = min(hi, r)
-            p, v, pos, rem = self._sample(g + (lo - self._bpos[g]) // self.t_psi)
-            if p >= lo:
-                out.append(v)
-            try:
-                while p < stop:
-                    if rem:
-                        take = min(rem, stop - p)
-                        first = max(lo, p + 1)
-                        if first <= p + take:
-                            out.extend(range(v + (first - p), v + take + 1))
-                        v += take
-                        p += take
-                        rem -= take
-                        continue
-                    b = stream[pos]
-                    pos += 1
-                    g = b & 0x7F
-                    shift = 7
-                    while b < 0x80:
-                        b = stream[pos]
-                        pos += 1
-                        g |= (b & 0x7F) << shift
-                        shift += 7
-                    if g == 1:
-                        rem, pos = vbyte_decode(stream, pos)
-                        continue
-                    if g == 0:
-                        mag, pos = vbyte_decode(stream, pos)
-                        v -= mag
-                    else:
-                        v += g
-                    p += 1
-                    if p >= lo:
-                        out.append(v)
-            except IndexError:
-                raise _overrun() from None
+            stop = min(hi, self._D.select1(c + 1) - 1) if c < len(self._open) else hi
+            b = g + (lo - self._bpos[g]) // self.t_psi
+            out += self._walk(b, lo, stop, -TOP, TOP, stop)[1]
             lo = stop + 1
             c += 1
-        return out
+        return _whole(out, start, hi)
 
     def access_many(self, positions) -> np.ndarray:
         """psi at each of the positions, in the order given, as int64.
@@ -566,6 +542,14 @@ class VbyteRlePsi:
             if k <= last:
                 stop = self._bpos[k]
             b = k - 1
+        return self._walk(b, lo, hi, x, y, stop)
+
+    def _walk(self, b: int, lo: int, hi: int, x: int, y: int,
+              stop: int) -> tuple[int, list[int]]:
+        """stretch's forward walk from the sample that opens block b: it
+        seeks the first position from lo on whose value is at least x,
+        decoding no further than stop while it seeks, then collects the
+        values below y up to hi. A +1 run takes one step."""
         p, v, pos, rem = self._sample(b)
         first, out = hi + 1, []
         seek = p < lo or v < x
@@ -817,15 +801,16 @@ class HuffRlePsi:
     finish on the canonical per-length search, which also rejects
     unassigned codes.
 
-    access, range and stretch each decode in one loop: they bind the
-    padded stream, the table, the mask and the shift once, read the
-    24-bit window at a bit offset from three stream bytes, and add each
-    token's steps and delta in place. access adds every token whole and
-    takes back what a last run overshoots. The stream carries 16 zero
-    bytes of padding, so a walk reads past its end without a check per
-    token; each walk compares its end offset with the stream's bit count
-    once, after its loop, and a walk that runs past the padding turns
-    its IndexError into the same ValueError.
+    access and stretch each decode in one loop, and range is stretch
+    with both cuts open. Each loop binds the padded stream, the table,
+    the mask and the shift once, reads the 24-bit window at a bit offset
+    from three stream bytes, and adds each token's steps and delta in
+    place. access adds every token whole and takes back what a last run
+    overshoots. The stream carries 16 zero bytes of padding, so a walk
+    reads past its end without a check per token; each walk compares its
+    end offset with the stream's bit count once, after its loop, and a
+    walk that runs past the padding turns its IndexError into the same
+    ValueError.
 
     build cuts +1 runs at the span starts, takes each escape's class
     from the bit length of its magnitude, counts the symbols with
@@ -965,44 +950,8 @@ class HuffRlePsi:
         return v + steps  # a last run that overshoots leaves steps < 0
 
     def range(self, lo: int, hi: int) -> list[int]:
-        if lo > hi:
-            return []
-        if lo < 1 or hi > self._n:
-            raise _outside(lo, hi, self._n)
-        p, v, pos = self._sample((lo - 1) // self.t_psi)
-        out = [v] if p >= lo else []
-        P, table, mask, shift = self._padded, self._table, self._mask, 24 - self._k
-        try:
-            while p < hi:
-                b = pos >> 3
-                e = table[(P[b] << 16 | P[b + 1] << 8 | P[b + 2]) >> (shift - (pos & 7)) & mask]
-                if e is None:
-                    e = self._long_code(pos)
-                ln, run, delta, nraw = e
-                pos += ln
-                if nraw > 0:
-                    delta += self._peek(pos, nraw)
-                    pos += nraw
-                elif nraw:
-                    delta -= self._peek(pos, -nraw)
-                    pos -= nraw
-                elif run > 1:
-                    if run > hi - p:
-                        run = hi - p
-                    if p + run >= lo:
-                        out.extend(range(v + max(lo - p, 1), v + run + 1))
-                    v += run
-                    p += run
-                    continue
-                v += delta
-                p += 1
-                if p >= lo:
-                    out.append(v)
-        except IndexError:
-            raise _overrun("Huffman") from None
-        if pos > self._limit:
-            raise _overrun("Huffman")
-        return out
+        """Decode positions lo..hi: stretch with both cuts open."""
+        return _whole(self.stretch(lo, hi, -TOP, TOP)[1], lo, hi)
 
     def access_many(self, positions) -> np.ndarray:
         """psi at each of the positions, in the order given, as int64.
@@ -1086,6 +1035,7 @@ class HuffRlePsi:
                             p += run
                             continue
                         first, seek, stop = q, False, hi
+                        run = min(delta, hi - p)  # delta is the whole run
                     else:
                         q = p + 1
                     if v + run >= y:

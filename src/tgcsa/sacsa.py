@@ -185,11 +185,8 @@ def verify_core(idx: TgcsaIndex, cs: ContactSet | None = None) -> list[str]:
     problems = []
     total = idx.arity * idx.n
     if total:
-        vals = idx.psi.range(1, total)
-        # a corrupted image can decode values past int64, so out-of-range
-        # values are turned away before numpy sees them
-        in_range = 1 <= min(vals) and max(vals) <= total
-        vals = np.array(vals if in_range else [], dtype=np.int64)
+        # range raises ValueError on a value past int64
+        vals = np.array(idx.psi.range(1, total), dtype=np.int64)
         if not np.array_equal(np.sort(vals), np.arange(1, total + 1)):
             problems.append("psi is not a permutation of [1, arity*n]")
             return problems
@@ -201,6 +198,7 @@ def verify_core(idx: TgcsaIndex, cs: ContactSet | None = None) -> list[str]:
             cur = vals[cur] - 1
         if not np.array_equal(cur, np.arange(total, dtype=np.int64)):
             problems.append("psi cycles do not close after arity steps")
+    d_checked = len(problems)
     if idx.D.ones != idx.sigma:
         problems.append(f"D has {idx.D.ones} marks, expected sigma={idx.sigma}")
     if total and idx.D.access(1) != 1:
@@ -208,12 +206,23 @@ def verify_core(idx: TgcsaIndex, cs: ContactSet | None = None) -> list[str]:
     if cs is not None:
         if len(cs) != idx.n:
             problems.append("contact count differs from n")
-        else:
-            for q in range(1, idx.n + 1):
-                got = tuple(t for t in query.reconstruct_contact(idx, q) if t is not None)
-                want = tuple(t for t in cs[q - 1] if t is not None)
-                if got != want:
-                    problems.append(f"first-section position {q} reconstructs "
-                                    f"{got}, expected {want}")
-                    break
+        elif idx.n and len(problems) == d_checked:
+            # D is sound, so every position's symbol id lies in 1..sigma.
+            # All cycles at once: the contact at first-section position q
+            # has its terms at q, psi(q), psi(psi(q)), ...
+            pos = np.arange(1, idx.n + 1, dtype=np.int64)
+            got = []
+            for section in range(1, idx.arity + 1):
+                got.append(query._terms(idx, pos, section))
+                pos = vals[pos - 1]
+            want = [c for c in (cs.u, cs.v, cs.ts, cs.te) if c is not None]
+            if len(got) != len(want):  # a contact set of another arity
+                bad = [0]
+            else:
+                bad = np.flatnonzero((np.array(got) != np.array(want)).any(axis=0))
+            if len(bad):
+                q = int(bad[0])
+                problems.append(f"first-section position {q + 1} reconstructs "
+                                f"{tuple(int(c[q]) for c in got)}, "
+                                f"expected {tuple(int(c[q]) for c in want)}")
     return problems

@@ -764,6 +764,9 @@ def test_access_many_rejects_codes_that_could_wrap_int64():
         assert enc.access(1) == 1
         with pytest.raises(ValueError, match=f"vbyte code {message}"):
             enc.access_many([2, 1])
+    # the ten-byte code is 2**63, so psi(2) = 2**63 + 1: range turns it away
+    with pytest.raises(ValueError, match="past int64"):
+        psienc.VbyteRlePsi(bytes(9) + b"\x81", [1], [0], [], [], [], D, 64).range(1, 2)
 
 
 def test_access_many_reads_a_shortened_block_again_in_full():
@@ -786,5 +789,6 @@ def test_huffman_batch_values_past_int64_are_a_value_error():
     # the sample 2**64 - 1 fits the u64 sample table, not an int64 array
     huff = psienc.HuffRlePsi(bytes([1, 2]), [2**64 - 1], [0], b"\xaa\xaa", 16, 64, 64)
     assert huff.access(1) == 2**64 - 1
-    with pytest.raises(ValueError, match="past int64"):
-        huff.access_many([1])
+    for call in (lambda: huff.access_many([1]), lambda: huff.range(1, 1)):
+        with pytest.raises(ValueError, match="past int64"):
+            call()

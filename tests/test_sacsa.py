@@ -159,6 +159,33 @@ def test_verify_core_catches_tampering(g5):
     assert verify_core(idx) != []
 
 
+@pytest.mark.parametrize("arity", (4, 3))
+@pytest.mark.parametrize("codec", ("plain", "vbyte-rle", "huff-rle-opt"))
+def test_verify_core_reports_the_first_contact_that_differs(codec, arity):
+    # one contact's end time (its time at arity 3) moves by one step; the
+    # index still reconstructs the contacts it was built from
+    rng = random.Random(41)
+    rows = [(rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 10)) for _ in range(80)]
+    rows = [(u, v, ts, ts + rng.randint(1, 5)) if arity == 4 else (u, v, ts)
+            for u, v, ts in rows]
+    cs = ContactSet(rows, arity=arity, nu=9, tau=16)
+    moved = list(rows)
+    moved[37] = (*rows[37][:-1], rows[37][-1] + 1)
+    other = ContactSet(moved, arity=arity, nu=9, tau=16)
+    idx = build_index(cs, codec=codec, t_psi=8)
+    assert verify_core(idx, cs) == []
+    q = next(q for q, (a, b) in enumerate(zip(cs.tuples(), other.tuples())) if a != b)
+    assert verify_core(idx, other) == [
+        f"first-section position {q + 1} reconstructs {cs.tuples()[q]}, "
+        f"expected {other.tuples()[q]}"]
+    # a contact set of the other arity is reported at the first position
+    rows = [r[:3] for r in rows] if arity == 4 else [(*r, r[2] + 1) for r in rows]
+    third = ContactSet(rows, arity=7 - arity, nu=9, tau=16)
+    assert verify_core(idx, third) == [
+        f"first-section position 1 reconstructs {cs.tuples()[0]}, "
+        f"expected {third.tuples()[0]}"]
+
+
 def test_index_properties(g5_index):
     assert g5_index.kind == "tgcsa"
     assert g5_index.arity == 4
