@@ -16,13 +16,13 @@ starts of the next section (or the position past it); with y = x it
 only finds first. The sampled codecs answer it the way a compressed
 suffix array does: bisect the stored samples for x, then decode forward
 once from the sample before first, through the values. range(lo, hi)
-is that walk with both cuts open (-TOP and TOP, 2**63), and raises
-ValueError when it comes back short, on a value past int64. Positions
-outside 1..n raise ValueError, and so does a code that runs past the end
-of its stream. Decoded values are not checked against 1..n; where a
-caller uses one as a position (the next access, query._terms,
-verify_core) it is checked there, so a corrupted image still ends in
-ValueError.
+is that walk with both cuts open (-TOP and TOP, 2**63). It raises
+ValueError when it comes back short: on a value at or past TOP, or
+below -TOP at lo (a later one is returned as it is). Positions outside
+1..n raise ValueError, and so does a code that runs past the end of its
+stream. Decoded values are not checked against 1..n; where a caller
+uses one as a position (the next access, query._terms, verify_core) it
+is checked there, so a corrupted image still ends in ValueError.
 
 * plain: every value bit-packed at a fixed width. Fast, no compression.
 * vbyte-rle: per-group gap streams. Within a group the first value is a

@@ -180,13 +180,18 @@ def verify_core(idx: TgcsaIndex, cs: ContactSet | None = None) -> list[str]:
     section once), that D opens with a mark and carries exactly sigma
     ones, and, when the source contacts are supplied, that position q of
     the first section reconstructs the q-th sorted contact (the pinned
-    first-section order).
+    first-section order). A Psi that decodes a value at or past 2**63,
+    or a code past the end of its stream, raises ValueError.
     """
     problems = []
     total = idx.arity * idx.n
     if total:
-        # range raises ValueError on a value past int64
-        vals = np.array(idx.psi.range(1, total), dtype=np.int64)
+        # range raises ValueError on a value at or past 2**63 but returns
+        # one below -2**63, so out-of-range values are turned away before
+        # numpy sees them
+        vals = idx.psi.range(1, total)
+        in_range = 1 <= min(vals) and max(vals) <= total
+        vals = np.array(vals if in_range else [], dtype=np.int64)
         if not np.array_equal(np.sort(vals), np.arange(1, total + 1)):
             problems.append("psi is not a permutation of [1, arity*n]")
             return problems

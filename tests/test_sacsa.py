@@ -11,7 +11,9 @@ import random
 import numpy as np
 import pytest
 
+from tgcsa.bitseq import BitSequence
 from tgcsa.corpus import AlphabetMap, ContactSet, build_sid
+from tgcsa.psienc import VbyteRlePsi
 from tgcsa.sacsa import (TgcsaIndex, build_d, build_index,
                          build_rotation_array, compute_psi, cyclic_adjust,
                          verify_core)
@@ -157,6 +159,22 @@ def test_verify_core_catches_tampering(g5):
     vals = idx.psi._vals
     vals[0], vals[1] = vals[1], vals[0]
     assert verify_core(idx) != []
+
+
+def test_verify_core_turns_away_psi_values_outside_int64():
+    # one contact, so Psi has three positions, given here as one vbyte
+    # group: the sample 1, then an escaped negative gap of 2**63 + 2 and a
+    # gap of 2 (values below -2**63, which range returns as they are), or
+    # a ten-byte gap of 2**63 (a value past 2**63, which range refuses)
+    idx = build_index(ContactSet([(1, 2, 1)], arity=3, nu=2, tau=1))
+    D = BitSequence.from_positions([1], 3)
+    below = b"\x80" + b"\x02" + bytes(8) + b"\x81" + b"\x82"
+    idx.psi = VbyteRlePsi(below, [1], [0], [], [], [], D, 64)
+    assert idx.psi.range(1, 3) == [1, -2**63 - 1, -2**63 + 1]
+    assert verify_core(idx) == ["psi is not a permutation of [1, arity*n]"]
+    idx.psi = VbyteRlePsi(bytes(9) + b"\x81\x82", [1], [0], [], [], [], D, 64)
+    with pytest.raises(ValueError, match="past int64"):
+        verify_core(idx)
 
 
 @pytest.mark.parametrize("arity", (4, 3))
