@@ -35,15 +35,16 @@ is checked there, so a corrupted image still ends in ValueError.
   access finds a position's block with one bisect of them; stretch
   bisects the group's samples for x, and range walks each group from
   the block that holds lo. The image stores the two sample levels
-  apart, and also the group starts, the sample positions and a sample
-  bitmap; a load compares those three with what D and t_psi
-  give, checks the table lengths against the groups and samples, the
-  samples against a bound that keeps the batch decoder's sums inside
-  int64, and the stream pointers against the stream: they must not
-  decrease from block to block, since each block's codes end where the
-  next block's begin, and the last block's codes must end at the
-  stream's last byte. Tag 2, an earlier variant without the stored
-  positions, is retired.
+  apart, and three reserved sections that stay empty, since the group
+  starts, the sample positions and a sample bitmap all follow from D
+  and t_psi. A load requires the reserved sections empty, checks the
+  table lengths against the groups and samples, the samples against a
+  bound that keeps the batch decoder's sums inside int64, and the
+  stream pointers against the stream: they must not decrease from
+  block to block, since each block's codes end where the next block's
+  begin, and the last block's codes must end at the stream's last
+  byte. Tag 2, an earlier variant without the off0 and off1 slots, is
+  retired.
 * huff-rle-opt: samples every t_psi positions globally, then Huffman-codes
   run lengths, small literal gaps, and escape classes for everything
   else into a single bitstream. Decoding looks each token up in a table
@@ -264,10 +265,10 @@ class VbyteRlePsi:
     value, stream offset and leftover run steps (none at a group start).
     Where the samples sit follows from the group bitmap D and t_psi
     alone. access decodes in one loop; stretch and range share one walk,
-    _walk. The image also carries three sections that D and t_psi
-    determine: the group starts (off0), the sample positions (off1) and
-    a bitmap marking them (D1). They are written from D and t_psi,
-    compared against them on load, and never held in memory.
+    _walk. The image's sections are the stream, s0, ptr0, off0, s1,
+    ptr1, run1, off1 and D1; off0, off1 and D1 are reserved and always
+    empty, since the group starts, the sample positions and a bitmap of
+    them all follow from D and t_psi.
 
     build cuts the gaps into tokens in one pass (a +1 run opens at a
     group start or after any other gap), writes every token's codes with
@@ -612,35 +613,31 @@ class VbyteRlePsi:
         return first, out
 
     def size_bits(self) -> int:
-        # as the image stores them: s0, ptr0 and off0 per group; s1, ptr1,
-        # run1 and off1 per level-two sample; the n bits of D1
+        # as the image stores them: s0 and ptr0 per group; s1, ptr1 and
+        # run1 per level-two sample
         groups = self._D.ones
-        return (8 * len(self._stream) + self._n
-                + 64 * (3 * groups + 4 * (len(self._bval) - groups)))
+        return 8 * len(self._stream) + 64 * (2 * groups + 3 * (len(self._bval) - groups))
 
     def to_sections(self) -> list[bytes]:
         _, val, rem, ptr = self._columns()
         opens = np.zeros(len(val), dtype=bool)
         opens[np.frombuffer(self._open, dtype=np.int64)] = True
         ptr = ptr[:-1]
-        off0, off1, d1 = _derived_sections(self._D, self.t_psi)
-        return [self._stream, _u64_bytes(val[opens]), _u64_bytes(ptr[opens]), off0,
-                *(_u64_bytes(a[~opens]) for a in (val, ptr, rem)), off1, d1]
+        return [self._stream, _u64_bytes(val[opens]), _u64_bytes(ptr[opens]), b"",
+                *(_u64_bytes(a[~opens]) for a in (val, ptr, rem)), b"", b""]
 
     @classmethod
     def from_sections(cls, sections, D: BitSequence, t_psi: int) -> "VbyteRlePsi":
         stream, s0, ptr0, off0, s1, ptr1, run1, off1, d1 = sections
-        want_off0, want_off1, want_d1 = _derived_sections(D, t_psi)
-        if off0 != want_off0 or off1 != want_off1:
-            raise ValueError("stored offset tables disagree with the groups and t_psi")
-        if d1 != want_d1:
-            raise ValueError("sample bitmap disagrees with the groups and t_psi")
+        if off0 or off1 or d1:
+            raise ValueError("vbyte codec's reserved sections off0, off1 and D1 "
+                             "must be empty")
         s0, ptr0, s1, ptr1, run1 = (np.frombuffer(b, dtype="<u8")
                                     for b in (s0, ptr0, s1, ptr1, run1))
         if len(s0) != D.ones or len(ptr0) != D.ones:
             raise ValueError(f"vbyte codec needs {D.ones} group samples and pointers, "
                              f"the image holds {len(s0)} and {len(ptr0)}")
-        nsamples = len(off1) // 8
+        nsamples = len(_samples(D, t_psi)[1])
         if not len(s1) == len(ptr1) == len(run1) == nsamples:
             raise ValueError(f"vbyte codec needs {nsamples} samples, pointers and run "
                              f"lengths, the image holds {len(s1)}, {len(ptr1)} and {len(run1)}")
@@ -694,15 +691,6 @@ def _samples(D: BitSequence, t_psi: int) -> tuple[np.ndarray, np.ndarray]:
     before = np.cumsum(counts) - counts
     j = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(before, counts) + 1
     return before, np.repeat(starts, counts) + j * t_psi
-
-
-def _derived_sections(D: BitSequence, t_psi: int) -> tuple[bytes, bytes, bytes]:
-    """The image sections of the vbyte codec that D and t_psi determine:
-    the group starts (off0), the sample positions (off1) and the sample
-    bitmap (D1)."""
-    positions = _samples(D, t_psi)[1]
-    return (_u64_bytes(D.positions()), _u64_bytes(positions),
-            BitSequence.from_positions(positions, D.nbits).serialize())
 
 
 def _overrun(code: str = "vbyte") -> ValueError:

@@ -7,6 +7,7 @@ import struct
 import pytest
 
 from tgcsa.baseline import EdgeLogIndex
+from tgcsa.bitseq import BitSequence
 from tgcsa.corpus import ContactSet
 from tgcsa.indexfile import (_COUNT, _HEAD, _SHAPE, _emit, deserialize_index,
                              load_index, save_index, serialize_index)
@@ -135,9 +136,8 @@ def test_corrupted_image_loads_or_raises_value_error(codec):
 
 @pytest.mark.parametrize("codec, section, value, message", [
     ("plain", 2, 1 << 40, "fixed-width header"),     # n of the packed Psi
-    ("vbyte-rle", -1, 19, "sample bitmap"),          # nbits of D1, D has 20
     ("plain", 1, 19, "group bitmap"),                 # nbits of D, arity * n is 20
-], ids=["plain-n", "D1-nbits", "D-nbits"])
+], ids=["plain-n", "D-nbits"])
 def test_forged_lengths_are_rejected(codec, section, value, message):
     blob = bytearray(serialize_index(build_index(ContactSet(G5_CONTACTS), codec=codec)))
     start, _ = section_spans(blob)[section]
@@ -155,7 +155,8 @@ def test_plain_values_past_the_positions_are_rejected():
 
 
 def test_retired_codec_tag_is_rejected():
-    # the retired tag-2 layout: vbyte-rle's sections without off0 and off1
+    # the retired tag-2 layout: vbyte-rle's sections without the off0 and
+    # off1 slots
     blob = serialize_index(build_index(ContactSet(G5_CONTACTS), codec="vbyte-rle", t_psi=1))
     sections = [blob[a:a + n] for a, n in section_spans(blob)]
     del sections[9], sections[5]
@@ -165,19 +166,28 @@ def test_retired_codec_tag_is_rejected():
         deserialize_index(_emit(bytes(head), sections))
 
 
-def test_vbyte_offset_tables_must_match_their_bitmaps():
-    # t_psi 1 puts a sample at every non-opening position, so off1 is not empty
+def test_vbyte_reserved_sections_must_be_empty():
+    # off0, off1 and D1 keep their slots, empty, because perfbench/space.py
+    # maps an image's sections to components by position
     blob = serialize_index(build_index(ContactSet(G5_CONTACTS), codec="vbyte-rle", t_psi=1))
     spans = section_spans(blob)
     assert len(spans) == 11   # B, D, stream, s0, ptr0, off0, s1, ptr1, run1, off1, D1
-    for table in (5, 9):
-        start, length = spans[table]
-        assert length > 0
-        for at in range(start, start + length):
-            bad = bytearray(blob)
-            bad[at] ^= 0xFF
-            with pytest.raises(ValueError, match="offset tables"):
-                deserialize_index(bytes(bad))
+    sections = [blob[a:a + n] for a, n in spans]
+    assert sections[5] == sections[9] == sections[10] == b""
+    # one byte, and the bytes images of the older layout hold there: the
+    # group starts, the sample positions (at t_psi 1, every position that
+    # opens no group) and the bitmap of the samples
+    D = deserialize_index(blob).D
+    samples = [p for p in range(1, D.nbits + 1) if not D.access(p)]
+    derived = {5: i64(*D.positions().tolist()), 9: i64(*samples),
+               10: BitSequence.from_positions(samples, D.nbits).serialize()}
+    head = blob[:_HEAD.size + _SHAPE.size]
+    for slot, old in derived.items():
+        for part in (b"\x00", old):
+            forged = list(sections)
+            forged[slot] = part
+            with pytest.raises(ValueError, match="reserved sections off0, off1 and D1"):
+                deserialize_index(_emit(head, forged))
 
 
 @pytest.mark.parametrize("codec", ALL_CODECS)
@@ -322,16 +332,16 @@ def test_corrupted_vbyte_sample_is_a_value_error_not_an_overflow(at, byte):
 # ignores t_psi. A change to any of these is a change of image format.
 IMAGE_DIGESTS = {
     ("g5", "plain"): "297955470a4a3304a1bae502f87462ae3395ac3002141e67dea7edf93c42d246",
-    ("g5", "vbyte-rle", 1): "c61337d41b8269bc6eb3e2bc35724ee29e96926858c6e017049d333a58c0b41c",
-    ("g5", "vbyte-rle", 16): "a32cc9dd4e4412f012324b9bfc34fe175188cc6d49f466ed3d23f9c71a02cccf",
-    ("g5", "vbyte-rle", 64): "783105eadd2c36f339826232b5a674ea9fe5dac13d9f75bf88187108e2f5c8c9",
+    ("g5", "vbyte-rle", 1): "0dc896e3d0b36293563d9c20fad22b71aaafe44758556e7913d0de7ead1d619f",
+    ("g5", "vbyte-rle", 16): "8b2f29b7b8e5005e00a54581b60b42d7f8e3b88ad2d3f3ec09e88b9fd3647a68",
+    ("g5", "vbyte-rle", 64): "49044aa4e93e535d2eeb1416ceb7a96d41be88d1f19cd1eba117e3bdb0d72dc1",
     ("g5", "huff-rle-opt", 1): "152e6a593f1a4e82683745dba8b19bfd7d9cd3f99410f977c5fe6c3d17db061f",
     ("g5", "huff-rle-opt", 16): "df375769076e9d3ccde04574d891b29e24f6df9c0ad3e891f380825d014714ee",
     ("g5", "huff-rle-opt", 64): "e75236b13102cb758b8281f1f07e59e2657576a91a9c911c55f24dd02577b746",
     ("ba", "plain"): "1b8742a3e79279df913944d5508957e64a7eff5da126caf9a3ee60df9dc85df1",
-    ("ba", "vbyte-rle", 1): "0744a94571b4415e7f3c7e3b4bdc57115d62ecd8d62fe4b1698f47bb4d65ad45",
-    ("ba", "vbyte-rle", 16): "4be29b614dd17ffd0a3442cc340ad7bd6a33f14438595afec49e7f152c5d3421",
-    ("ba", "vbyte-rle", 64): "7d758fcae0add67164c0b639fdcf11b2c027ffc94833874eccdec3442875e4e1",
+    ("ba", "vbyte-rle", 1): "2be3fcc321f08927a47d51719ed34a5564c03f8ab19aa0a7c7d2c34d542d2da4",
+    ("ba", "vbyte-rle", 16): "00c28f9dafa133520a7540b8defc995a6c70cba73c05fd534b133a86ec10f429",
+    ("ba", "vbyte-rle", 64): "6533165698a399f15012f0bbd053642f77e4076117a66ded2ce9600aa8a82ec1",
     ("ba", "huff-rle-opt", 1): "06718e4a409df6154978ab35533b9ab7a45ad81d996cf24edf358a95de855973",
     ("ba", "huff-rle-opt", 16): "9e57d09115e9d6db48cc63a66d3282b93f83c0bc04d3920d39d32df0b2dd6d0d",
     ("ba", "huff-rle-opt", 64): "5a9143d16e67a9223116011d4e41f374cc0f21363f870f032b4c22cea49374d9",
@@ -363,4 +373,4 @@ def test_arity3_image_bytes_are_pinned():
     cs = ContactSet(rows, arity=3, tau=6, semantics="incremental")
     blob = serialize_index(build_index(cs, codec="vbyte-rle", t_psi=2))
     assert hashlib.sha256(blob).hexdigest() == \
-        "506bc18e25d8c78afcc6ef01376a4c78ec0e8490f37fbb2ed783f0308870a65a"
+        "e74a044f60384ee07ccfbd9f4f4a6563dffa31e9846266201442713663a0b1ce"

@@ -269,18 +269,18 @@ def test_huffman_long_codes_and_escapes_match_plain(t):
 # sequences, every section prefixed by its u64 length. These cover
 # escapes of both signs, descents and codes longer than the decode table.
 SECTION_DIGESTS = {
-    ("crafted", "vbyte-rle", 1): "26135211f503daac42a83791900f95ea34f85eda6741bb82b796a7d280728bff",
-    ("crafted", "vbyte-rle", 4): "01b1d0993129a1679b177229b56eeeea8c3bb1044f86b9279a36a26d3566807a",
-    ("crafted", "vbyte-rle", 64): "a6103c88d20d00c1f469dd9ab165deeb2febe4b019e9017dcf86dcd3750f30e1",
-    ("crafted", "vbyte-rle", 256): "15014ab2c82abe6396e87fb75070b99e3ecfc1b3d6a011e2f99cf4f6076ba7eb",
+    ("crafted", "vbyte-rle", 1): "1d877fcee09e0349e5cf0b2bde1a5f6727f96c10180262b46279048159ebbd62",
+    ("crafted", "vbyte-rle", 4): "d15e099f4a9966d3c82567f3ca9fe67cf416905ef51e06dcde12dd77d1d9a405",
+    ("crafted", "vbyte-rle", 64): "d75bf27b450df05db0e6ce237eb2b4a4041f299a7c8c53332a3bc5b04691e3af",
+    ("crafted", "vbyte-rle", 256): "021d61888bcb0c41fc80228897cca709ba24079e29fac309a585a14b8e1c1ad2",
     ("crafted", "huff-rle-opt", 1): "df436bf256d4bdd9778c5f14f2b78d9a22195a1dbc6f4b47c7b5c43ab202caa4",
     ("crafted", "huff-rle-opt", 4): "2ca68b92cc0379b32578d6533bc00f97e98a570a0bf26629e0dc609ec33a2403",
     ("crafted", "huff-rle-opt", 64): "49865001b435fddb024804318db612dd66aea413d05453e677cb4f3ead2917e3",
     ("crafted", "huff-rle-opt", 256): "a350e0801a69e434700413ec4e5ef079533b38eb52e650d4c8c575e0b215f7ef",
-    ("long", "vbyte-rle", 1): "f4f7b9353693ac1bebc804501ec46954b8c42cf41cfee2fb0df200fcc71b0564",
-    ("long", "vbyte-rle", 4): "b97742af52c17146e8ed7174fcf437ed2200e4579bb7b0f4cd82436377f22d58",
-    ("long", "vbyte-rle", 64): "ce37add4111fb25782b7f856b19750d58e1e909c0879af18c84bc76c3fcff229",
-    ("long", "vbyte-rle", 256): "f46de953f56aa8966e2537494bfed3ea407b3b11a602c76fa78b68b9d159d86d",
+    ("long", "vbyte-rle", 1): "7dba50a2c77f8367b1c0b145ab6565aced4ca6ffe8f7c16778b61e61b3891423",
+    ("long", "vbyte-rle", 4): "6397afdf6c327af68bc6777d35b6a5ca07e4169dc53d0c0ba04778ea5a396191",
+    ("long", "vbyte-rle", 64): "197f6e99aeef1eed1488a40ae76cbdef4208d2227798e15f81847959e7e381d8",
+    ("long", "vbyte-rle", 256): "76071a5f33d6312bf03acf58ca8987b18d969e963926f9e5f88c891246ecd7f2",
     ("long", "huff-rle-opt", 1): "1789bf70d7a2c410ce66e57fc035b9d84558897176efd93da82aafcd91994d19",
     ("long", "huff-rle-opt", 4): "86e16fdd73645116ff7d6b180f2a62128ef3d7d6dd8ec2f2efdeedfb643fbd06",
     ("long", "huff-rle-opt", 64): "ca6c2fa107a435dcb50a99ada96186c02fdafb8368bc5302c8aca3f171634908",
@@ -574,21 +574,19 @@ def test_vbyte_search_stays_inside_one_group(codec):
         enc.stretch(1, 3, 8, 8)
 
 
-VBYTE_SECTIONS = ("stream", "s0", "ptr0", "off0", "s1", "ptr1", "run1", "off1", "D1")
+VBYTE_SECTIONS = ("stream", "s0", "ptr0", "reserved-off0", "s1", "ptr1", "run1",
+                  "reserved-off1", "reserved-D1")
 
 
 def vbyte_sections(forge=lambda enc: {}):
     """The vbyte-rle sections of the crafted sequence (t_psi 64) and its
     D. forge maps the encoding to replacement parts, named as in
-    VBYTE_SECTIONS: a u64 table as a sequence, the stream as bytes, D1 as
-    a BitSequence."""
+    VBYTE_SECTIONS: bytes as they are, a u64 table as a sequence."""
     psi, D = crafted_sequence()
     enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=64)
     sections = enc.to_sections()
     for name, part in forge(enc).items():
-        if name == "D1":
-            part = part.serialize()
-        elif name != "stream":
+        if not isinstance(part, bytes):
             part = np.asarray(part, dtype="<u8").tobytes()
         sections[VBYTE_SECTIONS.index(name)] = part
     return sections, D
@@ -600,8 +598,12 @@ def vbyte_table(enc, name):
 
 
 def sample_positions(enc):
-    """Where the encoding's level-two samples sit, read from its off1 section."""
-    return vbyte_table(enc, "off1")
+    """Where the encoding's level-two samples sit: the start positions of
+    its blocks that open no group."""
+    bpos = np.frombuffer(enc._bpos, dtype=np.int64)[:-1]
+    opens = np.zeros(len(bpos), dtype=bool)
+    opens[np.frombuffer(enc._open, dtype=np.int64)] = True
+    return bpos[~opens]
 
 
 def test_vbyte_samples_follow_from_d_and_t_psi():
@@ -633,9 +635,10 @@ def swap_first_rise(a):
     (lambda p: dict(s0=list(vbyte_table(p, "s0")) + [1]), "group samples and pointers"),
     (lambda p: dict(s1=vbyte_table(p, "s1")[:-1]), "samples, pointers and run lengths"),
     (lambda p: dict(run1=list(vbyte_table(p, "run1")) + [0]), "samples, pointers and run lengths"),
-    # same number of samples, each one position late
-    (lambda p: dict(D1=BitSequence.from_positions(sample_positions(p) + 1, len(p))),
-     "sample bitmap disagrees"),
+    # the sample bitmap that images of the older layout hold in D1's slot
+    (lambda p: {"reserved-D1": BitSequence.from_positions(sample_positions(p),
+                                                         len(p)).serialize()},
+     "reserved sections"),
     (lambda p: dict(ptr1=list(vbyte_table(p, "ptr1")[:-1]) + [len(p._stream) + 1]), "past the end"),
     (lambda p: dict(ptr0=[len(p._stream) + 1]), "past the end"),
     # two sample pointers swapped: each still inside the stream
