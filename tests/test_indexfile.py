@@ -136,14 +136,15 @@ def test_corrupted_image_loads_or_raises_value_error(codec):
 
 @pytest.mark.parametrize("codec, section, value, message", [
     ("plain", 2, 1 << 40, "fixed-width header"),     # n of the packed Psi
+    ("vbyte-rle", -1, 19, "reserved sections"),      # nbits of D1, a reserved slot
     ("plain", 1, 19, "group bitmap"),                 # nbits of D, arity * n is 20
-], ids=["plain-n", "D-nbits"])
+], ids=["plain-n", "D1-nbits", "D-nbits"])
 def test_forged_lengths_are_rejected(codec, section, value, message):
-    blob = bytearray(serialize_index(build_index(ContactSet(G5_CONTACTS), codec=codec)))
-    start, _ = section_spans(blob)[section]
-    struct.pack_into("<Q", blob, start, value)
+    blob = serialize_index(build_index(ContactSet(G5_CONTACTS), codec=codec))
+    sections = [bytearray(blob[a:a + n]) for a, n in section_spans(blob)]
+    sections[section][:8] = struct.pack("<Q", value)   # an empty section grows to 8 bytes
     with pytest.raises(ValueError, match=message):
-        deserialize_index(bytes(blob))
+        deserialize_index(_emit(blob[:_HEAD.size + _SHAPE.size], sections))
 
 
 def test_plain_values_past_the_positions_are_rejected():
@@ -166,26 +167,42 @@ def test_retired_codec_tag_is_rejected():
         deserialize_index(_emit(bytes(head), sections))
 
 
+def vbyte_sections(t_psi=1):
+    blob = serialize_index(build_index(ContactSet(G5_CONTACTS), codec="vbyte-rle", t_psi=t_psi))
+    return blob[:_HEAD.size + _SHAPE.size], [blob[a:a + n] for a, n in section_spans(blob)]
+
+
 def test_vbyte_reserved_sections_must_be_empty():
     # off0, off1 and D1 keep their slots, empty, because perfbench/space.py
     # maps an image's sections to components by position
-    blob = serialize_index(build_index(ContactSet(G5_CONTACTS), codec="vbyte-rle", t_psi=1))
-    spans = section_spans(blob)
-    assert len(spans) == 11   # B, D, stream, s0, ptr0, off0, s1, ptr1, run1, off1, D1
-    sections = [blob[a:a + n] for a, n in spans]
+    head, sections = vbyte_sections()
+    assert len(sections) == 11   # B, D, stream, s0, ptr0, off0, s1, ptr1, run1, off1, D1
     assert sections[5] == sections[9] == sections[10] == b""
-    # one byte, and the bytes images of the older layout hold there: the
-    # group starts, the sample positions (at t_psi 1, every position that
-    # opens no group) and the bitmap of the samples
-    D = deserialize_index(blob).D
+    # D1 as images of the older layout hold it: the bitmap of the samples
+    # (at t_psi 1, every position that opens no group)
+    D = deserialize_index(_emit(head, sections)).D
     samples = [p for p in range(1, D.nbits + 1) if not D.access(p)]
-    derived = {5: i64(*D.positions().tolist()), 9: i64(*samples),
-               10: BitSequence.from_positions(samples, D.nbits).serialize()}
-    head = blob[:_HEAD.size + _SHAPE.size]
-    for slot, old in derived.items():
-        for part in (b"\x00", old):
+    for slot, part in ((5, b"\x00"), (9, b"\x00"), (10, b"\x00"),
+                       (10, BitSequence.from_positions(samples, D.nbits).serialize())):
+        forged = list(sections)
+        forged[slot] = part
+        with pytest.raises(ValueError, match="reserved sections off0, off1 and D1"):
+            deserialize_index(_emit(head, forged))
+
+
+def test_vbyte_offset_tables_must_match_their_bitmaps():
+    # off0 and off1 follow from D and t_psi, so a load derives them and
+    # takes none from the image: neither the tables images of the older
+    # layout held (the group starts, and at t_psi 1 every position that
+    # opens no group), which match their bitmaps, nor any byte flip of them
+    head, sections = vbyte_sections()
+    D = deserialize_index(_emit(head, sections)).D
+    samples = [p for p in range(1, D.nbits + 1) if not D.access(p)]
+    for slot, table in ((5, i64(*D.positions().tolist())), (9, i64(*samples))):
+        assert table
+        for at in range(-1, len(table)):
             forged = list(sections)
-            forged[slot] = part
+            forged[slot] = table if at < 0 else byte_at(table, at, table[at] ^ 0xFF)
             with pytest.raises(ValueError, match="reserved sections off0, off1 and D1"):
                 deserialize_index(_emit(head, forged))
 
