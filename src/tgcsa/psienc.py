@@ -24,36 +24,46 @@ stream. Decoded values are not checked against 1..n; where a caller
 uses one as a position (the next access, query._terms, verify_core) it
 is checked there, so a corrupted image still ends in ValueError.
 
+The two sampled codecs share one block layout (_SampledPsi): a block
+opens at every group start and every t_psi positions inside a group,
+where D and t_psi alone say, and its sample holds the value there and
+the stream offset of the block's codes. access finds a position's block
+with one bisect; stretch bisects the group's samples for x; range walks
+each group from the block that holds lo. Each codec decodes inside its
+blocks with its own loops.
+
 * plain: every value bit-packed at a fixed width. Fast, no compression.
 * vbyte-rle: per-group gap streams. Within a group the first value is a
   sample; the rest are byte codes for the successive differences, with
-  maximal runs of +1 folded into a <1, length> pair. A second sample
-  level, every t_psi positions from each group start, cuts decode work
-  to at most t_psi steps. The codec holds its samples as one table of
-  blocks in position order (each group's opening sample, then its
-  level-two samples), whose start positions follow from D and t_psi;
-  access finds a position's block with one bisect of them; stretch
-  bisects the group's samples for x, and range walks each group from
-  the block that holds lo. The image stores the two sample levels
-  apart, and three reserved sections that stay empty, since the group
-  starts, the sample positions and a sample bitmap all follow from D
-  and t_psi. A load requires the reserved sections empty, checks the
-  table lengths against the groups and samples, the samples against a
-  bound that keeps the batch decoder's sums inside int64, and the
-  stream pointers against the stream: they must not decrease from
-  block to block, since each block's codes end where the next block's
-  begin, and the last block's codes must end at the stream's last
-  byte. Tag 2, an earlier variant without the off0 and off1 slots, is
-  retired.
-* huff-rle-opt: samples every t_psi positions globally, then Huffman-codes
-  run lengths, small literal gaps, and escape classes for everything
-  else into a single bitstream. Decoding looks each token up in a table
-  indexed by the next few stream bits, built from the code lengths when
-  the codec is built or loaded. access and stretch (range is a stretch)
-  each walk the stream in one loop with that lookup inline, and check
-  the stream end once per walk, after the loop. A load takes a stream
-  only when it is exactly the bytes its bit count needs and every bit
-  after the count is zero.
+  maximal runs of +1 folded into a <1, length> pair, which may run on
+  across the group's later samples (a sample keeps the run steps left).
+  The image stores the two sample levels apart, and three reserved
+  sections that stay empty, since the group starts, the sample
+  positions and a sample bitmap all follow from D and t_psi. A load
+  requires the reserved sections empty, checks the table lengths
+  against the groups and samples, the samples against a bound that
+  keeps the batch decoder's sums inside int64, and the stream pointers
+  against the stream: they must not decrease from block to block, since
+  each block's codes end where the next block's begin, and the last
+  block's codes must end at the stream's last byte. Tag 2, an earlier
+  variant without the off0 and off1 slots, is retired.
+* huff-rle-opt: Huffman-codes run lengths, small literal gaps, and
+  escape classes for everything else into a single bitstream, which
+  codes only the positions between samples: +1 runs are cut at every
+  block start. Decoding looks each token up in a table indexed by the
+  next few stream bits, built from the code lengths when the codec is
+  built or loaded. access and the stretch walk each decode in one loop
+  with that lookup inline, and check the stream end once per walk,
+  after the loop; a walk that goes on across a block start checks that
+  its bit offset is that block's pointer. The image stores the code
+  lengths, the samples and the pointers bit-packed at their minimum
+  widths, each after its count and width. A load takes each table only
+  at its minimum width with zero padding, its pointers only in order
+  and inside the stream, and a stream only when it is exactly the bytes
+  its bit count needs and every bit after the count is zero. The
+  paper's Huffman Psi samples every t_psi positions over all of Psi;
+  sampling per group makes each group start free, so a hop decodes
+  from the later of the two.
 
 Byte codes use 7-bit little-endian groups with the high bit set on the
 final byte only, so 5 encodes as 0x85 and 135 as 0x07 0x81. vbyte_codes
@@ -61,7 +71,7 @@ writes a whole array of them at once; the pointwise vbyte decoders read
 each gap code inline, and only run lengths and escaped magnitudes go
 through vbyte_decode, while access_many decodes whole blocks of codes
 with numpy. Both sampled codecs encode with array operations over all
-of Psi, with no Python loop per group, span or token. Gaps inside a
+of Psi, with no Python loop per group, block or token. Gaps inside a
 group are never zero (the permutation has no repeats) but can be
 negative when duplicate contacts or the end-section remap invert the
 order; those are written as an escaped 0 followed by the magnitude.
@@ -135,6 +145,35 @@ def _unpack_fixed(payload: bytes, count: int, width: int) -> np.ndarray:
                         count=count * width, bitorder="little")
     shifts = np.arange(width, dtype=np.uint64)
     return (raw.reshape(count, width).astype(np.uint64) << shifts).sum(axis=1)
+
+
+def _min_width(vals) -> int:
+    """The fewest bits that hold every value, at least 1."""
+    return max(1, int(vals.max()).bit_length()) if len(vals) else 1
+
+
+def _fixed_section(vals: np.ndarray) -> bytes:
+    """A uint64 table as a section: its count and width, then the values
+    packed at that width, the table's minimum."""
+    width = _min_width(vals)
+    return struct.pack("<QB7x", len(vals), width) + _pack_fixed(vals, width)
+
+
+def _read_fixed(blob: bytes, what: str) -> np.ndarray:
+    """The table of a section that _fixed_section wrote, as uint64. A
+    payload that disagrees with its header, a width that is not the
+    table's minimum and padding bits that are set raise ValueError."""
+    if len(blob) < 16:
+        raise ValueError(f"{what} section is shorter than its header")
+    count, width = struct.unpack_from("<QB", blob, 0)
+    if not 1 <= width <= 64 or len(blob) - 16 != (count * width + 7) // 8:
+        raise ValueError(f"{what} payload disagrees with its header")
+    if any(blob[9:16]) or (count * width % 8 and blob[-1] >> (count * width % 8)):
+        raise ValueError(f"{what} section sets padding bits")
+    vals = _unpack_fixed(blob[16:], count, width)
+    if width != _min_width(vals):
+        raise ValueError(f"{what} table is not at its minimum width of {_min_width(vals)} bits")
+    return vals
 
 
 def _u64_array(a) -> array:
@@ -251,88 +290,33 @@ class PlainPsi:
         return cls(vals)
 
 
-class VbyteRlePsi:
-    """Gap-coded groups with run folding and two sample levels.
+class _SampledPsi:
+    """The sample blocks of the two sampled codecs, and the lookups on them.
 
-    First level, one sample per group: the opening value (s0) and the
-    byte offset of the group's codes (ptr0). Second level, one sample at
-    every position l + j*t_psi inside a group that opens at l: the value
-    there (s1), the byte offset just past the code that covers it (ptr1),
-    and, when that code is a run pair, how many +1 steps of the run
-    remain (run1). The codec holds both levels as one table of blocks in
-    position order, which is also stream order: a block opens at a
-    sample, runs up to the next one, and keeps the sample's position,
-    value, stream offset and leftover run steps (none at a group start).
-    Where the samples sit follows from the group bitmap D and t_psi
-    alone. access decodes in one loop; stretch and range share one walk,
-    _walk. The image's sections are the stream, s0, ptr0, off0, s1,
-    ptr1, run1, off1 and D1; off0, off1 and D1 are reserved and always
-    empty, since the group starts, the sample positions and a bitmap of
-    them all follow from D and t_psi.
-
-    build cuts the gaps into tokens in one pass (a +1 run opens at a
-    group start or after any other gap), writes every token's codes with
-    vbyte_codes, and reads ptr0, ptr1 and run1 off the token end offsets
-    with searchsorted at the group starts and at the sample positions
-    that _samples gives, the same function a load derives them from.
+    A block opens at every group start and every t_psi positions inside
+    a group (where, _blocks derives from D and t_psi alone) and runs up
+    to the next one. The table keeps, per block in position order, which
+    is also stream order, the opening sample's position, value and
+    stream offset, and the +1 steps left of a run that covers it;
+    position n + 1 and the stream end close the position and offset
+    columns. Each codec decodes inside its blocks with its own access
+    and _walk loops; the lookups that pick a block are here, once:
+    _sample, stretch's front and range's loop over groups.
     """
 
-    name = "vbyte-rle"
-    tag = 1
-
-    def __init__(self, stream: bytes, s0, ptr0, s1, ptr1, run1,
-                 D: BitSequence, t_psi: int):
-        self._stream = bytes(stream)
-        self._bytes = np.frombuffer(self._stream, dtype=np.uint8)
+    def _set_blocks(self, D: BitSequence, t_psi: int, opens, starts, val, rem, ptr,
+                    end: int):
         self._D = D
         self._n = D.nbits
         self.t_psi = t_psi
-        # access_many rejects any code above this before it sums them, so
-        # no sum over the stream's codes wraps int64
-        self._bound = INT64_MAX // (len(self._stream) + 2)
-        before, at = _samples(D, t_psi)
-        opens = np.zeros(len(before) + len(at), dtype=bool)
-        opens[np.arange(len(before)) + before] = True
-
-        def blocks(first, rest):
-            out = np.zeros(len(opens), dtype=np.uint64)
-            out[opens], out[~opens] = first, rest
-            return out
-
-        # position n + 1 and the stream end close the start and offset columns
         self._open = _i64_array(np.flatnonzero(opens))   # each group's first block
-        self._bpos = _i64_array(np.append(blocks(D.positions(), at), D.nbits + 1))
-        self._bval = _i64_array(blocks(s0, s1))
-        self._brem = _i64_array(blocks(0, run1))
-        self._bptr = _i64_array(np.append(blocks(ptr0, ptr1), len(self._stream)))
+        self._bpos = _i64_array(np.append(starts, D.nbits + 1))
+        self._bval = _u64_array(val)
+        self._brem = _i64_array(rem)
+        self._bptr = _i64_array(np.append(ptr, end))
 
     def __len__(self):
         return self._n
-
-    @classmethod
-    def build(cls, psi: np.ndarray, D: BitSequence, t_psi: int) -> "VbyteRlePsi":
-        n = len(psi)
-        starts = D.positions() - 1
-        opens = np.zeros(n, dtype=bool)
-        opens[starts] = True
-        gap = np.diff(psi, prepend=0)
-        one = (gap == 1) & ~opens
-        # a token codes one gap or a whole +1 run, from its first position
-        # to its last: a run's later steps open none, group starts carry none
-        first = np.flatnonzero(~(one & np.append(False, one[:-1])))
-        last = np.append(first[1:], n) - 1
-        tok = ~opens[first]
-        first, last = first[tok], last[tok]
-        g = gap[first]
-        # <g>, <1, run length> or <0, magnitude>
-        pair = np.column_stack((np.maximum(g, 0), np.where(g == 1, last - first + 1, -g)))
-        two = g <= 1
-        stream, ends = vbyte_codes(pair[np.column_stack((np.ones_like(two), two))])
-        tok_end = ends[np.cumsum(1 + two) - 1]
-        ptr0 = np.append(0, tok_end)[np.searchsorted(first, starts)]
-        at = _samples(D, t_psi)[1] - 1
-        k = np.searchsorted(first, at, side="right") - 1
-        return cls(stream, psi[starts], ptr0, psi[at], tok_end[k], last[k] - at, D, t_psi)
 
     def _sample(self, b: int) -> tuple[int, int, int, int]:
         """(p, v, pos, rem) at the sample that opens block b: its position
@@ -345,6 +329,120 @@ class VbyteRlePsi:
         steps left and stream offset."""
         return tuple(np.frombuffer(a, dtype=np.int64)
                      for a in (self._bpos, self._bval, self._brem, self._bptr))
+
+    def range(self, lo: int, hi: int) -> list[int]:
+        """Decode positions lo..hi: stretch's walk with both cuts open,
+        once per group, from the block that holds lo."""
+        if lo > hi:
+            return []
+        if lo < 1 or hi > self._n:
+            raise _outside(lo, hi, self._n)
+        out, start = [], lo
+        c = self._D.rank1(lo)
+        while lo <= hi:
+            g = self._open[c - 1]
+            stop = min(hi, self._D.select1(c + 1) - 1) if c < len(self._open) else hi
+            b = g + (lo - self._bpos[g]) // self.t_psi
+            out += self._walk(b, lo, stop, -TOP, TOP, stop)[1]
+            lo = stop + 1
+            c += 1
+        return _whole(out, start, hi)
+
+    def stretch(self, lo: int, hi: int, x: int, y: int) -> tuple[int, list[int]]:
+        """(first, values): the first i in [lo, hi] with psi(i) >= x, or
+        hi + 1, and psi from there on while it is below y and the
+        position at most hi.
+
+        [lo, hi] must lie in one group on which both predicates are
+        monotone. The samples inside (lo, hi] are bisected for the first
+        one at or above x; first then lies in the block that ends there
+        (or in the last block), and one walk decodes forward from the
+        previous sample, a +1 run in one step, and goes on past first
+        for the values.
+        """
+        if lo > hi:
+            return hi + 1, []
+        if lo < 1 or hi > self._n:
+            raise _outside(lo, hi, self._n)
+        c = self._D.rank1(lo)
+        if c < len(self._open) and hi >= self._D.select1(c + 1):
+            raise ValueError(f"Psi stretch {lo}..{hi} crosses a group end")
+        g = self._open[c - 1]
+        l = self._bpos[g]
+        b = g + (lo - l) // self.t_psi
+        last = g + (hi - l) // self.t_psi
+        stop = hi  # where the walk ends while it seeks first
+        if last > b:
+            # blocks b + 1..last open at the group's samples inside (lo, hi]
+            k = bisect_left(self._bval, x, b + 1, last + 1)
+            if k <= last:
+                stop = self._bpos[k]
+            b = k - 1
+        return self._walk(b, lo, hi, x, y, stop)
+
+
+class VbyteRlePsi(_SampledPsi):
+    """Gap-coded groups with run folding and two sample levels.
+
+    First level, one sample per group: the opening value (s0) and the
+    byte offset of the group's codes (ptr0). Second level, one sample at
+    every position l + j*t_psi inside a group that opens at l: the value
+    there (s1), the byte offset just past the code that covers it (ptr1),
+    and, when that code is a run pair, how many +1 steps of the run
+    remain (run1). The codec holds both levels as one table of blocks
+    (_SampledPsi), with no leftover run steps at a group start. access
+    decodes in one loop; stretch and range share one walk, _walk, which
+    reads a group's codes straight across its level-two samples. The
+    image's sections are the stream, s0, ptr0, off0, s1, ptr1, run1, off1
+    and D1; off0, off1 and D1 are reserved and always empty, since the
+    group starts, the sample positions and a bitmap of them all follow
+    from D and t_psi.
+
+    build cuts the gaps into tokens in one pass (_tokens: a +1 run opens
+    at a group start or after any other gap), writes every token's codes
+    with vbyte_codes, and reads ptr0, ptr1 and run1 off the token end
+    offsets with searchsorted at the group starts and at the sample
+    positions that _samples gives, the same function a load derives them
+    from.
+    """
+
+    name = "vbyte-rle"
+    tag = 1
+    range = _SampledPsi.range  # in the class itself, as access is
+
+    def __init__(self, stream: bytes, s0, ptr0, s1, ptr1, run1,
+                 D: BitSequence, t_psi: int):
+        self._stream = bytes(stream)
+        self._bytes = np.frombuffer(self._stream, dtype=np.uint8)
+        # access_many rejects any code above this before it sums them, so
+        # no sum over the stream's codes wraps int64
+        self._bound = INT64_MAX // (len(self._stream) + 2)
+        opens, starts = _blocks(D, t_psi)
+
+        def blocks(first, rest):
+            out = np.zeros(len(opens), dtype=np.uint64)
+            out[opens], out[~opens] = first, rest
+            return out
+
+        self._set_blocks(D, t_psi, opens, starts, blocks(s0, s1), blocks(0, run1),
+                         blocks(ptr0, ptr1), len(self._stream))
+
+    @classmethod
+    def build(cls, psi: np.ndarray, D: BitSequence, t_psi: int) -> "VbyteRlePsi":
+        starts = D.positions() - 1
+        opens = np.zeros(len(psi), dtype=bool)
+        opens[starts] = True
+        first, last, gap = _tokens(psi, opens)
+        g = gap[first]
+        # <g>, <1, run length> or <0, magnitude>
+        pair = np.column_stack((np.maximum(g, 0), np.where(g == 1, last - first + 1, -g)))
+        two = g <= 1
+        stream, ends = vbyte_codes(pair[np.column_stack((np.ones_like(two), two))])
+        tok_end = ends[np.cumsum(1 + two) - 1]
+        ptr0 = np.append(0, tok_end)[np.searchsorted(first, starts)]
+        at = _samples(D, t_psi)[1] - 1
+        k = np.searchsorted(first, at, side="right") - 1
+        return cls(stream, psi[starts], ptr0, psi[at], tok_end[k], last[k] - at, D, t_psi)
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self._n:
@@ -382,24 +480,6 @@ class VbyteRlePsi:
         except IndexError:
             raise _overrun() from None
         return v
-
-    def range(self, lo: int, hi: int) -> list[int]:
-        """Decode positions lo..hi: stretch's walk with both cuts open,
-        once per group, from the block that holds lo."""
-        if lo > hi:
-            return []
-        if lo < 1 or hi > self._n:
-            raise _outside(lo, hi, self._n)
-        out, start = [], lo
-        c = self._D.rank1(lo)
-        while lo <= hi:
-            g = self._open[c - 1]
-            stop = min(hi, self._D.select1(c + 1) - 1) if c < len(self._open) else hi
-            b = g + (lo - self._bpos[g]) // self.t_psi
-            out += self._walk(b, lo, stop, -TOP, TOP, stop)[1]
-            lo = stop + 1
-            c += 1
-        return _whole(out, start, hi)
 
     def access_many(self, positions) -> np.ndarray:
         """psi at each of the positions, in the order given, as int64.
@@ -512,38 +592,6 @@ class VbyteRlePsi:
                           - (G[k] - T[tail]) * isrun[k])
         out[order] = vals
         return out
-
-    def stretch(self, lo: int, hi: int, x: int, y: int) -> tuple[int, list[int]]:
-        """(first, values): the first i in [lo, hi] with psi(i) >= x, or
-        hi + 1, and psi from there on while it is below y and the
-        position at most hi.
-
-        [lo, hi] must lie in one group on which both predicates are
-        monotone. The samples inside (lo, hi] are bisected for the first
-        one at or above x; first then lies in the block that ends there
-        (or in the last block), and one walk decodes forward from the
-        previous sample, a +1 run in one step, and goes on past first
-        for the values.
-        """
-        if lo > hi:
-            return hi + 1, []
-        if lo < 1 or hi > self._n:
-            raise _outside(lo, hi, self._n)
-        c = self._D.rank1(lo)
-        if c < len(self._open) and hi >= self._D.select1(c + 1):
-            raise ValueError(f"Psi stretch {lo}..{hi} crosses a group end")
-        g = self._open[c - 1]
-        l = self._bpos[g]
-        b = g + (lo - l) // self.t_psi
-        last = g + (hi - l) // self.t_psi
-        stop = hi  # where the walk ends while it seeks first
-        if last > b:
-            # blocks b + 1..last open at the group's samples inside (lo, hi]
-            k = bisect_left(self._bval, x, b + 1, last + 1)
-            if k <= last:
-                stop = self._bpos[k]
-            b = k - 1
-        return self._walk(b, lo, hi, x, y, stop)
 
     def _walk(self, b: int, lo: int, hi: int, x: int, y: int,
               stop: int) -> tuple[int, list[int]]:
@@ -693,8 +741,36 @@ def _samples(D: BitSequence, t_psi: int) -> tuple[np.ndarray, np.ndarray]:
     return before, np.repeat(starts, counts) + j * t_psi
 
 
+def _blocks(D: BitSequence, t_psi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(opens, starts) of the sample blocks, in position order: whether
+    each block opens a group, and the position its sample sits at."""
+    before, at = _samples(D, t_psi)
+    opens = np.zeros(len(before) + len(at), dtype=bool)
+    opens[np.arange(len(before)) + before] = True
+    starts = np.empty(len(opens), dtype=np.int64)
+    starts[opens], starts[~opens] = D.positions(), at
+    return opens, starts
+
+
+def _tokens(psi: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(first, last, gap): the gaps of psi cut into tokens, each one gap
+    or a maximal run of +1 gaps, from its first 0-based position to its
+    last. The positions marked in skip are samples: they carry no token
+    and cut the runs."""
+    gap = np.diff(psi, prepend=0)
+    one = (gap == 1) & ~skip
+    first = np.flatnonzero(~(one & np.append(False, one[:-1])))
+    last = np.append(first[1:], len(psi)) - 1
+    tok = ~skip[first]
+    return first[tok], last[tok], gap
+
+
 def _overrun(code: str = "vbyte") -> ValueError:
     return ValueError(f"{code} code runs past the end of the stream")
+
+
+def _misaligned(b: int) -> ValueError:
+    return ValueError(f"Huffman codes before block {b} do not end at its pointer")
 
 
 # Huffman-coded variant. Symbol ids: run lengths 1..t map to 0..t-1,
@@ -774,8 +850,15 @@ def _pack_msb(values: np.ndarray, widths: np.ndarray, offsets: np.ndarray,
     return words.astype(">u8").tobytes()[:(nbits + 7) // 8]
 
 
-class HuffRlePsi:
-    """Global samples every t_psi positions over one Huffman bitstream.
+class HuffRlePsi(_SampledPsi):
+    """Huffman-coded gaps over the sample blocks of _SampledPsi.
+
+    Blocks open at every group start and every t_psi positions inside a
+    group, as on the vbyte codec. Every block's sample is stored, so the
+    stream codes only the positions between samples, and +1 runs are cut
+    at every block start: no run steps are left at a sample. A block's
+    pointer is the bit offset of its first token, and its tokens end
+    where the next block's begin.
 
     Decoding reads one token per table lookup. The table is indexed by
     the next k = min(maxlen, TABLE_BITS) stream bits; the canonical codes
@@ -789,38 +872,45 @@ class HuffRlePsi:
     finish on the canonical per-length search, which also rejects
     unassigned codes.
 
-    access and stretch each decode in one loop, and range is stretch
-    with both cuts open. Each loop binds the padded stream, the table,
-    the mask and the shift once, reads the 24-bit window at a bit offset
-    from three stream bytes, and adds each token's steps and delta in
-    place. access adds every token whole and takes back what a last run
-    overshoots. The stream carries 16 zero bytes of padding, so a walk
-    reads past its end without a check per token; each walk compares its
-    end offset with the stream's bit count once, after its loop, and a
-    walk that runs past the padding turns its IndexError into the same
-    ValueError.
+    access and _walk (stretch's walk, and range's per group) each decode
+    in one loop. Each loop binds the padded stream, the table, the mask
+    and the shift once, reads the 24-bit window at a bit offset from
+    three stream bytes, and adds each token's steps and delta in place.
+    access adds every token whole and takes back what a last run
+    overshoots. _walk goes on across block starts inside a group. Where
+    it has decoded a block's last position, its bit offset must be the
+    next block's pointer, else ValueError, and a walk that goes on takes
+    the next block's sample; a run past a block's end is a ValueError
+    too. So no walk reads codes that access, which starts every block at
+    its own pointer, would not read. The stream carries 16 zero bytes of padding, so a walk reads past its end
+    without a check per token; each walk compares its end offset with the
+    stream's bit count once, after its loop, and a walk that runs past
+    the padding turns its IndexError into the same ValueError.
 
-    build cuts +1 runs at the span starts, takes each escape's class
-    from the bit length of its magnitude, counts the symbols with
-    bincount for the code lengths, and packs every token's code and raw
-    bits into one stream with _pack_msb. A span pointer is the bit
-    offset of the span's first token.
+    build cuts the gaps into tokens with _tokens at the block starts,
+    takes each escape's class from the bit length of its magnitude,
+    counts the symbols with bincount for the code lengths, and packs
+    every token's code and raw bits into one stream with _pack_msb. The
+    image's sections are the code lengths, the samples and the pointers,
+    each bit-packed at its minimum width (_fixed_section), and the
+    stream after its bit count.
     """
 
     name = "huff-rle-opt"
     tag = 3
+    range = _SampledPsi.range  # in the class itself, as access is
 
     def __init__(self, lengths_u8: bytes, samples, ptrs, stream: bytes,
-                 stream_bits: int, t_psi: int, n_total: int):
+                 stream_bits: int, D: BitSequence, t_psi: int):
         self._lengths_u8 = bytes(lengths_u8)
-        self._s, self._ptr = _u64_array(samples), _u64_array(ptrs)
         self._stream = bytes(stream)
         self._stream_bits = stream_bits
-        self.t_psi = t_psi
-        self._n = n_total
         # zero padding lets a walk read past the end; _limit catches it
         self._padded = self._stream + bytes(16)
         self._limit = stream_bits
+        opens, starts = _blocks(D, t_psi)
+        self._set_blocks(D, t_psi, opens, starts, samples,
+                         np.zeros(len(starts), dtype=np.int64), ptrs, stream_bits)
         self._build_table()
 
     def _build_table(self):
@@ -846,25 +936,19 @@ class HuffRlePsi:
             table += [e] * reps
         self._table = table + [None] * ((1 << width) - len(table))
 
-    def __len__(self):
-        return self._n
-
     @classmethod
-    def build(cls, psi: np.ndarray, D=None, t_psi: int = 64) -> "HuffRlePsi":
+    def build(cls, psi: np.ndarray, D: BitSequence, t_psi: int = 64) -> "HuffRlePsi":
         t = t_psi
-        gap = np.diff(psi)
-        # span k codes gaps k*t .. k*t + t - 1; +1 runs are cut at span starts
-        one = gap == 1
-        cont = one & np.append(False, one[:-1])
-        cont[::t] = False
-        first = np.flatnonzero(~cont)
+        starts = _blocks(D, t)[1]
+        at = np.zeros(len(psi), dtype=bool)
+        at[starts - 1] = True
+        first, last, gap = _tokens(psi, at)
         g = gap[first]
         esc = g > NSV + 1
         mag = np.where(esc, g - (NSV + 2), np.where(g <= 0, -g - 1, 0))
         k = np.frexp(mag)[1].astype(np.int64)   # bit length, exact below 2**53
         sym = np.select([g == 1, g <= 0, ~esc],
-                        [np.append(first[1:], len(gap)) - first - 1,
-                         t + NSV + ESC_CLASSES + k, t + g - 2], t + NSV + k)
+                        [last - first, t + NSV + ESC_CLASSES + k, t + g - 2], t + NSV + k)
         nraw = np.maximum(k - 1, 0)
         raw = mag & ((1 << nraw) - 1)
         counts = np.bincount(sym)
@@ -884,8 +968,9 @@ class HuffRlePsi:
         stream = _pack_msb(np.concatenate((code_of[sym], raw[has])),
                            np.concatenate((width, nraw[has])),
                            np.concatenate((start, (start + width)[has])), stream_bits)
-        ptrs = np.append(start, stream_bits)[np.searchsorted(first, np.arange(0, len(psi), t))]
-        return cls(lens_of.tobytes(), psi[::t], ptrs, stream, stream_bits, t, len(psi))
+        # a block's tokens start at the first one after its sample
+        ptrs = np.append(start, stream_bits)[np.searchsorted(first, starts - 1)]
+        return cls(lens_of.tobytes(), psi[starts - 1], ptrs, stream, stream_bits, D, t)
 
     def _peek(self, pos: int, width: int) -> int:
         """The width stream bits from bit pos on, first bit highest."""
@@ -905,14 +990,10 @@ class HuffRlePsi:
                 return self._entries[offset[ln] + idx]
         raise ValueError("corrupt Huffman stream")
 
-    def _sample(self, k: int) -> tuple[int, int, int]:
-        """(p, v, pos): position, value and stream bit offset of sample k."""
-        return 1 + k * self.t_psi, self._s[k], self._ptr[k]
-
     def access(self, i: int) -> int:
         if not 1 <= i <= self._n:
             raise _outside(i, i, self._n)
-        p, v, pos = self._sample((i - 1) // self.t_psi)
+        p, v, pos, _ = self._sample(bisect_right(self._bpos, i) - 1)
         steps = i - p
         P, table, mask, shift = self._padded, self._table, self._mask, 24 - self._k
         try:
@@ -937,24 +1018,20 @@ class HuffRlePsi:
             raise _overrun("Huffman")
         return v + steps  # a last run that overshoots leaves steps < 0
 
-    def range(self, lo: int, hi: int) -> list[int]:
-        """Decode positions lo..hi: stretch with both cuts open."""
-        return _whole(self.stretch(lo, hi, -TOP, TOP)[1], lo, hi)
-
     def access_many(self, positions) -> np.ndarray:
         """psi at each of the positions, in the order given, as int64.
-        Each span the positions touch is decoded once: by one access
+        Each block the positions touch is decoded once: by one access
         walk when it holds one asked position, else by one range call
         from the first position asked in it to the last."""
         i = checked_positions(positions, self._n)
         order = np.argsort(i, kind="stable")
         qs = i[order].tolist()
-        t = self.t_psi
+        bpos = self._bpos
         vals = []
         j = 0
         while j < len(qs):
             lo = qs[j]
-            k = bisect_right(qs, (lo - 1) // t * t + t, j)  # past lo's span
+            k = bisect_left(qs, bpos[bisect_right(bpos, lo)], j)  # past lo's block
             hi = qs[k - 1]
             if lo == hi:
                 vals += [self.access(lo)] * (k - j)
@@ -971,26 +1048,15 @@ class HuffRlePsi:
             raise ValueError("Huffman stream decodes a value past int64") from None
         return out
 
-    def stretch(self, lo: int, hi: int, x: int, y: int) -> tuple[int, list[int]]:
-        """(first, values): the first i in [lo, hi] with psi(i) >= x, or
-        hi + 1, and psi from there on while it is below y and the
-        position at most hi. Both predicates must be monotone on [lo, hi].
-        Bisects the samples inside (lo, hi] for x, then walks forward
-        once from the one before the first that passes."""
-        if lo > hi:
-            return hi + 1, []
-        if lo < 1 or hi > self._n:
-            raise _outside(lo, hi, self._n)
-        t = self.t_psi
-        k = (lo - 1) // t
-        last = (hi - 1) // t
-        stop = hi  # where the walk ends while it seeks first
-        if last > k:
-            j = bisect_left(self._s, x, k + 1, last + 1)
-            if j <= last:
-                stop = 1 + j * t
-            k = j - 1
-        p, v, pos = self._sample(k)
+    def _walk(self, b: int, lo: int, hi: int, x: int, y: int,
+              stop: int) -> tuple[int, list[int]]:
+        """stretch's forward walk from the sample that opens block b: it
+        seeks the first position from lo on whose value is at least x,
+        decoding no further than stop while it seeks, then collects the
+        values below y up to hi. A +1 run takes one step, and a block
+        start inside the walk takes its sample, once the walk's bit
+        offset is checked against the block's pointer."""
+        p, v, pos, _ = self._sample(b)
         first, out = hi + 1, []
         seek = p < lo or v < x
         if not seek:
@@ -998,41 +1064,52 @@ class HuffRlePsi:
             if v >= y:
                 return first, out
             out.append(v)
+        bpos, bval, bptr = self._bpos, self._bval, self._bptr
+        end = bpos[b + 1] - 1  # the block's last position
         P, table, mask, shift = self._padded, self._table, self._mask, 24 - self._k
         try:
             while p < stop:
-                b = pos >> 3
-                e = table[(P[b] << 16 | P[b + 1] << 8 | P[b + 2]) >> (shift - (pos & 7)) & mask]
-                if e is None:
-                    e = self._long_code(pos)
-                ln, run, delta, nraw = e
-                pos += ln
-                if nraw > 0:
-                    delta += self._peek(pos, nraw)
-                    pos += nraw
-                elif nraw:
-                    delta -= self._peek(pos, -nraw)
-                    pos -= nraw
-                elif run > 1:
-                    if run > stop - p:
-                        run = stop - p
-                    if seek:
-                        q = max(lo, p + 1, p + x - v)
-                        if q > p + run:
-                            v += run
-                            p += run
-                            continue
-                        first, seek, stop = q, False, hi
-                        run = min(delta, hi - p)  # delta is the whole run
-                    else:
-                        q = p + 1
-                    if v + run >= y:
-                        out.extend(range(v + q - p, y))
-                        break
-                    out.extend(range(v + q - p, v + run + 1))
-                    v += run
-                    p += run
-                    continue
+                if p == end:
+                    b += 1
+                    if pos != bptr[b]:
+                        raise _misaligned(b)
+                    end = bpos[b + 1] - 1
+                    delta = bval[b] - v
+                else:
+                    c = pos >> 3
+                    e = table[(P[c] << 16 | P[c + 1] << 8 | P[c + 2]) >> (shift - (pos & 7)) & mask]
+                    if e is None:
+                        e = self._long_code(pos)
+                    ln, run, delta, nraw = e
+                    pos += ln
+                    if nraw > 0:
+                        delta += self._peek(pos, nraw)
+                        pos += nraw
+                    elif nraw:
+                        delta -= self._peek(pos, -nraw)
+                        pos -= nraw
+                    elif run > 1:
+                        if run > end - p:
+                            raise ValueError("Huffman run crosses a block start")
+                        if run > stop - p:
+                            run = stop - p
+                        if seek:
+                            q = max(lo, p + 1, p + x - v)
+                            if q > p + run:
+                                v += run
+                                p += run
+                                continue
+                            first, seek, stop = q, False, hi
+                            run = min(delta, hi - p)  # delta is the whole run
+                        else:
+                            q = p + 1
+                        if v + run >= y:
+                            out.extend(range(v + q - p, y))
+                            break
+                        out.extend(range(v + q - p, v + run + 1))
+                        v += run
+                        p += run
+                        continue
                 v += delta
                 p += 1
                 if seek:
@@ -1046,27 +1123,36 @@ class HuffRlePsi:
             raise _overrun("Huffman") from None
         if pos > self._limit:
             raise _overrun("Huffman")
+        if p == end and pos != bptr[b + 1]:
+            raise _misaligned(b + 1)
         return first, out
 
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        """The code lengths, samples and pointers as uint64 tables."""
+        return (np.frombuffer(self._lengths_u8, dtype=np.uint8).astype(np.uint64),
+                np.frombuffer(self._bval, dtype=np.uint64),
+                np.frombuffer(self._bptr, dtype=np.uint64)[:-1])
+
     def size_bits(self) -> int:
-        return (self._stream_bits + 64 * (len(self._s) + len(self._ptr))
-                + 8 * len(self._lengths_u8))
+        # as the image stores them: the stream bits, and each table at its
+        # minimum width
+        return self._stream_bits + sum(len(a) * _min_width(a) for a in self._tables())
 
     def to_sections(self) -> list[bytes]:
-        stream = struct.pack("<Q", self._stream_bits) + self._stream
-        return [self._lengths_u8,
-                _u64_bytes(self._s),
-                _u64_bytes(self._ptr),
-                stream]
+        return [*map(_fixed_section, self._tables()),
+                struct.pack("<Q", self._stream_bits) + self._stream]
 
     @classmethod
-    def from_sections(cls, sections, t_psi: int, n_total: int) -> "HuffRlePsi":
-        lengths_u8, s_b, ptr_b, stream_b = sections
-        samples = np.frombuffer(s_b, dtype="<u8")
-        ptrs = np.frombuffer(ptr_b, dtype="<u8")
-        spans = -(-n_total // t_psi)
-        if len(samples) != spans or len(ptrs) != spans:
-            raise ValueError(f"Huffman codec needs {spans} samples and pointers, "
+    def from_sections(cls, sections, D: BitSequence, t_psi: int) -> "HuffRlePsi":
+        lengths_b, s_b, ptr_b, stream_b = sections
+        lengths = _read_fixed(lengths_b, "Huffman code length")
+        if len(lengths) and int(lengths.max()) > 0xFF:
+            raise ValueError("Huffman code length past 255")
+        samples = _read_fixed(s_b, "Huffman sample")
+        ptrs = _read_fixed(ptr_b, "Huffman pointer")
+        blocks = len(_blocks(D, t_psi)[1])
+        if len(samples) != blocks or len(ptrs) != blocks:
+            raise ValueError(f"Huffman codec needs {blocks} samples and pointers, "
                              f"the image holds {len(samples)} and {len(ptrs)}")
         if len(stream_b) < 8:
             raise ValueError("Huffman stream section is shorter than its header")
@@ -1078,9 +1164,10 @@ class HuffRlePsi:
             raise ValueError("Huffman stream holds bytes past its bit count")
         if stream_bits % 8 and stream[-1] & 0xFF >> stream_bits % 8:
             raise ValueError("Huffman stream sets bits past its bit count")
-        if np.any(ptrs[1:] < ptrs[:-1]) or (spans and int(ptrs[-1]) > stream_bits):
-            raise ValueError("Huffman span pointers are out of order or past the stream")
-        return cls(lengths_u8, samples, ptrs, stream, stream_bits, t_psi, n_total)
+        if np.any(ptrs[1:] < ptrs[:-1]) or (blocks and int(ptrs[-1]) > stream_bits):
+            raise ValueError("Huffman block pointers are out of order or past the stream")
+        return cls(lengths.astype(np.uint8).tobytes(), samples, ptrs, stream, stream_bits,
+                   D, t_psi)
 
 
 def encode(psi: np.ndarray, D: BitSequence, codec: str = "plain",
@@ -1094,7 +1181,7 @@ def encode(psi: np.ndarray, D: BitSequence, codec: str = "plain",
     _check_t_psi(t_psi)
     if codec == "vbyte-rle":
         return VbyteRlePsi.build(psi, D, t_psi)
-    return HuffRlePsi.build(psi, t_psi=t_psi)
+    return HuffRlePsi.build(psi, D, t_psi)
 
 
 def from_sections(tag: int, sections, D: BitSequence, t_psi: int):
@@ -1109,7 +1196,7 @@ def from_sections(tag: int, sections, D: BitSequence, t_psi: int):
     _check_t_psi(t_psi)
     if tag == 1:
         return VbyteRlePsi.from_sections(sections, D, t_psi)
-    return HuffRlePsi.from_sections(sections, t_psi, D.nbits)
+    return HuffRlePsi.from_sections(sections, D, t_psi)
 
 
 def _check_t_psi(t_psi: int) -> None:

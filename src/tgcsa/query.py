@@ -30,7 +30,8 @@ which decodes every sample block the hop touches once. The other
 queries make a handful of hops each and keep pointwise psi.access: a
 vbyte batch has a fixed cost of some 25 single accesses, and a Huffman
 batch, with little fixed cost, would share no decode, since a neighbour
-query's hops nearly all fall in distinct sample spans. Lists of positions
+query's hops nearly all fall in distinct sample blocks (on both sampled
+codecs a block opens at every group start). Lists of positions
 become terms in one array step: a position's symbol id is the number
 of D's group marks up to it (np.searchsorted on D's one-positions), and
 the term is values[id - 1] less the section's gap.

@@ -352,16 +352,16 @@ IMAGE_DIGESTS = {
     ("g5", "vbyte-rle", 1): "0dc896e3d0b36293563d9c20fad22b71aaafe44758556e7913d0de7ead1d619f",
     ("g5", "vbyte-rle", 16): "8b2f29b7b8e5005e00a54581b60b42d7f8e3b88ad2d3f3ec09e88b9fd3647a68",
     ("g5", "vbyte-rle", 64): "49044aa4e93e535d2eeb1416ceb7a96d41be88d1f19cd1eba117e3bdb0d72dc1",
-    ("g5", "huff-rle-opt", 1): "152e6a593f1a4e82683745dba8b19bfd7d9cd3f99410f977c5fe6c3d17db061f",
-    ("g5", "huff-rle-opt", 16): "df375769076e9d3ccde04574d891b29e24f6df9c0ad3e891f380825d014714ee",
-    ("g5", "huff-rle-opt", 64): "e75236b13102cb758b8281f1f07e59e2657576a91a9c911c55f24dd02577b746",
+    ("g5", "huff-rle-opt", 1): "0fac4fa0ea9e2ab45c5077af06335a8c0f049a6623b2233bcc0823f53a7efde5",
+    ("g5", "huff-rle-opt", 16): "ef480eb2998d21e59687aabe9bc2e9462b6bf70588c859db7fea6bc1e30f80fe",
+    ("g5", "huff-rle-opt", 64): "161918d3414ebb694a2baf3c9c03e2dd012681173d7f41fe747290b5ac888a9a",
     ("ba", "plain"): "1b8742a3e79279df913944d5508957e64a7eff5da126caf9a3ee60df9dc85df1",
     ("ba", "vbyte-rle", 1): "2be3fcc321f08927a47d51719ed34a5564c03f8ab19aa0a7c7d2c34d542d2da4",
     ("ba", "vbyte-rle", 16): "00c28f9dafa133520a7540b8defc995a6c70cba73c05fd534b133a86ec10f429",
     ("ba", "vbyte-rle", 64): "6533165698a399f15012f0bbd053642f77e4076117a66ded2ce9600aa8a82ec1",
-    ("ba", "huff-rle-opt", 1): "06718e4a409df6154978ab35533b9ab7a45ad81d996cf24edf358a95de855973",
-    ("ba", "huff-rle-opt", 16): "9e57d09115e9d6db48cc63a66d3282b93f83c0bc04d3920d39d32df0b2dd6d0d",
-    ("ba", "huff-rle-opt", 64): "5a9143d16e67a9223116011d4e41f374cc0f21363f870f032b4c22cea49374d9",
+    ("ba", "huff-rle-opt", 1): "cc2fc9de1ab1ddae984f28fa698a2e803e3db4a921e3ce43b73c7da468cf2746",
+    ("ba", "huff-rle-opt", 16): "07dc9c1e5e512a06247a43276d6291511eab16ddc4d818c94435d4f36803fbdc",
+    ("ba", "huff-rle-opt", 64): "a2a98b26dcfc09760d8054f330338a68d6892597b12906ea465e4ed1cfe2a316",
 }
 
 

@@ -228,15 +228,16 @@ def test_codec_names_and_tags_agree():
         assert psienc.NAMES[tag] == name
 
 
-def long_code_sequence():
+def long_code_sequence(levels=20):
     """One group whose gap pieces occur with Fibonacci frequencies, so the
     Huffman tree is a chain deeper than the decode table is wide; the
-    rarest pieces are escapes of both signs and a run."""
+    rarest pieces are escapes of both signs and a run. levels counts the
+    pieces, the last ones being literal gaps."""
     fib = [1, 1]
-    while len(fib) < 20:
+    while len(fib) < levels:
         fib.append(fib[-1] + fib[-2])
     pieces = [[-40000], [3 * psienc.NSV], [-9], [psienc.NSV + 7], [1, 1, 1]]
-    pieces += [[g] for g in range(2, 17)]
+    pieces += [[g] for g in range(2, levels - 3)]
     gaps = [p for p, f in zip(pieces, fib) for _ in range(f)]
     random.Random(5).shuffle(gaps)
     vals = np.cumsum([0] + [g for p in gaps for g in p])
@@ -246,7 +247,9 @@ def long_code_sequence():
 
 @pytest.mark.parametrize("t", (64, 256))
 def test_huffman_long_codes_and_escapes_match_plain(t):
-    psi, D = long_code_sequence()
+    # one level more than the pinned sequence: the samples every t_psi
+    # take some of its rarest gaps out of the stream
+    psi, D = long_code_sequence(21)
     n = len(psi)
     plain = psienc.encode(psi, D, codec="plain")
     enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
@@ -273,18 +276,18 @@ SECTION_DIGESTS = {
     ("crafted", "vbyte-rle", 4): "d15e099f4a9966d3c82567f3ca9fe67cf416905ef51e06dcde12dd77d1d9a405",
     ("crafted", "vbyte-rle", 64): "d75bf27b450df05db0e6ce237eb2b4a4041f299a7c8c53332a3bc5b04691e3af",
     ("crafted", "vbyte-rle", 256): "021d61888bcb0c41fc80228897cca709ba24079e29fac309a585a14b8e1c1ad2",
-    ("crafted", "huff-rle-opt", 1): "df436bf256d4bdd9778c5f14f2b78d9a22195a1dbc6f4b47c7b5c43ab202caa4",
-    ("crafted", "huff-rle-opt", 4): "2ca68b92cc0379b32578d6533bc00f97e98a570a0bf26629e0dc609ec33a2403",
-    ("crafted", "huff-rle-opt", 64): "49865001b435fddb024804318db612dd66aea413d05453e677cb4f3ead2917e3",
-    ("crafted", "huff-rle-opt", 256): "a350e0801a69e434700413ec4e5ef079533b38eb52e650d4c8c575e0b215f7ef",
+    ("crafted", "huff-rle-opt", 1): "d7db04c585e054c5e0c73c42c5a1c1de6343032346c1dd973ba2e37bdddf2329",
+    ("crafted", "huff-rle-opt", 4): "9c0b059409d5752663ca60dedd2b3a7195990b5efa2d99307ea66c9161130962",
+    ("crafted", "huff-rle-opt", 64): "bb883743f675903c2735a36f1cde1c8376e4c62b213cc2cf734a5ced53e4d848",
+    ("crafted", "huff-rle-opt", 256): "dc2e7ca3822e2eeb2d36cb3fac5c9ef14a562edfde2fa13850a8b98a2e301d76",
     ("long", "vbyte-rle", 1): "7dba50a2c77f8367b1c0b145ab6565aced4ca6ffe8f7c16778b61e61b3891423",
     ("long", "vbyte-rle", 4): "6397afdf6c327af68bc6777d35b6a5ca07e4169dc53d0c0ba04778ea5a396191",
     ("long", "vbyte-rle", 64): "197f6e99aeef1eed1488a40ae76cbdef4208d2227798e15f81847959e7e381d8",
     ("long", "vbyte-rle", 256): "76071a5f33d6312bf03acf58ca8987b18d969e963926f9e5f88c891246ecd7f2",
-    ("long", "huff-rle-opt", 1): "1789bf70d7a2c410ce66e57fc035b9d84558897176efd93da82aafcd91994d19",
-    ("long", "huff-rle-opt", 4): "86e16fdd73645116ff7d6b180f2a62128ef3d7d6dd8ec2f2efdeedfb643fbd06",
-    ("long", "huff-rle-opt", 64): "ca6c2fa107a435dcb50a99ada96186c02fdafb8368bc5302c8aca3f171634908",
-    ("long", "huff-rle-opt", 256): "412d84bf3da94fa3195b6e063a7383724fb5abd59c55e20d5f612ac4ef9aebf2",
+    ("long", "huff-rle-opt", 1): "4358c8579d2fc2ef6c4f1fe9333bd5847cde310924e610e227cb3a90581b90e0",
+    ("long", "huff-rle-opt", 4): "17d2601601a0b17ece74dbba814b772f17fb281a09ee192d2b93fc1aa9e8638e",
+    ("long", "huff-rle-opt", 64): "3a9d94da759059c1e9c786ea4d836210b8cb1ab26802238135d4e8f938807c40",
+    ("long", "huff-rle-opt", 256): "0e84fc7619b10b86bf5d3a8a7e4a12059b0d36db6e7b66a533d745d6dd819717",
 }
 
 
@@ -334,27 +337,36 @@ def loop_vbyte(psi, D, t):
     return bytes(stream), tables
 
 
-def loop_huffman(psi, t):
-    """huff-rle-opt's code lengths, stream bits and span pointers,
-    written by one loop over the spans."""
+def loop_huffman(psi, D, t):
+    """huff-rle-opt's code lengths, stream bits, block samples and block
+    pointers, written by one loop over the positions."""
     psi, nsv, esc = psi.tolist(), psienc.NSV, psienc.ESC_CLASSES
-    tokens, spans = [], []     # (symbol, raw bits as text), first token of each span
-    for p in range(1, len(psi) + 1, t):
-        spans.append(len(tokens))
-        i, end = p + 1, min(p + t, len(psi))
-        while i <= end:
-            g, r = psi[i - 1] - psi[i - 2], 1
-            if g == 1:
-                while i + r <= end and psi[i + r - 1] - psi[i + r - 2] == 1:
-                    r += 1
-                tokens.append((r - 1, ""))
-            elif 2 <= g <= nsv + 1:
-                tokens.append((t + g - 2, ""))
-            else:
-                m, base = (g - nsv - 2, t + nsv) if g > 1 else (-g - 1, t + nsv + esc)
-                k = m.bit_length()
-                tokens.append((base + k, format(m, "b")[1:]))
-            i += r
+    starts = set(D.positions().tolist())
+    tokens, samples, blocks = [], [], []   # (symbol, raw bits as text); each block's first token
+    i = 1
+    while i <= len(psi):
+        if i in starts:
+            l = i
+        if (i - l) % t == 0:
+            # a block opens at every group start and every t positions
+            # inside the group: its sample is stored, its tokens follow
+            samples.append(psi[i - 1])
+            blocks.append(len(tokens))
+            i += 1
+            continue
+        g, r = psi[i - 1] - psi[i - 2], 1
+        if g == 1:
+            while (i + r <= len(psi) and i + r not in starts and (i + r - l) % t
+                   and psi[i + r - 1] - psi[i + r - 2] == 1):
+                r += 1
+            tokens.append((r - 1, ""))
+        elif 2 <= g <= nsv + 1:
+            tokens.append((t + g - 2, ""))
+        else:
+            m, base = (g - nsv - 2, t + nsv) if g > 1 else (-g - 1, t + nsv + esc)
+            k = m.bit_length()
+            tokens.append((base + k, format(m, "b")[1:]))
+        i += r
     lengths = psienc._huff_lengths(Counter(s for s, _ in tokens))
     lengths_u8 = bytes(lengths.get(s, 0) for s in range(max(lengths, default=-1) + 1))
     syms, lens, first, _, offset = psienc._canonical_code(lengths_u8)
@@ -362,7 +374,7 @@ def loop_huffman(psi, t):
             for i, (s, ln) in enumerate(zip(syms.tolist(), lens.tolist()))}
     words = [code[s] + raw for s, raw in tokens]
     at = np.cumsum([0] + [len(w) for w in words]).tolist()
-    return lengths_u8, "".join(words), [at[k] for k in spans]
+    return lengths_u8, "".join(words), samples, [at[k] for k in blocks]
 
 
 def test_encoders_match_loop_reference():
@@ -378,31 +390,57 @@ def test_encoders_match_loop_reference():
             assert [vbyte_table(enc, name).tolist()
                     for name in ("s0", "ptr0", "s1", "ptr1", "run1")] == list(tables)
             enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
-            lengths_u8, bits, ptrs = loop_huffman(psi, t)
+            lengths_u8, bits, samples, ptrs = loop_huffman(psi, D, t)
             assert enc._lengths_u8 == lengths_u8
-            assert enc._stream_bits == len(bits) and list(enc._ptr) == ptrs
+            assert enc._stream_bits == len(bits)
+            assert huffman_tables(enc)[1:] == [samples, ptrs]
             padded = bits + "0" * (-len(bits) % 8)
             assert enc._stream == int("1" + padded, 2).to_bytes(len(padded) // 8 + 1, "big")[1:]
+
+
+def packed_section(vals, width=None, pad=False):
+    """A table section as _fixed_section writes it, at width (the table's
+    minimum when None). pad sets the bit after the last value when that
+    ends inside a byte, else a reserved byte of the header."""
+    vals = np.asarray(vals, dtype=np.uint64)
+    width = width or psienc._min_width(vals)
+    blob = bytearray(struct.pack("<QB7x", len(vals), width) + psienc._pack_fixed(vals, width))
+    used = len(vals) * width % 8
+    if pad and used:
+        blob[-1] |= 1 << used
+    elif pad:
+        blob[15] = 1
+    return bytes(blob)
 
 
 def huffman_sections(forge=lambda enc: {}):
     """The sections of the crafted sequence's huff-rle-opt encoding
     (t_psi 64) and its D. forge maps the encoding to replacement parts:
-    codebook, samples, ptrs, stream_bits or stream."""
+    codebook (the length bytes), samples or ptrs (sequences), stream_bits
+    or stream, or a whole section as bytes under codebook-section,
+    samples-section or ptrs-section."""
     psi, D = crafted_sequence()
     enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=64)
-    parts = dict(codebook=enc._lengths_u8, samples=enc._s, ptrs=enc._ptr,
+    _, samples, ptrs = enc._tables()
+    parts = dict(codebook=enc._lengths_u8, samples=samples, ptrs=ptrs,
                  stream_bits=enc._stream_bits, stream=enc._stream)
     parts.update(forge(enc))
-    return [parts["codebook"], np.asarray(parts["samples"], dtype="<u8").tobytes(),
-            np.asarray(parts["ptrs"], dtype="<u8").tobytes(),
-            struct.pack("<Q", parts["stream_bits"]) + parts["stream"]], D
+    tables = (np.frombuffer(parts["codebook"], dtype=np.uint8), parts["samples"], parts["ptrs"])
+    sections = [parts.get(f"{name}-section") or packed_section(table)
+                for name, table in zip(("codebook", "samples", "ptrs"), tables)]
+    return sections + [struct.pack("<Q", parts["stream_bits"]) + parts["stream"]], D
+
+
+def huffman_tables(enc):
+    """The encoding's code lengths, samples and pointers as lists."""
+    return [a.tolist() for a in enc._tables()]
 
 
 def test_huffman_sections_load_back():
     sections, D = huffman_sections()
     back = psienc.from_sections(psienc.TAGS["huff-rle-opt"], sections, D, 64)
     assert back.range(1, len(D)) == crafted_sequence()[0].tolist()
+    assert back.to_sections() == sections
 
 
 @pytest.mark.parametrize("forge, message", [
@@ -410,21 +448,96 @@ def test_huffman_sections_load_back():
     # a complete code whose shortest codeword goes to a symbol past the escapes
     (lambda p: dict(codebook=b"\x02\x02" + bytes(64 + psienc.NSV + 2 * psienc.ESC_CLASSES)
                     + b"\x01"), "outside the alphabet"),
-    (lambda p: dict(samples=p._s[:-1]), "samples and pointers"),
-    (lambda p: dict(ptrs=list(p._ptr) + [0]), "samples and pointers"),
+    (lambda p: dict(samples=huffman_tables(p)[1][:-1]), "samples and pointers"),
+    (lambda p: dict(ptrs=huffman_tables(p)[2] + [0]), "samples and pointers"),
     (lambda p: dict(stream_bits=8 * len(p._stream) + 1), "shorter than its bit count"),
     (lambda p: dict(stream=p._stream + b"\x00"), "bytes past its bit count"),
-    # 91 stream bits: the last byte's five low bits are padding
+    # 85 stream bits: the last byte's three low bits are padding
     (lambda p: dict(stream=p._stream[:-1] + bytes([p._stream[-1] | 1])),
      "bits past its bit count"),
-    (lambda p: dict(ptrs=p._ptr[::-1]), "out of order"),
-    (lambda p: dict(ptrs=list(p._ptr[:-1]) + [p._stream_bits + 1]), "past the stream"),
+    (lambda p: dict(ptrs=huffman_tables(p)[2][::-1]), "out of order"),
+    (lambda p: dict(ptrs=huffman_tables(p)[2][:-1] + [p._stream_bits + 1]), "past the stream"),
 ], ids=["kraft", "symbol", "samples", "ptrs", "stream-bits", "stream-byte",
         "stream-pad", "ptr-order", "ptr-end"])
 def test_huffman_load_rejects_forged_sections(forge, message):
     sections, D = huffman_sections(forge)
     with pytest.raises(ValueError, match=message):
         psienc.from_sections(psienc.TAGS["huff-rle-opt"], sections, D, 64)
+
+
+def wide(table, pad=False):
+    """A forge of one table, named by its index in _tables(), one bit
+    wider than its minimum, or at its minimum with padding bits set."""
+    def forge(enc):
+        vals = enc._tables()[table]
+        blob = packed_section(vals, psienc._min_width(vals) + (not pad), pad)
+        return {("codebook", "samples", "ptrs")[table] + "-section": blob}
+    return forge
+
+
+@pytest.mark.parametrize("forge, message", [
+    (lambda p: dict(samples=huffman_tables(p)[1][:-1], ptrs=huffman_tables(p)[2][:-1]),
+     "needs 12 samples and pointers, the image holds 11 and 11"),
+    # two pointers swapped: each still inside the stream
+    (lambda p: dict(ptrs=swap_first_rise(huffman_tables(p)[2])), "out of order"),
+    (wide(0), "Huffman code length table is not at its minimum width of 3 bits"),
+    (wide(1), "Huffman sample table is not at its minimum width of 15 bits"),
+    (wide(2), "Huffman pointer table is not at its minimum width of 6 bits"),
+    (wide(0, pad=True), "Huffman code length section sets padding bits"),
+    (wide(1, pad=True), "Huffman sample section sets padding bits"),
+    (wide(2, pad=True), "Huffman pointer section sets padding bits"),
+    (lambda p: {"samples-section": psienc._fixed_section(p._tables()[1])[:-1]},
+     "disagrees with its header"),
+    (lambda p: {"codebook-section": bytes(range(1, 8))}, "shorter than its header"),
+], ids=["block-count", "ptr-decrease", "codebook-width", "samples-width", "ptrs-width",
+        "codebook-pad", "samples-pad", "ptrs-pad", "samples-short", "codebook-header"])
+def test_huffman_load_rejects_forged_tables(forge, message):
+    sections, D = huffman_sections(forge)
+    with pytest.raises(ValueError, match=message):
+        psienc.from_sections(psienc.TAGS["huff-rle-opt"], sections, D, 64)
+
+
+def with_slack(enc, k, z):
+    """enc's sections with z zero bits inserted in the stream where block
+    k's codes begin, and the pointers of block k on moved past them."""
+    lengths, samples, ptrs = enc._tables()
+    bits = "".join(f"{b:08b}" for b in enc._stream)[:enc._stream_bits]
+    at = int(ptrs[k])
+    bits = bits[:at] + "0" * z + bits[at:]
+    ptrs = ptrs.copy()
+    ptrs[k:] += np.uint64(z)
+    padded = bits + "0" * (-len(bits) % 8)
+    stream = bytes(int(padded[j:j + 8], 2) for j in range(0, len(padded), 8))
+    return [psienc._fixed_section(lengths), psienc._fixed_section(samples),
+            psienc._fixed_section(ptrs), struct.pack("<Q", len(bits)) + stream]
+
+
+def test_huffman_walks_reject_slack_between_blocks():
+    # zero bits between two blocks' codes, with every later pointer moved
+    # to match, load; access reads each block from its own pointer and
+    # still answers, but a walk that reaches the end of the block before
+    # the slack raises ValueError, so range never disagrees with access
+    crafted = crafted_sequence()
+    graph = psi_and_d(search_graphs()[0])
+    for (psi, D), t in ((crafted, 64), (crafted, 3), (graph, 2), (graph, 64)):
+        enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
+        n = len(psi)
+        bpos = np.frombuffer(enc._bpos, dtype=np.int64)
+        opens = set(np.frombuffer(enc._open, dtype=np.int64).tolist())
+        want = psi.tolist()
+        for k in range(1, len(bpos) - 1):
+            bad = psienc.from_sections(enc.tag, with_slack(enc, k, 5), D, t)
+            assert [bad.access(i) for i in range(1, n + 1)] == want
+            l, end = bpos[k - 1], bpos[k] - 1
+            with pytest.raises(ValueError, match=f"before block {k} do not end"):
+                bad.range(1, n)
+            with pytest.raises(ValueError, match=f"before block {k} do not end"):
+                bad.range(l, end)
+            if k not in opens:
+                # a stretch inside the group that crosses the block start
+                with pytest.raises(ValueError, match=f"before block {k} do not end"):
+                    bad.stretch(l, bpos[k], -2**70, 2**70)
+            assert bad.range(bpos[k], n) == want[bpos[k] - 1:]
 
 
 def decode_calls(enc, i):
@@ -437,14 +550,19 @@ def decode_calls(enc, i):
             lambda: enc.access_many([i]), lambda: enc.access_many([i - 1, i])]
 
 
+def one_group(n):
+    """D of a Psi that is one group of n positions."""
+    return BitSequence.from_positions([1], n)
+
+
 def test_huffman_decode_stops_at_bad_codes_and_the_stream_end():
     # run symbols 0 and 1 coded 0 and 10: the prefix 11 is unassigned
-    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xff", 8, 4, 4)
+    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xff", 8, one_group(4), 4)
     for call in decode_calls(enc, 2):
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
             call()
     # eight codes 10 (runs of 2) fill the stream; a ninth token would start at its end
-    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xaa", 16, 64, 64)
+    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xaa", 16, one_group(64), 64)
     assert enc.access(17) == 17 and enc.range(1, 17) == list(range(1, 18))
     assert enc.stretch(1, 17, 18, 18)[0] == 18 and enc.access_many([16, 17]).tolist() == [16, 17]
     for call in decode_calls(enc, 18) + [lambda: enc.stretch(1, 40, 18, 18)]:
@@ -453,13 +571,13 @@ def test_huffman_decode_stops_at_bad_codes_and_the_stream_end():
     with pytest.raises(ValueError, match="outside"):
         enc.access(65)
     # six runs of 2 in 12 bits: the four zero bits after them are no codes
-    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xa0", 12, 64, 64)
+    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xa0", 12, one_group(64), 64)
     assert enc.range(1, 13) == list(range(1, 14))
     for call in decode_calls(enc, 14):
         with pytest.raises(ValueError, match="past the end"):
             call()
     # a walk of 1-bit codes runs past the zero padding behind the stream
-    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\x00", 8, 1000, 1000)
+    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\x00", 8, one_group(1000), 1000)
     assert enc.access(9) == 9
     for call in decode_calls(enc, 999):
         with pytest.raises(ValueError, match="past the end"):
@@ -469,10 +587,21 @@ def test_huffman_decode_stops_at_bad_codes_and_the_stream_end():
     t = 4
     lengths = bytearray(t + psienc.NSV + 21)
     lengths[0] = lengths[-1] = 1
-    enc = psienc.HuffRlePsi(bytes(lengths), [1], [0], b"\x20", 8, t, t)
+    enc = psienc.HuffRlePsi(bytes(lengths), [1], [0], b"\x20", 8, one_group(t), t)
     assert enc.range(1, 3) == [1, 2, 3]
     for call in decode_calls(enc, 4):
         with pytest.raises(ValueError, match="past the end"):
+            call()
+
+
+def test_huffman_walk_rejects_a_run_past_its_block():
+    # one group 1..8 at t_psi 4: blocks open at 1 and 5. Run symbols 0 and
+    # 3 (runs of 1 and 4) are coded 0 and 1; block 1's codes are one run
+    # of 4, which would step over block 2's sample at 5
+    enc = psienc.HuffRlePsi(bytes([1, 0, 0, 1]), [1, 5], [0, 1], b"\x80", 4, one_group(8), 4)
+    assert [enc.access(i) for i in range(1, 9)] == list(range(1, 9))
+    for call in (lambda: enc.range(1, 8), lambda: enc.stretch(2, 8, 1, 9)):
+        with pytest.raises(ValueError, match="run crosses a block start"):
             call()
 
 
@@ -491,6 +620,57 @@ def search_graphs():
             rows += rows[:4]
             graphs.append(ContactSet(rows, arity=3, nu=nu, tau=tau, semantics=semantics))
     return graphs
+
+
+def test_huffman_blocks_agree_with_plain():
+    # seeded random graphs at both arities with duplicate contacts, and the
+    # crafted group, at t_psi 1, 2, 3 and 64: they hold groups longer than
+    # t_psi (so samples inside groups), single-position groups, and +1
+    # runs that would cross an in-group sample if the sample did not cut
+    # them. access, access_many, range and stretch must answer as plain.
+    rng = random.Random(1601)
+    graphs = search_graphs() + [random_contactset(seed=rng.randrange(10**9), duplicates=True,
+                                                  n_edges=rng.randint(10, 30))
+                                for _ in range(3)]
+    inputs = [(cs, *psi_and_d(cs)) for cs in graphs] + [(None, *crafted_sequence())]
+    seen = Counter()
+    for cs, psi, D in inputs:
+        n = len(psi)
+        want = psi.tolist()
+        plain = psienc.encode(psi, D, codec="plain")
+        opens = D.positions().tolist()
+        groups = list(zip(opens, [l - 1 for l in opens[1:]] + [n]))
+        seen["single-position group"] += any(l == r for l, r in groups)
+        for t in (1, 2, 3, 64):
+            enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
+            inner = set(np.frombuffer(enc._bpos, dtype=np.int64)[:-1].tolist()) - set(opens)
+            seen["in-group sample"] += bool(inner)
+            seen["run across a sample"] += any(
+                p < n and p + 1 not in opens and want[p - 2] + 1 == want[p - 1] == want[p] - 1
+                for p in inner)
+            assert [enc.access(i) for i in range(1, n + 1)] == want, t
+            for ps in position_lists(D, rng):
+                assert enc.access_many(ps).tolist() == plain.access_many(ps).tolist()
+            spans = [(1, n)] + [(lo, hi) for lo in range(1, n + 1) for hi in range(lo - 1, n + 1)
+                                if rng.random() < 200 / n ** 2]
+            for lo, hi in spans:
+                assert enc.range(lo, hi) == plain.range(lo, hi), (t, lo, hi)
+            for l, r in groups:
+                if r < n:
+                    with pytest.raises(ValueError, match="crosses a group end"):
+                        enc.stretch(l, r + 1, 1, 1)
+                if cs is None or l > (cs.arity - 1) * len(cs):
+                    continue
+                # thresholds at the next section's group starts, as the queries pass them
+                section = (l - 1) // len(cs) + 1
+                xs = [x for x in opens + [n + 1]
+                      if section * len(cs) < x <= (section + 1) * len(cs) + 1]
+                for _ in range(6):
+                    x, y = sorted(rng.sample(xs, 2)) if len(xs) > 1 else (xs[0], xs[0])
+                    lo = rng.randint(l, r)
+                    hi = rng.randint(lo, r)
+                    assert enc.stretch(lo, hi, x, y) == plain.stretch(lo, hi, x, y)
+    assert min(seen.values()) > 0 and len(seen) == 3, seen
 
 
 def brute_search(psi, lo, hi, x):
@@ -790,7 +970,8 @@ def test_access_many_reads_a_shortened_block_again_in_full():
 
 def test_huffman_batch_values_past_int64_are_a_value_error():
     # the sample 2**64 - 1 fits the u64 sample table, not an int64 array
-    huff = psienc.HuffRlePsi(bytes([1, 2]), [2**64 - 1], [0], b"\xaa\xaa", 16, 64, 64)
+    huff = psienc.HuffRlePsi(bytes([1, 2]), [2**64 - 1], [0], b"\xaa\xaa", 16,
+                             one_group(64), 64)
     assert huff.access(1) == 2**64 - 1
     for call in (lambda: huff.access_many([1]), lambda: huff.range(1, 1)):
         with pytest.raises(ValueError, match="past int64"):
