@@ -34,19 +34,19 @@ blocks with its own loops.
 
 * plain: every value bit-packed at a fixed width. Fast, no compression.
 * vbyte-rle: per-group gap streams. Within a group the first value is a
-  sample; the rest are byte codes for the successive differences, with
-  maximal runs of +1 folded into a <1, length> pair, which may run on
-  across the group's later samples (a sample keeps the run steps left).
-  The image stores the two sample levels apart, and three reserved
-  sections that stay empty, since the group starts, the sample
-  positions and a sample bitmap all follow from D and t_psi. A load
-  requires the reserved sections empty, checks the table lengths
-  against the groups and samples, the samples against a bound that
-  keeps the batch decoder's sums inside int64, and the stream pointers
-  against the stream: they must not decrease from block to block, since
-  each block's codes end where the next block's begin, and the last
-  block's codes must end at the stream's last byte. Tag 2, an earlier
-  variant without the off0 and off1 slots, is retired.
+  sample (s0); the rest are byte codes for the successive differences,
+  with maximal runs of +1 folded into a <1, length> pair, which may run
+  on across the group's later samples (a sample keeps the run steps
+  left). The image stores the stream and s0 alone, s0 bit-packed as the
+  Huffman tables are, and seven reserved sections that stay empty: every
+  other sample's value, leftover run and stream offset follows from the
+  stream, given D and t_psi. Build and load both derive them in the one
+  constructor, which decodes the whole stream with the batch decoder's
+  code cut and rejects a stream whose tokens do not give every group
+  exactly its positions, a marker with no payload, a run length or
+  magnitude of 0, a code that could sum past int64, and a sample
+  outside 1 up to the bound that keeps those sums inside int64. Tag 2,
+  an earlier variant without the off0 and off1 slots, is retired.
 * huff-rle-opt: Huffman-codes run lengths, small literal gaps, and
   escape classes for everything else into a single bitstream, which
   codes only the positions between samples: +1 runs are cut at every
@@ -69,12 +69,13 @@ Byte codes use 7-bit little-endian groups with the high bit set on the
 final byte only, so 5 encodes as 0x85 and 135 as 0x07 0x81. vbyte_codes
 writes a whole array of them at once; the pointwise vbyte decoders read
 each gap code inline, and only run lengths and escaped magnitudes go
-through vbyte_decode, while access_many decodes whole blocks of codes
-with numpy. Both sampled codecs encode with array operations over all
-of Psi, with no Python loop per group, block or token. Gaps inside a
-group are never zero (the permutation has no repeats) but can be
-negative when duplicate contacts or the end-section remap invert the
-order; those are written as an escaped 0 followed by the magnitude.
+through vbyte_decode, while access_many and the vbyte constructor cut
+and read codes with numpy, in one function. Both sampled codecs encode
+with array operations over all of Psi, with no Python loop per group,
+block or token. Gaps inside a group are never zero (the permutation
+has no repeats) but can be negative when duplicate contacts or the
+end-section remap invert the order; those are written as an escaped 0
+followed by the magnitude.
 """
 
 from __future__ import annotations
@@ -130,21 +131,18 @@ def vbyte_decode(buf, pos: int = 0) -> tuple[int, int]:
 
 
 def _pack_fixed(vals: np.ndarray, width: int) -> bytes:
-    """Pack vals (already reduced to fit) into width-bit little-endian slots."""
-    if len(vals) == 0:
-        return b""
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = ((vals[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits.ravel(), bitorder="little").tobytes()
+    """Pack vals (already reduced to fit) into width-bit little-endian
+    slots, through each value's eight bytes."""
+    bits = np.unpackbits(np.asarray(vals, dtype="<u8").view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
+    return np.packbits(bits[:, :width], bitorder="little").tobytes()
 
 
 def _unpack_fixed(payload: bytes, count: int, width: int) -> np.ndarray:
-    if count == 0:
-        return np.zeros(0, dtype=np.uint64)
-    raw = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
-                        count=count * width, bitorder="little")
-    shifts = np.arange(width, dtype=np.uint64)
-    return (raw.reshape(count, width).astype(np.uint64) << shifts).sum(axis=1)
+    bits = np.zeros((count, 64), dtype=np.uint8)
+    bits[:, :width] = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
+                                    count=count * width, bitorder="little").reshape(count, width)
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").ravel()
 
 
 def _min_width(vals) -> int:
@@ -180,10 +178,6 @@ def _u64_array(a) -> array:
     """A u64 table as an array("Q"): indexing and bisect see Python ints,
     with no numpy scalar boxed per read."""
     return array("Q", np.asarray(a, dtype=np.uint64).tobytes())
-
-
-def _u64_bytes(a) -> bytes:
-    return np.asarray(a, dtype="<u8").tobytes()
 
 
 def _outside(lo: int, hi: int, n: int) -> ValueError:
@@ -341,7 +335,7 @@ class _SampledPsi:
         c = self._D.rank1(lo)
         while lo <= hi:
             g = self._open[c - 1]
-            stop = min(hi, self._D.select1(c + 1) - 1) if c < len(self._open) else hi
+            stop = min(hi, self._bpos[self._open[c]] - 1) if c < len(self._open) else hi
             b = g + (lo - self._bpos[g]) // self.t_psi
             out += self._walk(b, lo, stop, -TOP, TOP, stop)[1]
             lo = stop + 1
@@ -365,7 +359,7 @@ class _SampledPsi:
         if lo < 1 or hi > self._n:
             raise _outside(lo, hi, self._n)
         c = self._D.rank1(lo)
-        if c < len(self._open) and hi >= self._D.select1(c + 1):
+        if c < len(self._open) and hi >= self._bpos[self._open[c]]:
             raise ValueError(f"Psi stretch {lo}..{hi} crosses a group end")
         g = self._open[c - 1]
         l = self._bpos[g]
@@ -382,67 +376,136 @@ class _SampledPsi:
 
 
 class VbyteRlePsi(_SampledPsi):
-    """Gap-coded groups with run folding and two sample levels.
+    """Gap-coded groups with run folding over the sample blocks of _SampledPsi.
 
-    First level, one sample per group: the opening value (s0) and the
-    byte offset of the group's codes (ptr0). Second level, one sample at
-    every position l + j*t_psi inside a group that opens at l: the value
-    there (s1), the byte offset just past the code that covers it (ptr1),
-    and, when that code is a run pair, how many +1 steps of the run
-    remain (run1). The codec holds both levels as one table of blocks
-    (_SampledPsi), with no leftover run steps at a group start. access
-    decodes in one loop; stretch and range share one walk, _walk, which
-    reads a group's codes straight across its level-two samples. The
-    image's sections are the stream, s0, ptr0, off0, s1, ptr1, run1, off1
-    and D1; off0, off1 and D1 are reserved and always empty, since the
-    group starts, the sample positions and a bitmap of them all follow
-    from D and t_psi.
+    Each group opens with its value (s0); the stream then holds one token
+    per gap or maximal +1 run of the group's later positions, and a
+    group's tokens end where the next group's begin. A block opens at
+    every group start l and at every l + j*t_psi inside the group; its
+    sample holds the value there, the stream offset just past the token
+    that covers it, and, when that token is a <1, length> pair, how many
+    +1 steps of the run remain. access decodes in one loop; stretch and
+    range share one walk, _walk, which reads a group's codes straight
+    across its samples.
+
+    The constructor takes the stream and s0 alone, and build and load
+    both go through it. It cuts the whole stream with _codes, the code
+    cut access_many shares, and sums the tokens' steps: the samples fall
+    where those sums reach each block's position, which gives every
+    block's token, leftover run and offset, and the summed value changes
+    give its value. It rejects a stream whose tokens do not give every
+    group exactly its positions (so no run crosses a group end, and no
+    code is missing or left over), a last code that does not end at the
+    stream's last byte, a marker with no payload, a run length or
+    magnitude of 0, and a sample outside 1.._bound. No pointer is
+    stored, so slack in the stream cannot make a walk disagree with
+    access. The image's sections are the stream, s0 bit-packed at its
+    minimum width (_fixed_section), and seven reserved sections that stay
+    empty: the slots of the tables the stream determines, kept so that
+    every image has nine Psi sections.
 
     build cuts the gaps into tokens in one pass (_tokens: a +1 run opens
-    at a group start or after any other gap), writes every token's codes
-    with vbyte_codes, and reads ptr0, ptr1 and run1 off the token end
-    offsets with searchsorted at the group starts and at the sample
-    positions that _samples gives, the same function a load derives them
-    from.
+    at a group start or after any other gap) and writes every token's
+    codes with vbyte_codes.
     """
 
     name = "vbyte-rle"
     tag = 1
     range = _SampledPsi.range  # in the class itself, as access is
 
-    def __init__(self, stream: bytes, s0, ptr0, s1, ptr1, run1,
-                 D: BitSequence, t_psi: int):
+    def __init__(self, stream: bytes, s0, D: BitSequence, t_psi: int):
         self._stream = bytes(stream)
-        self._bytes = np.frombuffer(self._stream, dtype=np.uint8)
-        # access_many rejects any code above this before it sums them, so
-        # no sum over the stream's codes wraps int64
-        self._bound = INT64_MAX // (len(self._stream) + 2)
+        self._bytes = buf = np.frombuffer(self._stream, dtype=np.uint8)
+        # _codes rejects any code above this before the codes are summed,
+        # so no sum over the stream's codes wraps int64
+        self._bound = bound = INT64_MAX // (len(buf) + 2)
+        self._wmax = -(-bound.bit_length() // 7)          # the widest code up to bound
+        if len(s0) != D.ones:
+            raise ValueError(f"vbyte codec needs {D.ones} group samples, "
+                             f"the image holds {len(s0)}")
+        if len(buf) and buf[-1] < 0x80:
+            raise _overrun()
+        ends, _, marker, _, steps, delta = self._codes(buf, buf >= 0x80, [0], bound)
+        if len(marker) and marker[-1] == len(ends) - 1:
+            raise ValueError("vbyte marker at the end of the stream has no payload")
+        tok = np.ones(len(ends), dtype=bool)
+        tok[marker] = False                                # every other code ends a token
+        if np.any(delta[tok] == 0):
+            raise ValueError("vbyte run length or magnitude of 0")
+        # at every token end: the steps so far, and the sum of the value changes
+        C = np.append(0, steps[tok].cumsum())
+        V = np.append(0, delta[tok].cumsum())
+        if C[-1] != D.nbits - D.ones:
+            raise ValueError(f"vbyte stream codes {C[-1]} steps, "
+                             f"the groups hold {D.nbits - D.ones}")
         opens, starts = _blocks(D, t_psi)
+        groups = opens.cumsum()                            # each block's group, from 1
+        S = starts - groups                                # the steps before each sample
+        k = np.searchsorted(C, S)                          # the token at or over each sample
+        if np.any(C[k[opens]] != S[opens]):
+            raise ValueError("vbyte run crosses a group end")
+        rem = C[k] - S
+        s0 = np.asarray(s0, dtype=np.uint64).astype(np.int64)
+        val = (s0 - V[k[opens]])[groups - 1] + V[k] - rem
+        # samples up to bound keep access_many's sums in int64 (a sample
+        # past it may be past int64 too, which would read as negative)
+        if len(val) and (val.min() < 1 or val.max() > bound):
+            raise ValueError(f"vbyte sample outside 1..{bound}")
+        self._set_blocks(D, t_psi, opens, starts, val, rem,
+                         np.append(0, ends[tok] + 1)[k], len(buf))
 
-        def blocks(first, rest):
-            out = np.zeros(len(opens), dtype=np.uint64)
-            out[opens], out[~opens] = first, rest
-            return out
+    def _codes(self, buf: np.ndarray, term: np.ndarray, at,
+               clip: int) -> tuple[np.ndarray, ...]:
+        """Cut buf into its codes and read them. A code ends at every byte
+        term marks, and each part of buf begins at an offset in at, on a
+        token boundary, so in a maximal run of 0/1-valued codes inside a
+        part markers and payloads alternate, and a code after a marker is
+        its payload.
 
-        self._set_blocks(D, t_psi, opens, starts, blocks(s0, s1), blocks(0, run1),
-                         blocks(ptr0, ptr1), len(self._stream))
+        Returns (ends, fc, marker, ones, steps, delta): each code's last
+        byte, each part's first code, the markers, the payloads of <1, L>
+        pairs, and each code's steps and value change: none for a marker,
+        L clipped to clip for both, one step down by the magnitude for a
+        <0, m> pair's payload, and one step by its value for any other
+        code. A code wider than any up to _bound, or above it, raises
+        ValueError before anything is summed.
+        """
+        ends = np.flatnonzero(term)
+        m = len(ends)
+        width = ends + 1
+        width[1:] -= ends[:-1] + 1
+        if m and width.max() > self._wmax:
+            raise ValueError(f"vbyte code wider than {self._wmax} bytes")
+        starts = ends - width + 1
+        val = (buf[starts] & 0x7F).astype(np.int64)
+        for k in range(1, int(width.max()) if m else 0):
+            has = np.flatnonzero(width > k)
+            val[has] |= (buf[starts[has] + k] & 0x7F).astype(np.int64) << 7 * k
+        if m and val.max() > self._bound:
+            raise ValueError(f"vbyte code above {self._bound}")
+        fc = np.searchsorted(ends, at)
+        opens = np.zeros(m + 1, dtype=bool)
+        opens[fc] = True
+        opens[m] = True
+        small = np.flatnonzero(val <= 1)
+        j = np.arange(len(small))
+        run = np.ones(len(small), dtype=bool)       # a run of 0/1 codes starts
+        np.not_equal(small[1:], small[:-1] + 1, out=run[1:])
+        run |= opens[small]
+        marker = small[(j - np.maximum.accumulate(np.where(run, j, 0))) & 1 == 0]
+        pay = marker[~opens[marker + 1]] + 1
+        ones = pay[val[pay - 1] == 1]
+        esc = pay[val[pay - 1] == 0]
+        steps = np.ones(m, dtype=np.int64)
+        steps[marker] = val[marker] = 0
+        steps[ones] = val[ones] = np.minimum(val[ones], clip)
+        val[esc] *= -1
+        return ends, fc, marker, ones, steps, val
 
     @classmethod
     def build(cls, psi: np.ndarray, D: BitSequence, t_psi: int) -> "VbyteRlePsi":
         starts = D.positions() - 1
-        opens = np.zeros(len(psi), dtype=bool)
-        opens[starts] = True
-        first, last, gap = _tokens(psi, opens)
-        g = gap[first]
-        # <g>, <1, run length> or <0, magnitude>
-        pair = np.column_stack((np.maximum(g, 0), np.where(g == 1, last - first + 1, -g)))
-        two = g <= 1
-        stream, ends = vbyte_codes(pair[np.column_stack((np.ones_like(two), two))])
-        tok_end = ends[np.cumsum(1 + two) - 1]
-        ptr0 = np.append(0, tok_end)[np.searchsorted(first, starts)]
-        at = _samples(D, t_psi)[1] - 1
-        k = np.searchsorted(first, at, side="right") - 1
-        return cls(stream, psi[starts], ptr0, psi[at], tok_end[k], last[k] - at, D, t_psi)
+        return cls(_vbyte_stream(psi, starts), psi[starts], D, t_psi)
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self._n:
@@ -486,12 +549,9 @@ class VbyteRlePsi(_SampledPsi):
 
         The positions are mapped to their sample blocks, and each block
         they touch is decoded once with array operations, up to the
-        furthest position asked in it. Terminator bits give the code
-        boundaries. Codes start at a token boundary in every block, so in
-        a maximal run of 0/1-valued codes markers and payloads alternate,
-        and a code after a marker is its payload: a <1, L> pair is L +1
-        steps (clipped to t_psi, as is a sample's leading run), a <0, m>
-        pair one step down by m, any other code one step by its value.
+        furthest position asked in it: _codes cuts the blocks' bytes
+        into codes and reads each code's steps and value change, with a
+        <1, L> pair's L clipped to t_psi, as is a sample's leading run.
         Every position is then read off the blocks' cumulative steps and
         values with one searchsorted.
 
@@ -499,7 +559,7 @@ class VbyteRlePsi(_SampledPsi):
         the furthest position, plus a margin; a block that falls short
         is read again in full.
         """
-        t, bound = self.t_psi, self._bound
+        t = self.t_psi
         i = checked_positions(positions, self._n)
         out = np.empty(len(i), dtype=np.int64)
         if not len(i):
@@ -517,8 +577,7 @@ class VbyteRlePsi(_SampledPsi):
         v0, rem = bval[blk], np.minimum(brem[blk], t)
         a, full = bptr[blk], bptr[blk + 1]
         size = bpos[blk + 1] - bpos[blk]
-        wmax = -(-bound.bit_length() // 7)              # the widest code up to bound
-        stop = np.minimum(full, a + (full - a) * (far + 1) // size + 2 * wmax)
+        stop = np.minimum(full, a + (full - a) * (far + 1) // size + 2 * self._wmax)
         H = (rem + 1).cumsum()    # sample and leading-run steps of the blocks so far
         while True:
             lens = stop - a
@@ -526,44 +585,13 @@ class VbyteRlePsi(_SampledPsi):
             buf = self._bytes[np.arange(int(lens.sum())) + np.repeat(a - at, lens)]
             term = buf >= 0x80
             term[(at + lens - 1)[lens > 0]] = True      # no code runs into the next block
-            ends = np.flatnonzero(term)
+            ends, fc, _, ones, steps, delta = self._codes(buf, term, at, t)
             m = len(ends)
-            width = ends + 1
-            width[1:] -= ends[:-1] + 1
-            fc = np.searchsorted(ends, at)              # each block's first code
-            fcn = np.append(fc[1:], m)                  # and the first after it
+            fcn = np.append(fc[1:], m)                  # each block's first code after it
             # the last code of a shortened block may be cut short: it
             # counts for nothing (a cut code is never wider or larger
-            # than the whole one, so the checks below still hold)
+            # than the whole one, so _codes' checks still hold)
             cut = fcn[(stop < full) & (lens > 0)] - 1
-            # a code above bound is rejected before it is summed, so no
-            # sum below wraps
-            if m and width.max() > wmax:
-                raise ValueError(f"vbyte code wider than {wmax} bytes")
-            starts = ends - width + 1
-            val = (buf[starts] & 0x7F).astype(np.int64)
-            for k in range(1, int(width.max()) if m else 0):
-                has = np.flatnonzero(width > k)
-                val[has] |= (buf[starts[has] + k] & 0x7F).astype(np.int64) << 7 * k
-            if m and val.max() > bound:
-                raise ValueError(f"vbyte code above {bound}")
-            opens = np.zeros(m + 1, dtype=bool)
-            opens[fc] = True
-            opens[m] = True
-            small = np.flatnonzero(val <= 1)
-            j = np.arange(len(small))
-            run = np.ones(len(small), dtype=bool)       # a run of 0/1 codes starts
-            np.not_equal(small[1:], small[:-1] + 1, out=run[1:])
-            run |= opens[small]
-            marker = small[(j - np.maximum.accumulate(np.where(run, j, 0))) & 1 == 0]
-            pay = marker[~opens[marker + 1]] + 1
-            steps = np.ones(m, dtype=np.int64)
-            delta = val.copy()
-            steps[marker] = delta[marker] = 0
-            ones = pay[val[pay - 1] == 1]
-            steps[ones] = delta[ones] = np.minimum(val[ones], t)
-            esc = pay[val[pay - 1] == 0]
-            delta[esc] = -val[esc]
             steps[cut] = delta[cut] = 0
             isrun = np.zeros(m, dtype=bool)
             isrun[ones] = True
@@ -660,96 +688,50 @@ class VbyteRlePsi(_SampledPsi):
             raise _overrun() from None
         return first, out
 
+    def _s0(self) -> np.ndarray:
+        """The group samples: the one table the image stores."""
+        opens = np.frombuffer(self._open, dtype=np.int64)
+        return np.frombuffer(self._bval, dtype=np.uint64)[opens]
+
     def size_bits(self) -> int:
-        # as the image stores them: s0 and ptr0 per group; s1, ptr1 and
-        # run1 per level-two sample
-        groups = self._D.ones
-        return 8 * len(self._stream) + 64 * (2 * groups + 3 * (len(self._bval) - groups))
+        # as the image stores them: the stream, and s0 at its minimum width
+        s0 = self._s0()
+        return 8 * len(self._stream) + len(s0) * _min_width(s0)
 
     def to_sections(self) -> list[bytes]:
-        _, val, rem, ptr = self._columns()
-        opens = np.zeros(len(val), dtype=bool)
-        opens[np.frombuffer(self._open, dtype=np.int64)] = True
-        ptr = ptr[:-1]
-        return [self._stream, _u64_bytes(val[opens]), _u64_bytes(ptr[opens]), b"",
-                *(_u64_bytes(a[~opens]) for a in (val, ptr, rem)), b"", b""]
+        return [self._stream, _fixed_section(self._s0())] + [b""] * 7
 
     @classmethod
     def from_sections(cls, sections, D: BitSequence, t_psi: int) -> "VbyteRlePsi":
-        stream, s0, ptr0, off0, s1, ptr1, run1, off1, d1 = sections
-        if off0 or off1 or d1:
-            raise ValueError("vbyte codec's reserved sections off0, off1 and D1 "
-                             "must be empty")
-        s0, ptr0, s1, ptr1, run1 = (np.frombuffer(b, dtype="<u8")
-                                    for b in (s0, ptr0, s1, ptr1, run1))
-        if len(s0) != D.ones or len(ptr0) != D.ones:
-            raise ValueError(f"vbyte codec needs {D.ones} group samples and pointers, "
-                             f"the image holds {len(s0)} and {len(ptr0)}")
-        nsamples = len(_samples(D, t_psi)[1])
-        if not len(s1) == len(ptr1) == len(run1) == nsamples:
-            raise ValueError(f"vbyte codec needs {nsamples} samples, pointers and run "
-                             f"lengths, the image holds {len(s1)}, {len(ptr1)} and {len(run1)}")
-        if any(len(a) and int(a.max()) > len(stream) for a in (ptr0, ptr1)):
-            raise ValueError("vbyte stream pointer past the end of the stream")
-        psi = cls(stream, s0, ptr0, s1, ptr1, run1, D, t_psi)
-        # samples up to the codes' bound keep access_many's sums in int64
-        # (a sample past it may be past int64 too, which would read as
-        # negative); a run length of n or more runs out of Psi
-        if any(len(a) and (int(a.min()) < 1 or int(a.max()) > psi._bound) for a in (s0, s1)):
-            raise ValueError(f"vbyte sample outside 1..{psi._bound}")
-        if len(run1) and int(run1.max()) >= D.nbits:
-            raise ValueError("vbyte sample run length past the end of Psi")
-        # each block's codes end where the next block's begin
-        if np.any(np.diff(psi._columns()[3]) < 0):
-            raise ValueError("vbyte stream pointers decrease along the stream")
-        if psi._last_codes_end() < len(stream):
-            raise ValueError("vbyte stream holds bytes past its last code")
-        return psi
-
-    def _last_codes_end(self) -> int:
-        """The stream offset just past the last block's codes. Codes that
-        run past the stream's end give its length: decoding rejects them."""
-        if not self._n:
-            return 0
-        p, _, pos, rem = self._sample(len(self._bval) - 1)
-        p += rem
-        stream = self._stream
-        try:
-            while p < self._n:
-                g, pos = vbyte_decode(stream, pos)
-                if g <= 1:
-                    m, pos = vbyte_decode(stream, pos)
-                    p += m if g else 1
-                else:
-                    p += 1
-        except IndexError:
-            return len(stream)
-        return pos
-
-
-def _samples(D: BitSequence, t_psi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(before, positions) of the level-two samples.
-
-    before holds, per group, how many samples the groups before it hold;
-    positions lists where every sample sits: l + j*t_psi for every group
-    start l and 1 <= j <= (group length - 1) // t_psi.
-    """
-    starts = D.positions()
-    counts = (np.append(starts[1:], D.nbits + 1) - starts - 1) // t_psi
-    before = np.cumsum(counts) - counts
-    j = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(before, counts) + 1
-    return before, np.repeat(starts, counts) + j * t_psi
+        stream, s0, *reserved = sections
+        if any(reserved):
+            raise ValueError("vbyte codec's reserved sections 3 to 9 must be empty")
+        return cls(stream, _read_fixed(s0, "vbyte group sample"), D, t_psi)
 
 
 def _blocks(D: BitSequence, t_psi: int) -> tuple[np.ndarray, np.ndarray]:
     """(opens, starts) of the sample blocks, in position order: whether
-    each block opens a group, and the position its sample sits at."""
-    before, at = _samples(D, t_psi)
-    opens = np.zeros(len(before) + len(at), dtype=bool)
-    opens[np.arange(len(before)) + before] = True
-    starts = np.empty(len(opens), dtype=np.int64)
-    starts[opens], starts[~opens] = D.positions(), at
-    return opens, starts
+    each block opens a group, and the position its sample sits at, l +
+    j*t_psi for every group start l and 0 <= j <= (group length - 1) //
+    t_psi."""
+    starts = D.positions()
+    counts = (np.append(starts[1:], D.nbits + 1) - starts - 1) // t_psi + 1
+    before = np.cumsum(counts) - counts
+    j = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(before, counts)
+    return j == 0, np.repeat(starts, counts) + j * t_psi
+
+
+def _vbyte_stream(psi: np.ndarray, starts: np.ndarray) -> bytes:
+    """The vbyte codec's stream: psi's gaps cut into tokens at the group
+    starts (0-based), each token's codes written with vbyte_codes."""
+    opens = np.zeros(len(psi), dtype=bool)
+    opens[starts] = True
+    first, last, gap = _tokens(psi, opens)
+    g = gap[first]
+    # <g>, <1, run length> or <0, magnitude>
+    pair = np.column_stack((np.maximum(g, 0), np.where(g == 1, last - first + 1, -g)))
+    two = g <= 1
+    return vbyte_codes(pair[np.column_stack((np.ones_like(two), two))])[0]
 
 
 def _tokens(psi: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, ...]:

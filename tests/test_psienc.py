@@ -272,18 +272,18 @@ def test_huffman_long_codes_and_escapes_match_plain(t):
 # sequences, every section prefixed by its u64 length. These cover
 # escapes of both signs, descents and codes longer than the decode table.
 SECTION_DIGESTS = {
-    ("crafted", "vbyte-rle", 1): "1d877fcee09e0349e5cf0b2bde1a5f6727f96c10180262b46279048159ebbd62",
-    ("crafted", "vbyte-rle", 4): "d15e099f4a9966d3c82567f3ca9fe67cf416905ef51e06dcde12dd77d1d9a405",
-    ("crafted", "vbyte-rle", 64): "d75bf27b450df05db0e6ce237eb2b4a4041f299a7c8c53332a3bc5b04691e3af",
-    ("crafted", "vbyte-rle", 256): "021d61888bcb0c41fc80228897cca709ba24079e29fac309a585a14b8e1c1ad2",
+    ("crafted", "vbyte-rle", 1): "2d6a7144f083149ec679283c10a8b462ac820d45ab54c6b47b2869835cfc0b84",
+    ("crafted", "vbyte-rle", 4): "2d6a7144f083149ec679283c10a8b462ac820d45ab54c6b47b2869835cfc0b84",
+    ("crafted", "vbyte-rle", 64): "2d6a7144f083149ec679283c10a8b462ac820d45ab54c6b47b2869835cfc0b84",
+    ("crafted", "vbyte-rle", 256): "2d6a7144f083149ec679283c10a8b462ac820d45ab54c6b47b2869835cfc0b84",
     ("crafted", "huff-rle-opt", 1): "d7db04c585e054c5e0c73c42c5a1c1de6343032346c1dd973ba2e37bdddf2329",
     ("crafted", "huff-rle-opt", 4): "9c0b059409d5752663ca60dedd2b3a7195990b5efa2d99307ea66c9161130962",
     ("crafted", "huff-rle-opt", 64): "bb883743f675903c2735a36f1cde1c8376e4c62b213cc2cf734a5ced53e4d848",
     ("crafted", "huff-rle-opt", 256): "dc2e7ca3822e2eeb2d36cb3fac5c9ef14a562edfde2fa13850a8b98a2e301d76",
-    ("long", "vbyte-rle", 1): "7dba50a2c77f8367b1c0b145ab6565aced4ca6ffe8f7c16778b61e61b3891423",
-    ("long", "vbyte-rle", 4): "6397afdf6c327af68bc6777d35b6a5ca07e4169dc53d0c0ba04778ea5a396191",
-    ("long", "vbyte-rle", 64): "197f6e99aeef1eed1488a40ae76cbdef4208d2227798e15f81847959e7e381d8",
-    ("long", "vbyte-rle", 256): "76071a5f33d6312bf03acf58ca8987b18d969e963926f9e5f88c891246ecd7f2",
+    ("long", "vbyte-rle", 1): "e00194cb57fb4f217e3d6a1506d712a2531d1a00c36a51c9003fc8e10a1a329c",
+    ("long", "vbyte-rle", 4): "e00194cb57fb4f217e3d6a1506d712a2531d1a00c36a51c9003fc8e10a1a329c",
+    ("long", "vbyte-rle", 64): "e00194cb57fb4f217e3d6a1506d712a2531d1a00c36a51c9003fc8e10a1a329c",
+    ("long", "vbyte-rle", 256): "e00194cb57fb4f217e3d6a1506d712a2531d1a00c36a51c9003fc8e10a1a329c",
     ("long", "huff-rle-opt", 1): "4358c8579d2fc2ef6c4f1fe9333bd5847cde310924e610e227cb3a90581b90e0",
     ("long", "huff-rle-opt", 4): "17d2601601a0b17ece74dbba814b772f17fb281a09ee192d2b93fc1aa9e8638e",
     ("long", "huff-rle-opt", 64): "3a9d94da759059c1e9c786ea4d836210b8cb1ab26802238135d4e8f938807c40",
@@ -379,7 +379,9 @@ def loop_huffman(psi, D, t):
 
 def test_encoders_match_loop_reference():
     # random graphs with duplicate contacts, at both arities, and the
-    # crafted sequences, against loops that write one token at a time
+    # crafted sequences, against loops that write one token at a time;
+    # the vbyte tables are the ones the constructor derives from the
+    # stream, and a load derives them again from the image
     inputs = [psi_and_d(cs) for cs in search_graphs()] + [crafted_sequence(),
                                                          long_code_sequence()]
     for psi, D in inputs:
@@ -389,6 +391,8 @@ def test_encoders_match_loop_reference():
             assert enc._stream == stream
             assert [vbyte_table(enc, name).tolist()
                     for name in ("s0", "ptr0", "s1", "ptr1", "run1")] == list(tables)
+            back = psienc.from_sections(enc.tag, enc.to_sections(), D, t)
+            assert all(np.array_equal(a, b) for a, b in zip(back._columns(), enc._columns()))
             enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
             lengths_u8, bits, samples, ptrs = loop_huffman(psi, D, t)
             assert enc._lengths_u8 == lengths_u8
@@ -744,6 +748,29 @@ def test_positions_outside_psi_raise_value_error(codec):
             call()
 
 
+@pytest.mark.parametrize("codec", CODECS)
+def test_range_finds_group_ends_in_the_block_table(codec, monkeypatch):
+    # a range over many groups, and a stretch in each, take every group's
+    # end from the block table: none selects on D
+    psi, D = psi_and_d(search_graphs()[0])
+    n = len(psi)
+    enc = psienc.encode(psi, D, codec=codec, t_psi=2)
+    calls = Counter()
+    select1 = BitSequence.select1
+
+    def counted(self, k):
+        calls[self is D] += 1
+        return select1(self, k)
+
+    monkeypatch.setattr(BitSequence, "select1", counted)
+    assert D.ones > 10
+    assert enc.range(1, n) == psi.tolist()
+    bounds = D.positions().tolist() + [n + 1]
+    for l, nxt in zip(bounds, bounds[1:]):
+        assert enc.stretch(l, nxt - 1, -2**70, 2**70) == (l, psi[l - 1:nxt - 1].tolist())
+    assert calls[True] == 0
+
+
 @pytest.mark.parametrize("codec", ("vbyte-rle",))
 def test_vbyte_search_stays_inside_one_group(codec):
     # G5's first group is positions 1..2; its samples say nothing of position 3
@@ -754,27 +781,32 @@ def test_vbyte_search_stays_inside_one_group(codec):
         enc.stretch(1, 3, 8, 8)
 
 
-VBYTE_SECTIONS = ("stream", "s0", "ptr0", "reserved-off0", "s1", "ptr1", "run1",
-                  "reserved-off1", "reserved-D1")
+VBYTE_SECTIONS = ("stream", "s0") + tuple(f"reserved-{k}" for k in range(3, 10))
 
 
 def vbyte_sections(forge=lambda enc: {}):
     """The vbyte-rle sections of the crafted sequence (t_psi 64) and its
     D. forge maps the encoding to replacement parts, named as in
-    VBYTE_SECTIONS: bytes as they are, a u64 table as a sequence."""
+    VBYTE_SECTIONS: bytes as they are, s0 as a sequence, packed."""
     psi, D = crafted_sequence()
     enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=64)
     sections = enc.to_sections()
     for name, part in forge(enc).items():
         if not isinstance(part, bytes):
-            part = np.asarray(part, dtype="<u8").tobytes()
+            part = packed_section(part)
         sections[VBYTE_SECTIONS.index(name)] = part
     return sections, D
 
 
 def vbyte_table(enc, name):
-    """The encoding's u64 table of that name, read from its section."""
-    return np.frombuffer(enc.to_sections()[VBYTE_SECTIONS.index(name)], dtype="<u8")
+    """The encoding's table of that name, s0, ptr0, s1, ptr1 or run1, read
+    from its block table: s0 and ptr0 at the blocks that open a group,
+    s1, ptr1 and run1 at the others."""
+    _, val, rem, ptr = enc._columns()
+    opens = np.zeros(len(val), dtype=bool)
+    opens[np.frombuffer(enc._open, dtype=np.int64)] = True
+    table = {"s": val, "ptr": ptr[:-1], "run": rem}[name[:-1]]
+    return table[opens] if name.endswith("0") else table[~opens]
 
 
 def sample_positions(enc):
@@ -811,23 +843,45 @@ def swap_first_rise(a):
     return a
 
 
+def old_table(name, table):
+    """A forge that puts table(t, p), for the encoding p's table t of that
+    name (ptr0, s1, ptr1 or run1), into the slot where images of the
+    older layout stored it as u64 words."""
+    slot = {"ptr0": "reserved-3", "s1": "reserved-5", "ptr1": "reserved-6", "run1": "reserved-7"}
+    return lambda p: {slot[name]: np.asarray(table(list(vbyte_table(p, name)), p),
+                                             dtype="<u8").tobytes()}
+
+
+def top_sample_past_bound(p):
+    """s0 raised so that the largest level-two sample is one past _bound."""
+    s0, s1 = int(vbyte_table(p, "s0")[0]), int(vbyte_table(p, "s1").max())
+    return dict(s0=[p._bound - (s1 - s0) + 1])
+
+
 @pytest.mark.parametrize("forge, message", [
-    (lambda p: dict(s0=list(vbyte_table(p, "s0")) + [1]), "group samples and pointers"),
-    (lambda p: dict(s1=vbyte_table(p, "s1")[:-1]), "samples, pointers and run lengths"),
-    (lambda p: dict(run1=list(vbyte_table(p, "run1")) + [0]), "samples, pointers and run lengths"),
+    (lambda p: dict(s0=list(vbyte_table(p, "s0")) + [1]),
+     "needs 1 group samples, the image holds 2"),
+    # each table a load once read and checked now has no slot: the stream
+    # gives it, so the old slot must stay empty, whatever it would hold
+    (old_table("s1", lambda t, p: t[:-1]), "reserved sections"),
+    (old_table("run1", lambda t, p: t + [0]), "reserved sections"),
     # the sample bitmap that images of the older layout hold in D1's slot
-    (lambda p: {"reserved-D1": BitSequence.from_positions(sample_positions(p),
-                                                         len(p)).serialize()},
+    (lambda p: {"reserved-9": BitSequence.from_positions(sample_positions(p),
+                                                        len(p)).serialize()},
      "reserved sections"),
-    (lambda p: dict(ptr1=list(vbyte_table(p, "ptr1")[:-1]) + [len(p._stream) + 1]), "past the end"),
-    (lambda p: dict(ptr0=[len(p._stream) + 1]), "past the end"),
+    (old_table("ptr1", lambda t, p: t[:-1] + [len(p._stream) + 1]), "reserved sections"),
+    (old_table("ptr0", lambda t, p: [len(p._stream) + 1]), "reserved sections"),
     # two sample pointers swapped: each still inside the stream
-    (lambda p: dict(ptr1=swap_first_rise(vbyte_table(p, "ptr1"))), "decrease along the stream"),
-    (lambda p: dict(s1=[0] + list(vbyte_table(p, "s1")[1:])), "sample outside"),
+    (old_table("ptr1", lambda t, p: swap_first_rise(t)), "reserved sections"),
+    # the samples a load derives are checked as the stored ones were
+    (top_sample_past_bound, "sample outside"),
     (lambda p: dict(s0=[2**63] + list(vbyte_table(p, "s0")[1:])), "sample outside"),
-    (lambda p: dict(run1=[len(p)] + list(vbyte_table(p, "run1")[1:])), "run length past"),
+    # the first run, 700 steps, made 2**40 steps long
+    (lambda p: dict(stream=psienc.vbyte_codes([1, 2**40])[0]
+                    + p._stream[len(psienc.vbyte_codes([1, 700])[0]):]),
+     f"codes {2**40 - 700 + 757} steps, the groups hold 757"),
     # two whole codes after the last block's codes: they would never decode
-    (lambda p: dict(stream=p._stream + b"\x85\x85"), "past its last code"),
+    (lambda p: dict(stream=p._stream + b"\x85\x85"), "codes 759 steps, the groups hold 757"),
 ], ids=["s0", "s1", "run1", "D1", "ptr1", "ptr0", "ptr1-order", "s1-value", "s0-value",
         "run1-value", "stream-slack"])
 def test_vbyte_load_rejects_forged_sections(forge, message):
@@ -842,16 +896,82 @@ def test_vbyte_decode_stops_at_the_stream_end():
     assert back.range(1, len(D)) == crafted_sequence()[0].tolist()
     with pytest.raises(ValueError, match="sections"):
         psienc.from_sections(psienc.TAGS["vbyte-rle"], sections[:-1], D, 64)
-    # cut the stream just past its last sample pointer: every pointer
-    # still fits, but the codes after it are gone
+    # cut the stream just past its last sample pointer, or inside the
+    # three-byte code of the gap 20000: a load, which decodes every code,
+    # rejects either stream, so no walk can reach the cut
     cut = int(vbyte_table(back, "ptr1").max())
-    sections[0] = sections[0][:cut]
-    short = psienc.from_sections(psienc.TAGS["vbyte-rle"], sections, D, 64)
-    n = len(D)
-    for call in (lambda: short.access(n), lambda: short.range(1, n),
-                 lambda: short.stretch(n - 1, n, n + 1, n + 1)):
-        with pytest.raises(ValueError, match="past the end of the stream"):
-            call()
+    wide = back._stream.index(psienc.vbyte_codes([20000])[0])
+    for stream, message in ((sections[0][:cut], "codes 743 steps, the groups hold 757"),
+                            (sections[0][:wide + 1], "past the end of the stream")):
+        with pytest.raises(ValueError, match=message):
+            psienc.from_sections(psienc.TAGS["vbyte-rle"], [stream] + sections[1:], D, 64)
+
+
+def vbyte_image(stream, s0, D, t_psi):
+    """Load a vbyte-rle image of that stream and s0."""
+    sections = [bytes(stream), packed_section(s0)] + [b""] * 7
+    return psienc.from_sections(psienc.TAGS["vbyte-rle"], sections, D, t_psi)
+
+
+def codes(*values):
+    return psienc.vbyte_codes(values)[0]
+
+
+def test_vbyte_load_derives_the_table_of_any_valid_stream():
+    # an empty index, groups of one position and a group that opens with
+    # a run across its samples all load, and answer from the derived table
+    assert vbyte_image(b"", [], BitSequence.from_positions([], 0), 4).range(1, 0) == []
+    singles = vbyte_image(b"", [3, 1, 2], BitSequence.from_positions([1, 2, 3], 3), 1)
+    assert singles.range(1, 3) == [3, 1, 2] and singles.access_many([2, 3]).tolist() == [1, 2]
+    # groups 1..2 and 3..9: 5, 7 and 2, 3, ..., 8 at t_psi 2
+    D = BitSequence.from_positions([1, 3], 9)
+    enc = vbyte_image(codes(2, 1, 6), [5, 2], D, 2)
+    assert enc.range(1, 9) == [5, 7, 2, 3, 4, 5, 6, 7, 8]
+    assert [vbyte_table(enc, name).tolist() for name in ("s0", "ptr0", "s1", "ptr1", "run1")] \
+        == [[5, 2], [0, 1], [4, 6, 8], [3, 3, 3], [4, 2, 0]]
+    for stream in (codes(2), codes(2, 1, 6, 2)):
+        with pytest.raises(ValueError, match="steps, the groups hold 7"):
+            vbyte_image(stream, [5, 2], D, 2)
+    with pytest.raises(ValueError, match="codes 1 steps, the groups hold 0"):
+        vbyte_image(codes(2), [3, 1, 2], BitSequence.from_positions([1, 2, 3], 3), 1)
+
+
+@pytest.mark.parametrize("stream, s0, starts, message", [
+    # one group 1..3: a whole code too many, or one too few
+    (codes(2, 2, 2), [1], [1], "codes 3 steps, the groups hold 2"),
+    (codes(2), [1], [1], "codes 1 steps, the groups hold 2"),
+    # the last code cut after its first byte
+    (codes(2, 300)[:-1], [1], [1], "past the end of the stream"),
+    # groups 1..3 and 4..6: a run of 3 from position 2 runs into the next group
+    (codes(1, 3, 2), [1, 7], [1, 4], "run crosses a group end"),
+    # a marker, 1 or 0, as the stream's last code
+    (codes(2, 1), [1], [1], "marker at the end of the stream has no payload"),
+    (codes(2, 0), [1], [1], "marker at the end of the stream has no payload"),
+    # a run of no steps, or an escape down by 0
+    (codes(1, 0, 2, 2), [1], [1], "run length or magnitude of 0"),
+    (codes(0, 0, 2), [1], [1], "run length or magnitude of 0"),
+    # at t_psi 1 every position is a sample: 1 - 5, or two past the bound
+    (codes(0, 5, 9), [1], [1], "sample outside"),
+    (codes(2, 2), [psienc.INT64_MAX // 4], [1], "sample outside"),
+], ids=["extra-code", "missing-code", "cut-code", "run-across-groups", "trailing-run-marker",
+        "trailing-escape-marker", "zero-run", "zero-magnitude", "sample-below-1",
+        "sample-past-bound"])
+def test_vbyte_load_rejects_streams_that_break_the_structure(stream, s0, starts, message):
+    D = BitSequence.from_positions(starts, 3 * len(starts))
+    with pytest.raises(ValueError, match=message):
+        vbyte_image(stream, s0, D, 1)
+
+
+def test_vbyte_load_rejects_slack_between_blocks():
+    # two whole codes inserted where a level-two block's codes begin: the
+    # walks once read them as two gaps of 5, while access, which started
+    # at the stored pointers, did not (the crafted sequence at t_psi 64
+    # once gave 14 wrong values from range(1, n) so)
+    sections, D = vbyte_sections()
+    enc = psienc.from_sections(psienc.TAGS["vbyte-rle"], sections, D, 64)
+    for at in vbyte_table(enc, "ptr1").tolist():
+        with pytest.raises(ValueError, match="codes 759 steps, the groups hold 757"):
+            vbyte_image(enc._stream[:at] + b"\x85\x85" + enc._stream[at:], [enc.access(1)], D, 64)
 
 
 def access_many_inputs():
@@ -904,52 +1024,46 @@ def test_access_many_matches_access(codec):
                     enc.access_many(bad)
 
 
-def one_run_codec(n, t_psi, run, run1=None):
-    """A vbyte codec over one group 1, 2, ..., n stored as the sample 1
-    and one <1, run> pair; run1 replaces the samples' run lengths."""
-    D = BitSequence.from_positions([1], n)
-    stream = psienc.vbyte_codes([1, run])[0]
-    k = (n - 1) // t_psi
-    s1 = [1 + j * t_psi for j in range(1, k + 1)]
-    return psienc.VbyteRlePsi(stream, [1], [0], s1, [len(stream)] * k,
-                              run1 if run1 is not None else [n - p for p in s1],
-                              D, t_psi)
+def one_run_image(n, t_psi, run):
+    """A loaded vbyte-rle image of one group 1, 2, ..., n, stored as the
+    sample 1 and one <1, run> pair."""
+    return vbyte_image(codes(1, run), [1], BitSequence.from_positions([1], n), t_psi)
 
 
 def test_forged_run_lengths_allocate_nothing_in_proportion():
-    # a <1, 2**40> pair and sample run lengths of 2**40: every batch
-    # block clips them to t_psi
+    # a <1, 2**40> pair: the load, which sums every run's steps, rejects
+    # it without allocating in proportion to the run
     n, big = 300, 2**40
-    one_run_codec(n, 64, n - 1).access_many(np.arange(1, n + 1))  # numpy's first-call set-up
+    enc = one_run_image(n, 64, n - 1)  # also numpy's first-call set-up
+    assert enc.access_many(np.arange(1, n + 1)).tolist() == list(range(1, n + 1))
+    assert enc.access_many(list(range(n, 0, -1))).tolist() == list(range(n, 0, -1))
+    assert enc.range(1, n) == list(range(1, n + 1))
     tracemalloc.start()
     try:
-        enc = one_run_codec(n, 64, big, run1=[big] * 4)
-        got = enc.access_many(np.arange(1, n + 1))
-        got_list = enc.access_many(list(range(n, 0, -1)))
+        with pytest.raises(ValueError, match=f"codes {big} steps, the groups hold {n - 1}"):
+            one_run_image(n, 64, big)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got.tolist() == list(range(1, n + 1))
-    assert got_list.tolist() == list(range(n, 0, -1))
-    assert enc.range(1, n) == list(range(1, n + 1))
     assert peak < 1 << 20
 
 
 def test_access_many_rejects_codes_that_could_wrap_int64():
-    # one group 1, 2: the gap after the sample is a ten-byte code, or a
-    # nine-byte code above what the stream's codes may sum to
+    # one group 1, 2: the gap after the sample is a ten-byte code (2**63,
+    # so psi(2) would be 2**63 + 1), or a nine-byte code above what the
+    # stream's codes may sum to. A load cuts every code with the batch
+    # decoder's checks, so neither image loads and no decoder sums them;
+    # the largest code allowed loads and decodes
     D = BitSequence.from_positions([1], 2)
     bound = psienc.INT64_MAX // 11
     for stream, message in ((bytes(9) + b"\x81", "wider than 9 bytes"),
                             (psienc.vbyte_codes([bound + 1])[0], "above")):
         assert len(stream) == 9 or message.startswith("wider")
-        enc = psienc.VbyteRlePsi(stream, [1], [0], [], [], [], D, 64)
-        assert enc.access(1) == 1
         with pytest.raises(ValueError, match=f"vbyte code {message}"):
-            enc.access_many([2, 1])
-    # the ten-byte code is 2**63, so psi(2) = 2**63 + 1: range turns it away
-    with pytest.raises(ValueError, match="past int64"):
-        psienc.VbyteRlePsi(bytes(9) + b"\x81", [1], [0], [], [], [], D, 64).range(1, 2)
+            vbyte_image(stream, [1], D, 64)
+    enc = vbyte_image(psienc.vbyte_codes([bound])[0], [1], D, 64)
+    assert enc._bound == bound
+    assert enc.access_many([2, 1]).tolist() == [1 + bound, 1] == enc.range(1, 2)[::-1]
 
 
 def test_access_many_reads_a_shortened_block_again_in_full():

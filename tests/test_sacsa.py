@@ -13,7 +13,7 @@ import pytest
 
 from tgcsa.bitseq import BitSequence
 from tgcsa.corpus import AlphabetMap, ContactSet, build_sid
-from tgcsa.psienc import VbyteRlePsi
+from tgcsa.psienc import ESC_CLASSES, NSV, HuffRlePsi
 from tgcsa.sacsa import (TgcsaIndex, build_d, build_index,
                          build_rotation_array, compute_psi, cyclic_adjust,
                          verify_core)
@@ -161,18 +161,31 @@ def test_verify_core_catches_tampering(g5):
     assert verify_core(idx) != []
 
 
+def escape_codec(escape_class, count, D):
+    """A Huffman codec (t_psi 64) over one group: the sample 1, then count
+    escapes of one class (0-63 up, 64-127 down), each with every raw bit
+    set, the only symbol in the code."""
+    lengths = bytearray(64 + NSV + 2 * ESC_CLASSES)
+    lengths[64 + NSV + escape_class] = 1
+    bits = ("0" + "1" * (escape_class % ESC_CLASSES - 1)) * count
+    padded = bits + "0" * (-len(bits) % 8)
+    stream = int("1" + padded, 2).to_bytes(len(padded) // 8 + 1, "big")[1:]
+    return HuffRlePsi(bytes(lengths), [1], [0], stream, len(bits), D, 64)
+
+
 def test_verify_core_turns_away_psi_values_outside_int64():
-    # one contact, so Psi has three positions, given here as one vbyte
-    # group: the sample 1, then an escaped negative gap of 2**63 + 2 and a
-    # gap of 2 (values below -2**63, which range returns as they are), or
-    # a ten-byte gap of 2**63 (a value past 2**63, which range refuses)
+    # one contact, so Psi has three positions, given here as one Huffman
+    # group: the sample 1, then two escapes down by 2**63 each (values
+    # below -2**63, which range returns as they are), or one escape up by
+    # 2**63 + NSV + 1 (a value past 2**63, which range refuses). A vbyte
+    # load rejects any code that could sum past int64.
     idx = build_index(ContactSet([(1, 2, 1)], arity=3, nu=2, tau=1))
     D = BitSequence.from_positions([1], 3)
-    below = b"\x80" + b"\x02" + bytes(8) + b"\x81" + b"\x82"
-    idx.psi = VbyteRlePsi(below, [1], [0], [], [], [], D, 64)
-    assert idx.psi.range(1, 3) == [1, -2**63 - 1, -2**63 + 1]
+    idx.psi = escape_codec(ESC_CLASSES + 63, 2, D)
+    assert idx.psi.range(1, 3) == [1, 1 - 2**63, 1 - 2**64]
     assert verify_core(idx) == ["psi is not a permutation of [1, arity*n]"]
-    idx.psi = VbyteRlePsi(bytes(9) + b"\x81\x82", [1], [0], [], [], [], D, 64)
+    idx.psi = escape_codec(63, 1, D)
+    assert idx.psi.access(2) == 2**63 + NSV + 2
     with pytest.raises(ValueError, match="past int64"):
         verify_core(idx)
 
