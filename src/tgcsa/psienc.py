@@ -37,9 +37,10 @@ blocks with its own loops.
   sample (s0); the rest are byte codes for the successive differences,
   with maximal runs of +1 folded into a <1, length> pair, which may run
   on across the group's later samples (a sample keeps the run steps
-  left). The image stores the stream and s0 alone, s0 bit-packed as the
-  Huffman tables are, and seven reserved sections that stay empty: every
-  other sample's value, leftover run and stream offset follows from the
+  left). The image stores s0 and the stream alone, in one section: s0
+  bit-packed as the Huffman tables are, then the stream; the codec's
+  eight other sections are reserved and stay empty. Every other
+  sample's value, leftover run and stream offset follows from the
   stream, given D and t_psi. Build and load both derive them in the one
   constructor, which decodes the whole stream with the batch decoder's
   code cut and rejects a stream whose tokens do not give every group
@@ -399,10 +400,12 @@ class VbyteRlePsi(_SampledPsi):
     stream's last byte, a marker with no payload, a run length or
     magnitude of 0, and a sample outside 1.._bound. No pointer is
     stored, so slack in the stream cannot make a walk disagree with
-    access. The image's sections are the stream, s0 bit-packed at its
-    minimum width (_fixed_section), and seven reserved sections that stay
-    empty: the slots of the tables the stream determines, kept so that
-    every image has nine Psi sections.
+    access. The image's first Psi section holds s0, bit-packed at its
+    minimum width (_fixed_section), and then the stream; one section
+    rather than two, since every section is padded to a word. The other
+    eight sections are reserved and stay empty: the slots of the tables
+    the stream determines, kept so that every image has nine Psi
+    sections.
 
     build cuts the gaps into tokens in one pass (_tokens: a +1 run opens
     at a group start or after any other gap) and writes every token's
@@ -694,19 +697,22 @@ class VbyteRlePsi(_SampledPsi):
         return np.frombuffer(self._bval, dtype=np.uint64)[opens]
 
     def size_bits(self) -> int:
-        # as the image stores them: the stream, and s0 at its minimum width
+        # as the image stores them: s0 at its minimum width, and the stream
         s0 = self._s0()
         return 8 * len(self._stream) + len(s0) * _min_width(s0)
 
     def to_sections(self) -> list[bytes]:
-        return [self._stream, _fixed_section(self._s0())] + [b""] * 7
+        return [_fixed_section(self._s0()) + self._stream] + [b""] * 8
 
     @classmethod
     def from_sections(cls, sections, D: BitSequence, t_psi: int) -> "VbyteRlePsi":
-        stream, s0, *reserved = sections
+        blob, *reserved = sections
         if any(reserved):
-            raise ValueError("vbyte codec's reserved sections 3 to 9 must be empty")
-        return cls(stream, _read_fixed(s0, "vbyte group sample"), D, t_psi)
+            raise ValueError("vbyte codec's reserved sections 2 to 9 must be empty")
+        # the s0 table's header gives its length; the stream is the rest
+        count, width = struct.unpack_from("<QB", blob) if len(blob) >= 16 else (0, 0)
+        end = 16 + (count * width + 7) // 8
+        return cls(blob[end:], _read_fixed(blob[:end], "vbyte group sample"), D, t_psi)
 
 
 def _blocks(D: BitSequence, t_psi: int) -> tuple[np.ndarray, np.ndarray]:

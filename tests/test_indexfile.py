@@ -173,20 +173,20 @@ def vbyte_sections(t_psi=1):
 
 
 def test_vbyte_reserved_sections_must_be_empty():
-    # the seven slots after the stream and s0 stay, empty, because
+    # the eight slots after s0 and the stream stay, empty, because
     # perfbench/space.py maps an image's sections to components by position
     head, sections = vbyte_sections()
-    assert len(sections) == 11   # B, D, stream, s0, then 7 reserved
-    assert sections[2] and sections[3] and sections[4:] == [b""] * 7
+    assert len(sections) == 11   # B, D, s0 then the stream, then 8 reserved
+    assert sections[2] and sections[3:] == [b""] * 8
     # D1 as images of an older layout hold it: the bitmap of the samples
     # (at t_psi 1, every position that opens no group)
     D = deserialize_index(_emit(head, sections)).D
     samples = [p for p in range(1, D.nbits + 1) if not D.access(p)]
-    for slot, part in [(k, b"\x00") for k in range(4, 11)] + \
+    for slot, part in [(k, b"\x00") for k in range(3, 11)] + \
             [(10, BitSequence.from_positions(samples, D.nbits).serialize())]:
         forged = list(sections)
         forged[slot] = part
-        with pytest.raises(ValueError, match="reserved sections 3 to 9 must be empty"):
+        with pytest.raises(ValueError, match="reserved sections 2 to 9 must be empty"):
             deserialize_index(_emit(head, forged))
 
 
@@ -203,7 +203,7 @@ def test_vbyte_offset_tables_must_match_their_bitmaps():
         for at in range(-1, len(table)):
             forged = list(sections)
             forged[slot] = table if at < 0 else byte_at(table, at, table[at] ^ 0xFF)
-            with pytest.raises(ValueError, match="reserved sections 3 to 9 must be empty"):
+            with pytest.raises(ValueError, match="reserved sections 2 to 9 must be empty"):
                 deserialize_index(_emit(head, forged))
 
 
@@ -334,7 +334,7 @@ def test_corrupted_edgelog_queries_raise_only_value_error():
     query_corrupted_images(blob, 600, "corrupt-edgelog")
 
 
-@pytest.mark.parametrize("at, byte", [(2689, 0), (2831, 0), (2531, 255)])
+@pytest.mark.parametrize("at, byte", [(433, 0), (575, 0), (2763, 255)])
 def test_corrupted_vbyte_sample_is_a_value_error_not_an_overflow(at, byte):
     # single-byte edits of the small-BA vbyte image (t_psi 16) that set a
     # stored group sample to 0, or a stream code that a level-two sample
@@ -350,16 +350,16 @@ def test_corrupted_vbyte_sample_is_a_value_error_not_an_overflow(at, byte):
 # ignores t_psi. A change to any of these is a change of image format.
 IMAGE_DIGESTS = {
     ("g5", "plain"): "297955470a4a3304a1bae502f87462ae3395ac3002141e67dea7edf93c42d246",
-    ("g5", "vbyte-rle", 1): "425511359da8d3c688537143385c52b95aae724c347ca78b1fa1c76d9d1b5ba9",
-    ("g5", "vbyte-rle", 16): "a16b0ee42df10110548cac2cfc412a643dfc950ce2d32f0b437ccba432a09600",
-    ("g5", "vbyte-rle", 64): "68b7e3ecf43f37f46675bd7b3b9fe5d892c46f3655eea9cb887e826df5f3c51f",
+    ("g5", "vbyte-rle", 1): "1a0b2de812cfee455e0fc6d31bc865f4f70202fdd67774cd438c3fa95fca254b",
+    ("g5", "vbyte-rle", 16): "79823836ed495ff5f905328fb242065a9cf900606159e1746ae924e016f95a61",
+    ("g5", "vbyte-rle", 64): "9f61892bd52c8224ce1ff78009e418a6872a05da677f44e56e8492e777d74384",
     ("g5", "huff-rle-opt", 1): "0fac4fa0ea9e2ab45c5077af06335a8c0f049a6623b2233bcc0823f53a7efde5",
     ("g5", "huff-rle-opt", 16): "ef480eb2998d21e59687aabe9bc2e9462b6bf70588c859db7fea6bc1e30f80fe",
     ("g5", "huff-rle-opt", 64): "161918d3414ebb694a2baf3c9c03e2dd012681173d7f41fe747290b5ac888a9a",
     ("ba", "plain"): "1b8742a3e79279df913944d5508957e64a7eff5da126caf9a3ee60df9dc85df1",
-    ("ba", "vbyte-rle", 1): "5084c39e8c7535967b68e11acf8ac11e8d20a440c903cfd51f3e784de7922e01",
-    ("ba", "vbyte-rle", 16): "bb645e8a6457b0feb49dc289f056577f9eed7443ba670809dc0b443371477404",
-    ("ba", "vbyte-rle", 64): "6312e880f46e21cec1ce4a12e25617218b3853a7ac238c83922705c55c1cf591",
+    ("ba", "vbyte-rle", 1): "6ab9c4b04f1300af53b2d845bcc2bd879eea4a0734a460b31f3dfa1ecb51cea4",
+    ("ba", "vbyte-rle", 16): "c4328d606510b55dd802b862a5815eba3b3649a1fe5b8a597069ba54df55ced8",
+    ("ba", "vbyte-rle", 64): "4bc336ca91bc5d3bf3dfa04a07b0a7f617c4676d79e3d730e9d9ff8277e1ee05",
     ("ba", "huff-rle-opt", 1): "cc2fc9de1ab1ddae984f28fa698a2e803e3db4a921e3ce43b73c7da468cf2746",
     ("ba", "huff-rle-opt", 16): "07dc9c1e5e512a06247a43276d6291511eab16ddc4d818c94435d4f36803fbdc",
     ("ba", "huff-rle-opt", 64): "a2a98b26dcfc09760d8054f330338a68d6892597b12906ea465e4ed1cfe2a316",
@@ -391,4 +391,4 @@ def test_arity3_image_bytes_are_pinned():
     cs = ContactSet(rows, arity=3, tau=6, semantics="incremental")
     blob = serialize_index(build_index(cs, codec="vbyte-rle", t_psi=2))
     assert hashlib.sha256(blob).hexdigest() == \
-        "e735e5846510e843ad9d5713129e08c65048d4199a058c8e39ad52d515bfbe1e"
+        "058aad9ca1a11e5f514a914df3a00a41f0afa7dc962b260bf271c6aeda02d977"

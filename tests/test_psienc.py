@@ -272,18 +272,18 @@ def test_huffman_long_codes_and_escapes_match_plain(t):
 # sequences, every section prefixed by its u64 length. These cover
 # escapes of both signs, descents and codes longer than the decode table.
 SECTION_DIGESTS = {
-    ("crafted", "vbyte-rle", 1): "2d6a7144f083149ec679283c10a8b462ac820d45ab54c6b47b2869835cfc0b84",
-    ("crafted", "vbyte-rle", 4): "2d6a7144f083149ec679283c10a8b462ac820d45ab54c6b47b2869835cfc0b84",
-    ("crafted", "vbyte-rle", 64): "2d6a7144f083149ec679283c10a8b462ac820d45ab54c6b47b2869835cfc0b84",
-    ("crafted", "vbyte-rle", 256): "2d6a7144f083149ec679283c10a8b462ac820d45ab54c6b47b2869835cfc0b84",
+    ("crafted", "vbyte-rle", 1): "64e90d797e72dae1cfd835ae84c1e4b6993802ff198cef1e427e97db82d55f4c",
+    ("crafted", "vbyte-rle", 4): "64e90d797e72dae1cfd835ae84c1e4b6993802ff198cef1e427e97db82d55f4c",
+    ("crafted", "vbyte-rle", 64): "64e90d797e72dae1cfd835ae84c1e4b6993802ff198cef1e427e97db82d55f4c",
+    ("crafted", "vbyte-rle", 256): "64e90d797e72dae1cfd835ae84c1e4b6993802ff198cef1e427e97db82d55f4c",
     ("crafted", "huff-rle-opt", 1): "d7db04c585e054c5e0c73c42c5a1c1de6343032346c1dd973ba2e37bdddf2329",
     ("crafted", "huff-rle-opt", 4): "9c0b059409d5752663ca60dedd2b3a7195990b5efa2d99307ea66c9161130962",
     ("crafted", "huff-rle-opt", 64): "bb883743f675903c2735a36f1cde1c8376e4c62b213cc2cf734a5ced53e4d848",
     ("crafted", "huff-rle-opt", 256): "dc2e7ca3822e2eeb2d36cb3fac5c9ef14a562edfde2fa13850a8b98a2e301d76",
-    ("long", "vbyte-rle", 1): "e00194cb57fb4f217e3d6a1506d712a2531d1a00c36a51c9003fc8e10a1a329c",
-    ("long", "vbyte-rle", 4): "e00194cb57fb4f217e3d6a1506d712a2531d1a00c36a51c9003fc8e10a1a329c",
-    ("long", "vbyte-rle", 64): "e00194cb57fb4f217e3d6a1506d712a2531d1a00c36a51c9003fc8e10a1a329c",
-    ("long", "vbyte-rle", 256): "e00194cb57fb4f217e3d6a1506d712a2531d1a00c36a51c9003fc8e10a1a329c",
+    ("long", "vbyte-rle", 1): "97ddd70c4b69da54c3ab5fdce1d9cda7631e9e17337f62e073faef864042db12",
+    ("long", "vbyte-rle", 4): "97ddd70c4b69da54c3ab5fdce1d9cda7631e9e17337f62e073faef864042db12",
+    ("long", "vbyte-rle", 64): "97ddd70c4b69da54c3ab5fdce1d9cda7631e9e17337f62e073faef864042db12",
+    ("long", "vbyte-rle", 256): "97ddd70c4b69da54c3ab5fdce1d9cda7631e9e17337f62e073faef864042db12",
     ("long", "huff-rle-opt", 1): "4358c8579d2fc2ef6c4f1fe9333bd5847cde310924e610e227cb3a90581b90e0",
     ("long", "huff-rle-opt", 4): "17d2601601a0b17ece74dbba814b772f17fb281a09ee192d2b93fc1aa9e8638e",
     ("long", "huff-rle-opt", 64): "3a9d94da759059c1e9c786ea4d836210b8cb1ab26802238135d4e8f938807c40",
@@ -781,20 +781,18 @@ def test_vbyte_search_stays_inside_one_group(codec):
         enc.stretch(1, 3, 8, 8)
 
 
-VBYTE_SECTIONS = ("stream", "s0") + tuple(f"reserved-{k}" for k in range(3, 10))
-
-
 def vbyte_sections(forge=lambda enc: {}):
     """The vbyte-rle sections of the crafted sequence (t_psi 64) and its
-    D. forge maps the encoding to replacement parts, named as in
-    VBYTE_SECTIONS: bytes as they are, s0 as a sequence, packed."""
+    D. forge maps the encoding to replacement parts: s0 and the stream,
+    which share the first section (s0 as a sequence, packed), or the
+    reserved sections reserved-2 to reserved-9, as bytes."""
     psi, D = crafted_sequence()
     enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=64)
-    sections = enc.to_sections()
-    for name, part in forge(enc).items():
-        if not isinstance(part, bytes):
-            part = packed_section(part)
-        sections[VBYTE_SECTIONS.index(name)] = part
+    parts = dict(s0=enc._s0(), stream=enc._stream)
+    parts.update(forge(enc))
+    sections = [packed_section(parts.pop("s0")) + parts.pop("stream")]
+    sections += [parts.pop(f"reserved-{k}", b"") for k in range(2, 10)]
+    assert not parts
     return sections, D
 
 
@@ -901,15 +899,33 @@ def test_vbyte_decode_stops_at_the_stream_end():
     # rejects either stream, so no walk can reach the cut
     cut = int(vbyte_table(back, "ptr1").max())
     wide = back._stream.index(psienc.vbyte_codes([20000])[0])
-    for stream, message in ((sections[0][:cut], "codes 743 steps, the groups hold 757"),
-                            (sections[0][:wide + 1], "past the end of the stream")):
+    for stream, message in ((back._stream[:cut], "codes 743 steps, the groups hold 757"),
+                            (back._stream[:wide + 1], "past the end of the stream")):
+        cut_sections, _ = vbyte_sections(lambda p: dict(stream=stream))
         with pytest.raises(ValueError, match=message):
-            psienc.from_sections(psienc.TAGS["vbyte-rle"], [stream] + sections[1:], D, 64)
+            psienc.from_sections(psienc.TAGS["vbyte-rle"], cut_sections, D, 64)
+
+
+def test_vbyte_first_section_holds_s0_then_the_stream():
+    sections, D = vbyte_sections()
+    enc = psienc.from_sections(psienc.TAGS["vbyte-rle"], sections, D, 64)
+    assert sections[0] == packed_section([enc.access(1)]) + enc._stream
+    # the s0 table's header says where the stream begins: a section shorter
+    # than that header, a header that claims more values than the section
+    # holds or a width of 0, and no sample for the one group are rejected
+    for first, message in ((b"", "shorter than its header"),
+                           (packed_section([1])[:15], "shorter than its header"),
+                           (struct.pack("<QB7x", 2**60, 1) + enc._stream, "payload disagrees"),
+                           (struct.pack("<QB7x", 1, 0) + enc._stream, "payload disagrees"),
+                           (packed_section([]) + enc._stream, "needs 1 group samples, the "
+                                                              "image holds 0")):
+        with pytest.raises(ValueError, match=message):
+            psienc.from_sections(psienc.TAGS["vbyte-rle"], [first] + sections[1:], D, 64)
 
 
 def vbyte_image(stream, s0, D, t_psi):
     """Load a vbyte-rle image of that stream and s0."""
-    sections = [bytes(stream), packed_section(s0)] + [b""] * 7
+    sections = [packed_section(s0) + bytes(stream)] + [b""] * 8
     return psienc.from_sections(psienc.TAGS["vbyte-rle"], sections, D, t_psi)
 
 

@@ -388,7 +388,8 @@ def test_out_of_range_values_end_in_value_error_at_the_caller(g5):
     # and the window queries and verify_core turn them away as positions
     idx = build_index(g5, codec="vbyte-rle", t_psi=64)
     sections = idx.psi.to_sections()
-    sections[0] = b"\xff" + sections[0][1:]
+    stream = idx.psi._stream   # it follows s0 in the first section
+    sections[0] = sections[0][:-len(stream)] + b"\xff" + stream[1:]
     psi = psienc.from_sections(idx.psi.tag, sections, idx.D, 64)
     bad = TgcsaIndex(idx.am, idx.D, psi, idx.n, idx.semantics)
     vals = psi.range(1, 20)
