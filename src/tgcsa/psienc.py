@@ -27,23 +27,23 @@ is checked there, so a corrupted image still ends in ValueError.
 The two sampled codecs share one block layout (_SampledPsi): a block
 opens at every group start and every t_psi positions inside a group,
 where D and t_psi alone say, and its sample holds the value there and
-the stream offset of the block's codes. access finds a position's block
-with one bisect; stretch bisects the group's samples for x; range walks
-each group from the block that holds lo. Each codec decodes inside its
-blocks with its own loops.
+the stream offset of the block's codes. Both follow one run rule: no +1
+run goes on past a sample, so every block's codes begin on a token.
+access finds a position's block with one bisect; stretch bisects the
+group's samples for x; range walks each group from the block that holds
+lo. Each codec decodes inside its blocks with its own loops.
 
 * plain: every value bit-packed at a fixed width. Fast, no compression.
 * vbyte-rle: per-group gap streams. Within a group the first value is a
   sample (s0); the rest are byte codes for the successive differences,
-  with maximal runs of +1 folded into a <1, length> pair, which may run
-  on across the group's later samples (a sample keeps the run steps
-  left). The image stores s0 and the stream alone, in one section: s0
-  bit-packed as the Huffman tables are, then the stream; the codec's
-  eight other sections are reserved and stay empty. Every other
-  sample's value, leftover run and stream offset follows from the
-  stream, given D and t_psi. Build and load both derive them in the one
-  constructor, which decodes the whole stream with the batch decoder's
-  code cut and rejects a stream whose tokens do not give every group
+  with maximal runs of +1 folded into a <1, length> pair, cut after
+  every sample. The image stores s0 and the stream alone, in one
+  section: s0 bit-packed as the Huffman tables are, then the stream; the
+  codec's eight other sections are reserved and stay empty. Every other
+  sample's value and stream offset follows from the stream, given D and
+  t_psi. Build and load both derive them in the one constructor, which
+  decodes the whole stream with the batch decoder's code cut and rejects
+  a stream whose tokens do not end at every sample and give every group
   exactly its positions, a marker with no payload, a run length or
   magnitude of 0, a code that could sum past int64, and a sample
   outside 1 up to the bound that keeps those sums inside int64. Tag 2,
@@ -292,38 +292,35 @@ class _SampledPsi:
     a group (where, _blocks derives from D and t_psi alone) and runs up
     to the next one. The table keeps, per block in position order, which
     is also stream order, the opening sample's position, value and
-    stream offset, and the +1 steps left of a run that covers it;
-    position n + 1 and the stream end close the position and offset
-    columns. Each codec decodes inside its blocks with its own access
-    and _walk loops; the lookups that pick a block are here, once:
-    _sample, stretch's front and range's loop over groups.
+    stream offset; position n + 1 and the stream end close the position
+    and offset columns. No +1 run goes on past a sample, so a block's
+    codes begin on a token. Each codec decodes inside its blocks with its
+    own access and _walk loops; the lookups that pick a block are here,
+    once: _sample, stretch's front and range's loop over groups.
     """
 
-    def _set_blocks(self, D: BitSequence, t_psi: int, opens, starts, val, rem, ptr,
-                    end: int):
+    def _set_blocks(self, D: BitSequence, t_psi: int, opens, starts, val, ptr, end: int):
         self._D = D
         self._n = D.nbits
         self.t_psi = t_psi
         self._open = _i64_array(np.flatnonzero(opens))   # each group's first block
         self._bpos = _i64_array(np.append(starts, D.nbits + 1))
         self._bval = _u64_array(val)
-        self._brem = _i64_array(rem)
         self._bptr = _i64_array(np.append(ptr, end))
 
     def __len__(self):
         return self._n
 
-    def _sample(self, b: int) -> tuple[int, int, int, int]:
-        """(p, v, pos, rem) at the sample that opens block b: its position
-        and value, the stream offset after it, and the +1 steps left in
-        the run that covers it."""
-        return self._bpos[b], self._bval[b], self._bptr[b], self._brem[b]
+    def _sample(self, b: int) -> tuple[int, int, int]:
+        """(p, v, pos) at the sample that opens block b: its position and
+        value, and the stream offset after it."""
+        return self._bpos[b], self._bval[b], self._bptr[b]
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        """The block table as int64 views: start position, value, run
-        steps left and stream offset."""
+        """The block table as int64 views: start position, value and
+        stream offset."""
         return tuple(np.frombuffer(a, dtype=np.int64)
-                     for a in (self._bpos, self._bval, self._brem, self._bptr))
+                     for a in (self._bpos, self._bval, self._bptr))
 
     def range(self, lo: int, hi: int) -> list[int]:
         """Decode positions lo..hi: stretch's walk with both cuts open,
@@ -382,34 +379,44 @@ class VbyteRlePsi(_SampledPsi):
     Each group opens with its value (s0); the stream then holds one token
     per gap or maximal +1 run of the group's later positions, and a
     group's tokens end where the next group's begin. A block opens at
-    every group start l and at every l + j*t_psi inside the group; its
-    sample holds the value there, the stream offset just past the token
-    that covers it, and, when that token is a <1, length> pair, how many
-    +1 steps of the run remain. access decodes in one loop; stretch and
-    range share one walk, _walk, which reads a group's codes straight
-    across its samples.
+    every group start l and at every l + j*t_psi inside the group, and
+    no run goes on past a sample: the token that covers a sample ends
+    there. A block's sample holds the value there and the stream offset
+    just past that token, where the block's codes begin. access decodes
+    in one loop; stretch and range share one walk, _walk, which reads a
+    group's codes straight across its samples.
 
     The constructor takes the stream and s0 alone, and build and load
     both go through it. It cuts the whole stream with _codes, the code
-    cut access_many shares, and sums the tokens' steps: the samples fall
-    where those sums reach each block's position, which gives every
-    block's token, leftover run and offset, and the summed value changes
-    give its value. It rejects a stream whose tokens do not give every
-    group exactly its positions (so no run crosses a group end, and no
-    code is missing or left over), a last code that does not end at the
-    stream's last byte, a marker with no payload, a run length or
-    magnitude of 0, and a sample outside 1.._bound. No pointer is
-    stored, so slack in the stream cannot make a walk disagree with
-    access. The image's first Psi section holds s0, bit-packed at its
-    minimum width (_fixed_section), and then the stream; one section
-    rather than two, since every section is padded to a word. The other
-    eight sections are reserved and stay empty: the slots of the tables
-    the stream determines, kept so that every image has nine Psi
-    sections.
+    cut access_many shares, and sums the tokens' steps: every sample
+    must fall where a token ends, which gives every block's offset, and
+    the summed value changes give its value. It rejects a stream whose
+    tokens do not end at every sample and give every group exactly its
+    positions (so no run crosses a block start, and no code is missing
+    or left over), a last code that does not end at the stream's last
+    byte, a marker with no payload, a run length or magnitude of 0, and
+    a sample outside 1.._bound. No pointer is stored, so slack in the
+    stream cannot make a walk disagree with access. The image's first
+    Psi section holds s0, bit-packed at its minimum width
+    (_fixed_section), and then the stream; one section rather than two,
+    since every section is padded to a word. The other eight sections
+    are reserved and stay empty: the slots of the tables the stream
+    determines, kept so that every image has nine Psi sections.
+
+    The decoders check no stream end of their own, since a load proves
+    two things. Each group's tokens give exactly its positions, every
+    marker with its payload; and every block's codes end at the next
+    sample, or at the group's end. So the codes from a block's offset
+    up to the next block's give exactly the block's steps. access
+    decodes no more steps than its block's codes give, a walk no more
+    than its group's, and access_many reads a whole block at most, which
+    gives every position in it: none reads a code past the ones it
+    needs, or past the stream. No sum of the codes passes int64 either,
+    since every code and sample is at most _bound.
 
     build cuts the gaps into tokens in one pass (_tokens: a +1 run opens
-    at a group start or after any other gap) and writes every token's
-    codes with vbyte_codes.
+    at a group start, after any other gap, or after a sample) and writes
+    every token's codes with vbyte_codes.
     """
 
     name = "vbyte-rle"
@@ -428,7 +435,7 @@ class VbyteRlePsi(_SampledPsi):
                              f"the image holds {len(s0)}")
         if len(buf) and buf[-1] < 0x80:
             raise _overrun()
-        ends, _, marker, _, steps, delta = self._codes(buf, buf >= 0x80, [0], bound)
+        ends, _, marker, _, steps, delta = self._codes(buf, buf >= 0x80, [0])
         if len(marker) and marker[-1] == len(ends) - 1:
             raise ValueError("vbyte marker at the end of the stream has no payload")
         tok = np.ones(len(ends), dtype=bool)
@@ -443,22 +450,19 @@ class VbyteRlePsi(_SampledPsi):
                              f"the groups hold {D.nbits - D.ones}")
         opens, starts = _blocks(D, t_psi)
         groups = opens.cumsum()                            # each block's group, from 1
-        S = starts - groups                                # the steps before each sample
-        k = np.searchsorted(C, S)                          # the token at or over each sample
-        if np.any(C[k[opens]] != S[opens]):
-            raise ValueError("vbyte run crosses a group end")
-        rem = C[k] - S
+        S = starts - groups                                # the steps up to each sample
+        k = np.searchsorted(C, S)                          # the token that ends there
+        if np.any(C[k] != S):
+            raise ValueError("vbyte run crosses a block start")
         s0 = np.asarray(s0, dtype=np.uint64).astype(np.int64)
-        val = (s0 - V[k[opens]])[groups - 1] + V[k] - rem
+        val = (s0 - V[k[opens]])[groups - 1] + V[k]
         # samples up to bound keep access_many's sums in int64 (a sample
         # past it may be past int64 too, which would read as negative)
         if len(val) and (val.min() < 1 or val.max() > bound):
             raise ValueError(f"vbyte sample outside 1..{bound}")
-        self._set_blocks(D, t_psi, opens, starts, val, rem,
-                         np.append(0, ends[tok] + 1)[k], len(buf))
+        self._set_blocks(D, t_psi, opens, starts, val, np.append(0, ends[tok] + 1)[k], len(buf))
 
-    def _codes(self, buf: np.ndarray, term: np.ndarray, at,
-               clip: int) -> tuple[np.ndarray, ...]:
+    def _codes(self, buf: np.ndarray, term: np.ndarray, at) -> tuple[np.ndarray, ...]:
         """Cut buf into its codes and read them. A code ends at every byte
         term marks, and each part of buf begins at an offset in at, on a
         token boundary, so in a maximal run of 0/1-valued codes inside a
@@ -468,10 +472,10 @@ class VbyteRlePsi(_SampledPsi):
         Returns (ends, fc, marker, ones, steps, delta): each code's last
         byte, each part's first code, the markers, the payloads of <1, L>
         pairs, and each code's steps and value change: none for a marker,
-        L clipped to clip for both, one step down by the magnitude for a
-        <0, m> pair's payload, and one step by its value for any other
-        code. A code wider than any up to _bound, or above it, raises
-        ValueError before anything is summed.
+        L for both for a <1, L> pair's payload, one step down by the
+        magnitude for a <0, m> pair's payload, and one step by its value
+        for any other code. A code wider than any up to _bound, or above
+        it, raises ValueError before anything is summed.
         """
         ends = np.flatnonzero(term)
         m = len(ends)
@@ -501,50 +505,42 @@ class VbyteRlePsi(_SampledPsi):
         esc = pay[val[pay - 1] == 0]
         steps = np.ones(m, dtype=np.int64)
         steps[marker] = val[marker] = 0
-        steps[ones] = val[ones] = np.minimum(val[ones], clip)
+        steps[ones] = val[ones]
         val[esc] *= -1
         return ends, fc, marker, ones, steps, val
 
     @classmethod
     def build(cls, psi: np.ndarray, D: BitSequence, t_psi: int) -> "VbyteRlePsi":
-        starts = D.positions() - 1
-        return cls(_vbyte_stream(psi, starts), psi[starts], D, t_psi)
+        return cls(_vbyte_stream(psi, D, t_psi), psi[D.positions() - 1], D, t_psi)
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self._n:
             raise _outside(i, i, self._n)
-        p, v, pos, rem = self._sample(bisect_right(self._bpos, i) - 1)
+        p, v, pos = self._sample(bisect_right(self._bpos, i) - 1)
         steps = i - p
-        if steps and rem:
-            take = min(steps, rem)
-            v += take
-            steps -= take
         stream = self._stream
-        try:
-            while steps:
+        while steps:
+            b = stream[pos]
+            pos += 1
+            g = b & 0x7F
+            shift = 7
+            while b < 0x80:
                 b = stream[pos]
                 pos += 1
-                g = b & 0x7F
-                shift = 7
-                while b < 0x80:
-                    b = stream[pos]
-                    pos += 1
-                    g |= (b & 0x7F) << shift
-                    shift += 7
-                if g == 1:
-                    length, pos = vbyte_decode(stream, pos)
-                    take = min(steps, length)
-                    v += take
-                    steps -= take
-                elif g == 0:
-                    mag, pos = vbyte_decode(stream, pos)
-                    v -= mag
-                    steps -= 1
-                else:
-                    v += g
-                    steps -= 1
-        except IndexError:
-            raise _overrun() from None
+                g |= (b & 0x7F) << shift
+                shift += 7
+            if g == 1:
+                length, pos = vbyte_decode(stream, pos)
+                take = min(steps, length)
+                v += take
+                steps -= take
+            elif g == 0:
+                mag, pos = vbyte_decode(stream, pos)
+                v -= mag
+                steps -= 1
+            else:
+                v += g
+                steps -= 1
         return v
 
     def access_many(self, positions) -> np.ndarray:
@@ -553,23 +549,21 @@ class VbyteRlePsi(_SampledPsi):
         The positions are mapped to their sample blocks, and each block
         they touch is decoded once with array operations, up to the
         furthest position asked in it: _codes cuts the blocks' bytes
-        into codes and reads each code's steps and value change, with a
-        <1, L> pair's L clipped to t_psi, as is a sample's leading run.
-        Every position is then read off the blocks' cumulative steps and
+        into codes and reads each code's steps and value change. Every
+        position is then read off the blocks' cumulative steps and
         values with one searchsorted.
 
         A block's bytes are read only as far as its share of them for
         the furthest position, plus a margin; a block that falls short
-        is read again in full.
+        is read again in full, which gives all its positions.
         """
-        t = self.t_psi
         i = checked_positions(positions, self._n)
         out = np.empty(len(i), dtype=np.int64)
         if not len(i):
             return out
         order = np.argsort(i, kind="stable")
         i = i[order]
-        bpos, bval, brem, bptr = self._columns()
+        bpos, bval, bptr = self._columns()
         b = np.searchsorted(bpos, i, side="right") - 1
         edge = np.ones(len(i) + 1, dtype=bool)          # where the block changes
         np.not_equal(b[1:], b[:-1], out=edge[1:-1])
@@ -577,18 +571,16 @@ class VbyteRlePsi(_SampledPsi):
         r = edge[:-1].cumsum() - 1                      # each position's index in blk
         off = i - bpos[b]                               # its steps past the sample
         far = off[edge[1:]]                             # the furthest one per block
-        v0, rem = bval[blk], np.minimum(brem[blk], t)
         a, full = bptr[blk], bptr[blk + 1]
         size = bpos[blk + 1] - bpos[blk]
         stop = np.minimum(full, a + (full - a) * (far + 1) // size + 2 * self._wmax)
-        H = (rem + 1).cumsum()    # sample and leading-run steps of the blocks so far
         while True:
             lens = stop - a
             at = lens.cumsum() - lens                   # each block's first byte in buf
             buf = self._bytes[np.arange(int(lens.sum())) + np.repeat(a - at, lens)]
             term = buf >= 0x80
             term[(at + lens - 1)[lens > 0]] = True      # no code runs into the next block
-            ends, fc, _, ones, steps, delta = self._codes(buf, term, at, t)
+            ends, fc, _, ones, steps, delta = self._codes(buf, term, at)
             m = len(ends)
             fcn = np.append(fc[1:], m)                  # each block's first code after it
             # the last code of a shortened block may be cut short: it
@@ -596,31 +588,28 @@ class VbyteRlePsi(_SampledPsi):
             # than the whole one, so _codes' checks still hold)
             cut = fcn[(stop < full) & (lens > 0)] - 1
             steps[cut] = delta[cut] = 0
-            isrun = np.zeros(m, dtype=bool)
-            isrun[ones] = True
-            isrun[cut] = False
             cs = np.zeros(m + 1, dtype=np.int64)
             steps.cumsum(out=cs[1:])
             before = cs[fc]
-            short = cs[fcn] - before + rem < far
+            short = cs[fcn] - before < far
             if not short.any():
                 break
-            if np.any(stop[short] == full[short]):
-                raise _overrun()
             stop = np.where(short, full, stop)
-        # G is the step count at the end of each code, every block's
-        # sample and leading run counted as 1 + rem steps before its codes
-        G = cs[1:] + np.repeat(H, fcn - fc)
-        T = before[r] + H[r] - rem[r] + off
-        k = np.minimum(np.searchsorted(G, T), m - 1)
-        dv = np.zeros(m + 1, dtype=np.int64)
-        delta.cumsum(out=dv[1:])
-        vals = v0[r] + off
-        tail = off > rem[r]
+        # a position off > 0 steps past its sample is reached by the first
+        # code of its block whose step count G reaches before + off; a run
+        # there may overshoot it
+        vals = bval[b]
+        tail = off > 0
         if tail.any():
-            k, rt = k[tail], r[tail]
-            vals[tail] = (v0[rt] + rem[rt] + dv[k + 1] - dv[fc[rt]]
-                          - (G[k] - T[tail]) * isrun[k])
+            rt = r[tail]
+            T = before[rt] + off[tail]
+            G = cs[1:]
+            k = np.searchsorted(G, T)
+            isrun = np.zeros(m, dtype=bool)
+            isrun[ones] = True
+            dv = np.zeros(m + 1, dtype=np.int64)
+            delta.cumsum(out=dv[1:])
+            vals[tail] += dv[k + 1] - dv[fc[rt]] - (G[k] - T) * isrun[k]
         out[order] = vals
         return out
 
@@ -630,7 +619,7 @@ class VbyteRlePsi(_SampledPsi):
         seeks the first position from lo on whose value is at least x,
         decoding no further than stop while it seeks, then collects the
         values below y up to hi. A +1 run takes one step."""
-        p, v, pos, rem = self._sample(b)
+        p, v, pos = self._sample(b)
         first, out = hi + 1, []
         seek = p < lo or v < x
         if not seek:
@@ -639,56 +628,49 @@ class VbyteRlePsi(_SampledPsi):
                 return first, out
             out.append(v)
         stream = self._stream
-        try:
-            while p < stop:
-                if rem:
-                    take = min(rem, stop - p)
-                    if seek:
-                        q = max(lo, p + 1, p + x - v)
-                        if q > p + take:
-                            v += take
-                            p += take
-                            rem -= take
-                            continue
-                        first, seek, stop = q, False, hi
-                        take = min(rem, hi - p)
-                    else:
-                        q = p + 1
-                    if v + take >= y:
-                        out.extend(range(v + q - p, y))
-                        break
-                    out.extend(range(v + q - p, v + take + 1))
-                    v += take
-                    p += take
-                    rem -= take
-                    continue
+        while p < stop:
+            b = stream[pos]
+            pos += 1
+            g = b & 0x7F
+            shift = 7
+            while b < 0x80:
                 b = stream[pos]
                 pos += 1
-                g = b & 0x7F
-                shift = 7
-                while b < 0x80:
-                    b = stream[pos]
-                    pos += 1
-                    g |= (b & 0x7F) << shift
-                    shift += 7
-                if g == 1:
-                    rem, pos = vbyte_decode(stream, pos)
-                    continue
-                if g == 0:
-                    mag, pos = vbyte_decode(stream, pos)
-                    v -= mag
-                else:
-                    v += g
-                p += 1
+                g |= (b & 0x7F) << shift
+                shift += 7
+            if g == 1:
+                run, pos = vbyte_decode(stream, pos)
+                take = min(run, stop - p)
                 if seek:
-                    if p < lo or v < x:
+                    q = max(lo, p + 1, p + x - v)
+                    if q > p + take:
+                        v += take
+                        p += take
                         continue
-                    first, seek, stop = p, False, hi
-                if v >= y:
+                    first, seek, stop = q, False, hi
+                    take = min(run, hi - p)
+                else:
+                    q = p + 1
+                if v + take >= y:
+                    out.extend(range(v + q - p, y))
                     break
-                out.append(v)
-        except IndexError:
-            raise _overrun() from None
+                out.extend(range(v + q - p, v + take + 1))
+                v += take
+                p += take
+                continue
+            if g == 0:
+                mag, pos = vbyte_decode(stream, pos)
+                v -= mag
+            else:
+                v += g
+            p += 1
+            if seek:
+                if p < lo or v < x:
+                    continue
+                first, seek, stop = p, False, hi
+            if v >= y:
+                break
+            out.append(v)
         return first, out
 
     def _s0(self) -> np.ndarray:
@@ -727,12 +709,14 @@ def _blocks(D: BitSequence, t_psi: int) -> tuple[np.ndarray, np.ndarray]:
     return j == 0, np.repeat(starts, counts) + j * t_psi
 
 
-def _vbyte_stream(psi: np.ndarray, starts: np.ndarray) -> bytes:
-    """The vbyte codec's stream: psi's gaps cut into tokens at the group
-    starts (0-based), each token's codes written with vbyte_codes."""
-    opens = np.zeros(len(psi), dtype=bool)
-    opens[starts] = True
-    first, last, gap = _tokens(psi, opens)
+def _vbyte_stream(psi: np.ndarray, D: BitSequence, t_psi: int) -> bytes:
+    """The vbyte codec's stream: psi's gaps cut into tokens, none at a
+    group start and no run past a sample, each token's codes written with
+    vbyte_codes."""
+    opens, starts = _blocks(D, t_psi)
+    group, sample = np.zeros((2, len(psi)), dtype=bool)
+    group[starts[opens] - 1] = sample[starts - 1] = True
+    first, last, gap = _tokens(psi, group, sample)
     g = gap[first]
     # <g>, <1, run length> or <0, magnitude>
     pair = np.column_stack((np.maximum(g, 0), np.where(g == 1, last - first + 1, -g)))
@@ -740,14 +724,14 @@ def _vbyte_stream(psi: np.ndarray, starts: np.ndarray) -> bytes:
     return vbyte_codes(pair[np.column_stack((np.ones_like(two), two))])[0]
 
 
-def _tokens(psi: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, ...]:
+def _tokens(psi: np.ndarray, skip: np.ndarray, sample: np.ndarray) -> tuple[np.ndarray, ...]:
     """(first, last, gap): the gaps of psi cut into tokens, each one gap
     or a maximal run of +1 gaps, from its first 0-based position to its
-    last. The positions marked in skip are samples: they carry no token
-    and cut the runs."""
+    last. The positions marked in skip carry no token, and no run goes
+    on past a position marked in skip or sample."""
     gap = np.diff(psi, prepend=0)
     one = (gap == 1) & ~skip
-    first = np.flatnonzero(~(one & np.append(False, one[:-1])))
+    first = np.flatnonzero(~(one & np.append(False, one[:-1] & ~sample[:-1])))
     last = np.append(first[1:], len(psi)) - 1
     tok = ~skip[first]
     return first[tok], last[tok], gap
@@ -844,7 +828,7 @@ class HuffRlePsi(_SampledPsi):
     Blocks open at every group start and every t_psi positions inside a
     group, as on the vbyte codec. Every block's sample is stored, so the
     stream codes only the positions between samples, and +1 runs are cut
-    at every block start: no run steps are left at a sample. A block's
+    at every block start, the run rule both codecs follow. A block's
     pointer is the bit offset of its first token, and its tokens end
     where the next block's begin.
 
@@ -897,8 +881,7 @@ class HuffRlePsi(_SampledPsi):
         self._padded = self._stream + bytes(16)
         self._limit = stream_bits
         opens, starts = _blocks(D, t_psi)
-        self._set_blocks(D, t_psi, opens, starts, samples,
-                         np.zeros(len(starts), dtype=np.int64), ptrs, stream_bits)
+        self._set_blocks(D, t_psi, opens, starts, samples, ptrs, stream_bits)
         self._build_table()
 
     def _build_table(self):
@@ -930,7 +913,7 @@ class HuffRlePsi(_SampledPsi):
         starts = _blocks(D, t)[1]
         at = np.zeros(len(psi), dtype=bool)
         at[starts - 1] = True
-        first, last, gap = _tokens(psi, at)
+        first, last, gap = _tokens(psi, at, at)
         g = gap[first]
         esc = g > NSV + 1
         mag = np.where(esc, g - (NSV + 2), np.where(g <= 0, -g - 1, 0))
@@ -981,7 +964,7 @@ class HuffRlePsi(_SampledPsi):
     def access(self, i: int) -> int:
         if not 1 <= i <= self._n:
             raise _outside(i, i, self._n)
-        p, v, pos, _ = self._sample(bisect_right(self._bpos, i) - 1)
+        p, v, pos = self._sample(bisect_right(self._bpos, i) - 1)
         steps = i - p
         P, table, mask, shift = self._padded, self._table, self._mask, 24 - self._k
         try:
@@ -1044,7 +1027,7 @@ class HuffRlePsi(_SampledPsi):
         values below y up to hi. A +1 run takes one step, and a block
         start inside the walk takes its sample, once the walk's bit
         offset is checked against the block's pointer."""
-        p, v, pos, _ = self._sample(b)
+        p, v, pos = self._sample(b)
         first, out = hi + 1, []
         seek = p < lo or v < x
         if not seek:

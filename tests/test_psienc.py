@@ -2,8 +2,8 @@
 
 Every compressed variant must return exactly what the plain array
 returns, position by position and range by range, on real indexes and
-on crafted sequences that force runs across samples, oversized gaps,
-and sign escapes.
+on crafted sequences with runs longer than the sample step, oversized
+gaps, and sign escapes.
 """
 
 import hashlib
@@ -272,16 +272,16 @@ def test_huffman_long_codes_and_escapes_match_plain(t):
 # sequences, every section prefixed by its u64 length. These cover
 # escapes of both signs, descents and codes longer than the decode table.
 SECTION_DIGESTS = {
-    ("crafted", "vbyte-rle", 1): "64e90d797e72dae1cfd835ae84c1e4b6993802ff198cef1e427e97db82d55f4c",
-    ("crafted", "vbyte-rle", 4): "64e90d797e72dae1cfd835ae84c1e4b6993802ff198cef1e427e97db82d55f4c",
-    ("crafted", "vbyte-rle", 64): "64e90d797e72dae1cfd835ae84c1e4b6993802ff198cef1e427e97db82d55f4c",
-    ("crafted", "vbyte-rle", 256): "64e90d797e72dae1cfd835ae84c1e4b6993802ff198cef1e427e97db82d55f4c",
+    ("crafted", "vbyte-rle", 1): "5cdd242d3025a876f57b635e06276840242daca06eb26e270f370532d1b64dd7",
+    ("crafted", "vbyte-rle", 4): "317685a8ff957ca18273b138a799cf3037ee62c46d51ad02e5bdebdba9112c63",
+    ("crafted", "vbyte-rle", 64): "aa6ba2a9afe570821a47d38558983f48ce2cb7a3ab61494a8fc3c5520a57f8de",
+    ("crafted", "vbyte-rle", 256): "13501554770196fc88ffdbba13fcd0b156e093fd40de0d4679555e1a17f72709",
     ("crafted", "huff-rle-opt", 1): "d7db04c585e054c5e0c73c42c5a1c1de6343032346c1dd973ba2e37bdddf2329",
     ("crafted", "huff-rle-opt", 4): "9c0b059409d5752663ca60dedd2b3a7195990b5efa2d99307ea66c9161130962",
     ("crafted", "huff-rle-opt", 64): "bb883743f675903c2735a36f1cde1c8376e4c62b213cc2cf734a5ced53e4d848",
     ("crafted", "huff-rle-opt", 256): "dc2e7ca3822e2eeb2d36cb3fac5c9ef14a562edfde2fa13850a8b98a2e301d76",
-    ("long", "vbyte-rle", 1): "97ddd70c4b69da54c3ab5fdce1d9cda7631e9e17337f62e073faef864042db12",
-    ("long", "vbyte-rle", 4): "97ddd70c4b69da54c3ab5fdce1d9cda7631e9e17337f62e073faef864042db12",
+    ("long", "vbyte-rle", 1): "32cb8f1997dfb5ce5e2875ed1d9eba05e56693f5ebc337b51049eb7040c1d244",
+    ("long", "vbyte-rle", 4): "ae80d7e4187e60caf484e2b483f74eb47dde4c6bb5480d7b5d3117300a904fd7",
     ("long", "vbyte-rle", 64): "97ddd70c4b69da54c3ab5fdce1d9cda7631e9e17337f62e073faef864042db12",
     ("long", "vbyte-rle", 256): "97ddd70c4b69da54c3ab5fdce1d9cda7631e9e17337f62e073faef864042db12",
     ("long", "huff-rle-opt", 1): "4358c8579d2fc2ef6c4f1fe9333bd5847cde310924e610e227cb3a90581b90e0",
@@ -310,10 +310,11 @@ def byte_code(x):
 
 
 def loop_vbyte(psi, D, t):
-    """vbyte-rle's stream and tables (s0, ptr0, s1, ptr1, run1), written
-    by one loop over the positions."""
+    """vbyte-rle's stream and tables (s0, ptr0, s1, ptr1), written by one
+    loop over the positions. A run stops at a sample, which sits every t
+    positions from its group's start."""
     psi, starts = psi.tolist(), set(D.positions().tolist())
-    stream, tables = [], ([], [], [], [], [])
+    stream, tables = [], ([], [], [], [])
     i = 1
     while i <= len(psi):
         if i in starts:
@@ -324,15 +325,15 @@ def loop_vbyte(psi, D, t):
             continue
         g, j = psi[i - 1] - psi[i - 2], i
         if g == 1:
-            while j < len(psi) and j + 1 not in starts and psi[j] - psi[j - 1] == 1:
+            while (j < len(psi) and j + 1 not in starts and (j - l) % t
+                   and psi[j] - psi[j - 1] == 1):
                 j += 1
             stream += byte_code(1) + byte_code(j - i + 1)
         else:
             stream += byte_code(g) if g > 1 else byte_code(0) + byte_code(-g)
-        for p in range(i, j + 1):
-            if (p - l) % t == 0:
-                for table, x in zip(tables[2:], (psi[p - 1], len(stream), j - p)):
-                    table.append(x)
+        if (j - l) % t == 0:   # a sample ends the token that covers it
+            tables[2].append(psi[j - 1])
+            tables[3].append(len(stream))
         i = j + 1
     return bytes(stream), tables
 
@@ -390,7 +391,7 @@ def test_encoders_match_loop_reference():
             stream, tables = loop_vbyte(psi, D, t)
             assert enc._stream == stream
             assert [vbyte_table(enc, name).tolist()
-                    for name in ("s0", "ptr0", "s1", "ptr1", "run1")] == list(tables)
+                    for name in ("s0", "ptr0", "s1", "ptr1")] == list(tables)
             back = psienc.from_sections(enc.tag, enc.to_sections(), D, t)
             assert all(np.array_equal(a, b) for a, b in zip(back._columns(), enc._columns()))
             enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
@@ -797,13 +798,13 @@ def vbyte_sections(forge=lambda enc: {}):
 
 
 def vbyte_table(enc, name):
-    """The encoding's table of that name, s0, ptr0, s1, ptr1 or run1, read
-    from its block table: s0 and ptr0 at the blocks that open a group,
-    s1, ptr1 and run1 at the others."""
-    _, val, rem, ptr = enc._columns()
+    """The encoding's table of that name, s0, ptr0, s1 or ptr1, read from
+    its block table: s0 and ptr0 at the blocks that open a group, s1 and
+    ptr1 at the others."""
+    _, val, ptr = enc._columns()
     opens = np.zeros(len(val), dtype=bool)
     opens[np.frombuffer(enc._open, dtype=np.int64)] = True
-    table = {"s": val, "ptr": ptr[:-1], "run": rem}[name[:-1]]
+    table = {"s": val, "ptr": ptr[:-1]}[name[:-1]]
     return table[opens] if name.endswith("0") else table[~opens]
 
 
@@ -841,15 +842,6 @@ def swap_first_rise(a):
     return a
 
 
-def old_table(name, table):
-    """A forge that puts table(t, p), for the encoding p's table t of that
-    name (ptr0, s1, ptr1 or run1), into the slot where images of the
-    older layout stored it as u64 words."""
-    slot = {"ptr0": "reserved-3", "s1": "reserved-5", "ptr1": "reserved-6", "run1": "reserved-7"}
-    return lambda p: {slot[name]: np.asarray(table(list(vbyte_table(p, name)), p),
-                                             dtype="<u8").tobytes()}
-
-
 def top_sample_past_bound(p):
     """s0 raised so that the largest level-two sample is one past _bound."""
     s0, s1 = int(vbyte_table(p, "s0")[0]), int(vbyte_table(p, "s1").max())
@@ -859,29 +851,20 @@ def top_sample_past_bound(p):
 @pytest.mark.parametrize("forge, message", [
     (lambda p: dict(s0=list(vbyte_table(p, "s0")) + [1]),
      "needs 1 group samples, the image holds 2"),
-    # each table a load once read and checked now has no slot: the stream
-    # gives it, so the old slot must stay empty, whatever it would hold
-    (old_table("s1", lambda t, p: t[:-1]), "reserved sections"),
-    (old_table("run1", lambda t, p: t + [0]), "reserved sections"),
     # the sample bitmap that images of the older layout hold in D1's slot
+    # (test_indexfile's reserved-section test tries the older tables)
     (lambda p: {"reserved-9": BitSequence.from_positions(sample_positions(p),
                                                         len(p)).serialize()},
      "reserved sections"),
-    (old_table("ptr1", lambda t, p: t[:-1] + [len(p._stream) + 1]), "reserved sections"),
-    (old_table("ptr0", lambda t, p: [len(p._stream) + 1]), "reserved sections"),
-    # two sample pointers swapped: each still inside the stream
-    (old_table("ptr1", lambda t, p: swap_first_rise(t)), "reserved sections"),
     # the samples a load derives are checked as the stored ones were
     (top_sample_past_bound, "sample outside"),
     (lambda p: dict(s0=[2**63] + list(vbyte_table(p, "s0")[1:])), "sample outside"),
-    # the first run, 700 steps, made 2**40 steps long
-    (lambda p: dict(stream=psienc.vbyte_codes([1, 2**40])[0]
-                    + p._stream[len(psienc.vbyte_codes([1, 700])[0]):]),
-     f"codes {2**40 - 700 + 757} steps, the groups hold 757"),
+    # the first run, cut at the sample 65 after 64 steps, made 2**40 steps long
+    (lambda p: dict(stream=codes(1, 2**40) + p._stream[len(codes(1, 64)):]),
+     f"codes {2**40 - 64 + 757} steps, the groups hold 757"),
     # two whole codes after the last block's codes: they would never decode
     (lambda p: dict(stream=p._stream + b"\x85\x85"), "codes 759 steps, the groups hold 757"),
-], ids=["s0", "s1", "run1", "D1", "ptr1", "ptr0", "ptr1-order", "s1-value", "s0-value",
-        "run1-value", "stream-slack"])
+], ids=["s0", "D1", "s1-value", "s0-value", "run1-value", "stream-slack"])
 def test_vbyte_load_rejects_forged_sections(forge, message):
     sections, D = vbyte_sections(forge)
     with pytest.raises(ValueError, match=message):
@@ -899,7 +882,7 @@ def test_vbyte_decode_stops_at_the_stream_end():
     # rejects either stream, so no walk can reach the cut
     cut = int(vbyte_table(back, "ptr1").max())
     wide = back._stream.index(psienc.vbyte_codes([20000])[0])
-    for stream, message in ((back._stream[:cut], "codes 743 steps, the groups hold 757"),
+    for stream, message in ((back._stream[:cut], "codes 704 steps, the groups hold 757"),
                             (back._stream[:wide + 1], "past the end of the stream")):
         cut_sections, _ = vbyte_sections(lambda p: dict(stream=stream))
         with pytest.raises(ValueError, match=message):
@@ -934,18 +917,26 @@ def codes(*values):
 
 
 def test_vbyte_load_derives_the_table_of_any_valid_stream():
-    # an empty index, groups of one position and a group that opens with
-    # a run across its samples all load, and answer from the derived table
+    # an empty index, groups of one position and a group of runs cut at
+    # its samples all load, and answer from the derived table
     assert vbyte_image(b"", [], BitSequence.from_positions([], 0), 4).range(1, 0) == []
     singles = vbyte_image(b"", [3, 1, 2], BitSequence.from_positions([1, 2, 3], 3), 1)
     assert singles.range(1, 3) == [3, 1, 2] and singles.access_many([2, 3]).tolist() == [1, 2]
-    # groups 1..2 and 3..9: 5, 7 and 2, 3, ..., 8 at t_psi 2
+    # groups 1..2 and 3..9: 5, 7 and 2, 3, ..., 8 at t_psi 2, so samples
+    # at 5, 7 and 9, each ending a run of 2
     D = BitSequence.from_positions([1, 3], 9)
-    enc = vbyte_image(codes(2, 1, 6), [5, 2], D, 2)
+    enc = vbyte_image(codes(2, 1, 2, 1, 2, 1, 2), [5, 2], D, 2)
     assert enc.range(1, 9) == [5, 7, 2, 3, 4, 5, 6, 7, 8]
-    assert [vbyte_table(enc, name).tolist() for name in ("s0", "ptr0", "s1", "ptr1", "run1")] \
-        == [[5, 2], [0, 1], [4, 6, 8], [3, 3, 3], [4, 2, 0]]
-    for stream in (codes(2), codes(2, 1, 6, 2)):
+    assert [vbyte_table(enc, name).tolist() for name in ("s0", "ptr0", "s1", "ptr1")] \
+        == [[5, 2], [0, 1], [4, 6, 8], [3, 5, 7]]
+    assert enc.to_sections() == psienc.encode(np.array([5, 7, 2, 3, 4, 5, 6, 7, 8]), D,
+                                              codec="vbyte-rle", t_psi=2).to_sections()
+    # the same values as one run of 6, which goes on past the samples 5
+    # and 7, load only where no sample lies inside the run
+    with pytest.raises(ValueError, match="vbyte run crosses a block start"):
+        vbyte_image(codes(2, 1, 6), [5, 2], D, 2)
+    assert vbyte_image(codes(2, 1, 6), [5, 2], D, 6).range(1, 9) == enc.range(1, 9)
+    for stream in (codes(2), codes(2, 1, 2, 1, 2, 1, 2, 2)):
         with pytest.raises(ValueError, match="steps, the groups hold 7"):
             vbyte_image(stream, [5, 2], D, 2)
     with pytest.raises(ValueError, match="codes 1 steps, the groups hold 0"):
@@ -959,7 +950,7 @@ def test_vbyte_load_derives_the_table_of_any_valid_stream():
     # the last code cut after its first byte
     (codes(2, 300)[:-1], [1], [1], "past the end of the stream"),
     # groups 1..3 and 4..6: a run of 3 from position 2 runs into the next group
-    (codes(1, 3, 2), [1, 7], [1, 4], "run crosses a group end"),
+    (codes(1, 3, 2), [1, 7], [1, 4], "run crosses a block start"),
     # a marker, 1 or 0, as the stream's last code
     (codes(2, 1), [1], [1], "marker at the end of the stream has no payload"),
     (codes(2, 0), [1], [1], "marker at the end of the stream has no payload"),
@@ -990,9 +981,58 @@ def test_vbyte_load_rejects_slack_between_blocks():
             vbyte_image(enc._stream[:at] + b"\x85\x85" + enc._stream[at:], [enc.access(1)], D, 64)
 
 
+def test_vbyte_load_rejects_a_run_past_a_sample():
+    # the crafted group's stream with its runs folded across the samples,
+    # as written at a t_psi past the group's length (no sample inside the
+    # group), loads there, and not at 64, where its first run of 700
+    # steps would pass the samples 65, 129, ...
+    psi, D = crafted_sequence()
+    folded = psienc.encode(psi, D, codec="vbyte-rle", t_psi=1024)._stream
+    assert folded != psienc.encode(psi, D, codec="vbyte-rle", t_psi=64)._stream
+    assert vbyte_image(folded, psi[:1], D, 1024).range(1, len(psi)) == psi.tolist()
+    with pytest.raises(ValueError, match="vbyte run crosses a block start"):
+        vbyte_image(folded, psi[:1], D, 64)
+    # groups 1..3 and 4..6 at t_psi 64, so only the group starts are
+    # samples: 1, 2, 3 and 7, 8, 9 as two runs of 2, and a run of 3 from
+    # position 2 that runs on into the next group
+    D = BitSequence.from_positions([1, 4], 6)
+    assert vbyte_image(codes(1, 2, 1, 2), [1, 7], D, 64).range(1, 6) == [1, 2, 3, 7, 8, 9]
+    with pytest.raises(ValueError, match="vbyte run crosses a block start"):
+        vbyte_image(codes(1, 3, 1, 1), [1, 7], D, 64)
+
+
+def test_vbyte_blocks_decode_alone():
+    # each block's codes, from its offset up to the next block's, give
+    # exactly the values after its sample up to the next sample, or to
+    # its group's end: a decoder that starts at a block's offset needs no
+    # code past the block's
+    for name, psi, D in access_many_inputs():
+        for t in (1, 2, 3, 7, 64):
+            enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=t)
+            bpos, _, bptr = enc._columns()
+            opens = set(np.frombuffer(enc._open, dtype=np.int64).tolist()) | {len(bpos) - 1}
+            for b in range(len(bpos) - 1):
+                p, v, pos = enc._sample(b)
+                end = bpos[b + 1] - (b + 1 in opens)
+                got = []
+                while pos < bptr[b + 1]:
+                    g, pos = psienc.vbyte_decode(enc._stream, pos)
+                    if g == 1:
+                        run, pos = psienc.vbyte_decode(enc._stream, pos)
+                        got += range(v + 1, v + run + 1)
+                        v += run
+                        continue
+                    if g == 0:
+                        mag, pos = psienc.vbyte_decode(enc._stream, pos)
+                        g = -mag
+                    v += g
+                    got.append(v)
+                assert pos == bptr[b + 1] and got == psi[p:end].tolist(), (name, t, b)
+
+
 def access_many_inputs():
     """(name, psi, D) for the batch-access tests: the crafted group (a
-    run that crosses and covers samples, escaped descents, 1- to 3-byte
+    run longer than t_psi, cut at samples, escaped descents, 1- to 3-byte
     codes), the long-code group, the search graphs (duplicates, both
     arities) and one more arity-3 graph."""
     yield ("crafted", *crafted_sequence())
@@ -1022,7 +1062,9 @@ def test_access_many_matches_access(codec):
         if name == "crafted" and codec == "vbyte-rle":
             enc = psienc.encode(psi, D, codec=codec, t_psi=64)
             ends = np.flatnonzero(np.frombuffer(enc._stream, dtype=np.uint8) >= 0x80)
-            assert vbyte_table(enc, "run1").max() > 0
+            # a sample that ends a run which would go on without it
+            gap = np.diff(psi, prepend=0)
+            assert any(gap[p - 2] == gap[p - 1] == gap[p] == 1 for p in sample_positions(enc))
             assert set(np.diff(ends, prepend=-1).tolist()) == {1, 2, 3}
         for t in (1, 2, 3, 7, 64, 256):
             enc = psienc.encode(psi, D, codec=codec, t_psi=t)
@@ -1040,20 +1082,25 @@ def test_access_many_matches_access(codec):
                     enc.access_many(bad)
 
 
-def one_run_image(n, t_psi, run):
+def one_run_image(n, t_psi, *runs):
     """A loaded vbyte-rle image of one group 1, 2, ..., n, stored as the
-    sample 1 and one <1, run> pair."""
-    return vbyte_image(codes(1, run), [1], BitSequence.from_positions([1], n), t_psi)
+    sample 1 and a <1, run> pair for each of the runs."""
+    return vbyte_image(codes(*[x for run in runs for x in (1, run)]), [1],
+                       BitSequence.from_positions([1], n), t_psi)
 
 
 def test_forged_run_lengths_allocate_nothing_in_proportion():
     # a <1, 2**40> pair: the load, which sums every run's steps, rejects
     # it without allocating in proportion to the run
     n, big = 300, 2**40
-    enc = one_run_image(n, 64, n - 1)  # also numpy's first-call set-up
+    enc = one_run_image(n, 64, 64, 64, 64, 64, 43)  # also numpy's first-call set-up
     assert enc.access_many(np.arange(1, n + 1)).tolist() == list(range(1, n + 1))
     assert enc.access_many(list(range(n, 0, -1))).tolist() == list(range(n, 0, -1))
     assert enc.range(1, n) == list(range(1, n + 1))
+    # the same values as one run, across the samples 65, 129, 193 and 257
+    with pytest.raises(ValueError, match="vbyte run crosses a block start"):
+        one_run_image(n, 64, n - 1)
+    assert one_run_image(n, n, n - 1).range(1, n) == enc.range(1, n)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"codes {big} steps, the groups hold {n - 1}"):
