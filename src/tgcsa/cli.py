@@ -194,10 +194,12 @@ def _bench_workload(idx, count: int, seed: int):
 
 
 def cmd_bench(args) -> int:
+    t0 = time.perf_counter()
     idx = indexfile.load_index(args.index)
+    load_seconds = time.perf_counter() - t0
     classes = _bench_workload(idx, args.count, args.seed)
     rows = [("index", args.index), ("kind", idx.kind), ("n", idx.n),
-            ("nu", idx.nu), ("tau", idx.tau),
+            ("nu", idx.nu), ("tau", idx.tau), ("load_seconds", load_seconds),
             ("queries_per_class", args.count), ("repeats", args.repeat),
             ("warmups", args.warmup), ("timer", "process_time")]
     if idx.kind == "tgcsa":

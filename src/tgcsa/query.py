@@ -18,8 +18,18 @@ forward to its end. pattern_range makes one walk per id, active_edge
 hands the pair walk's values straight to its hops, and reverse_neighbors
 walks only the part of its group inside the window. The pair and
 neighbour queries find each target's contacts started by the cut with a
-walk that stops at its start. Snapshot and the change queries scan
-their window.
+walk that stops at its start.
+
+The same order makes each start-time group's last Psi value its latest
+end, which the index derives at arity 4 (latest_end). A group whose
+latest end lies by the end cut holds no live contact, so the pair and
+neighbour queries take no end hop for its contacts, and snapshot visits
+only the other groups, decoding in each only its live suffix with one
+stretch walk: it decodes exactly its live contacts. When no start group
+up to the start cut ends by the end cut, which the running minimum of
+latest_end tells in one lookup, the pair and neighbour queries leave
+the group test out, so contacts that outlast the cuts do not pay for
+it. The change queries, and snapshot at arity 3, scan their window.
 
 Positions are 1-based throughout, matching the bitmaps. Every time cut
 is the right edge of a time group (_cut), and a window is the stretch
@@ -44,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Contact
-from .psienc import checked_positions
+from .psienc import TOP, checked_positions
 
 
 @dataclass(frozen=True)
@@ -178,7 +188,9 @@ def pattern_range(idx, ids) -> tuple[int, int]:
 def _section3_window(idx, p1: int, p2: int):
     """(lo, hi, z_floor) for the cut points: live contacts have their
     start-section position inside [lo, hi], and when z_floor is set their
-    end-section position must lie beyond it.
+    end-section position must lie beyond it. z_floor is the right edge
+    of an end-time group, so a start group has a live contact exactly
+    when its latest end lies past z_floor.
 
     Contacts without a stored end behave as if open until the lifetime
     (incremental) or for exactly one step (point), which folds the end
@@ -214,6 +226,46 @@ def _edges(idx, pos1) -> list[tuple[int, int]]:
     return sorted(set(zip(u, v)))
 
 
+def _pruned_groups(idx, hi: int, zfloor: int) -> int:
+    """How many start groups up to position hi the group test must look
+    at: all of them when one has its latest end by zfloor, else 0, since
+    no end hop can then be skipped. One lookup in latest_end_min, so
+    that inputs whose contacts outlast the cuts do not pay for the test."""
+    k = idx.D.rank1(hi) - idx.start_group0
+    return k if k > 0 and idx.latest_end_min[k - 1] <= zfloor else 0
+
+
+def _end_test(idx, hi: int, zfloor: int):
+    """A function of the start-section position y of a contact started
+    by position hi: whether the contact ends past zfloor. It takes the
+    end hop only when y's start group's latest end lies past zfloor."""
+    access = idx.psi.access
+    k = _pruned_groups(idx, hi, zfloor)
+    if not k:
+        return lambda y: access(y) > zfloor
+    rank1, latest, first = idx.D.rank1, idx.latest_end, idx.start_group0 + 1
+
+    def ends_past(y: int) -> bool:
+        g = rank1(y) - first
+        if not 0 <= g < k:
+            raise ValueError(f"Psi position {y} lies outside the start groups up to {hi}")
+        return latest[g] > zfloor and access(y) > zfloor
+    return ends_past
+
+
+def _may_outlive(idx, ys: list[int], hi: int, zfloor: int) -> list[int]:
+    """The positions among ys, start-section positions up to hi, whose
+    start group has a contact that ends past zfloor, in one array step."""
+    k = _pruned_groups(idx, hi, zfloor)
+    if not k:
+        return ys
+    ys = checked_positions(ys, idx.arity * idx.n)
+    g = np.searchsorted(idx.D.positions(), ys, side="right") - idx.start_group0 - 1
+    if len(g) and (g.min() < 0 or g.max() >= k):
+        raise ValueError(f"a Psi position lies outside the start groups up to {hi}")
+    return ys[idx.latest_end[g] > zfloor].tolist()
+
+
 def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
                   zfloor) -> list[int]:
     """Section-2 groups among pos2 that hold a contact alive in the window.
@@ -222,14 +274,15 @@ def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
     section-1 group, in contact order, and groups the section-2 group of
     each: the positions of one target are adjacent, their groups ascend,
     and within a target they ascend by start time. A target with one
-    contact takes one hop and, when there is an end cut, a second. For
-    more, its contacts started by the cut (and, under point semantics,
-    since the lower cut) are found over the window they span by Psi
-    walks that stop at their first position (stretch with y = x); the
-    end test then runs from the latest start down and stops at the first
-    live contact.
+    contact takes one hop and, when there is an end cut and its start
+    group has a contact past it, a second. For more, its contacts
+    started by the cut (and, under point semantics, since the lower cut)
+    are found over the window they span by Psi walks that stop at their
+    first position (stretch with y = x); the end test then runs from the
+    latest start down and stops at the first live contact.
     """
     access, stretch = idx.psi.access, idx.psi.stretch
+    ends_past = None  # the end test, made when a contact first needs it
     cut_low = lo > 2 * idx.n + 1
     out = []
     j, m = 0, len(pos2)
@@ -240,17 +293,20 @@ def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
             k += 1
         if k == j + 1:
             y = access(pos2[j])
-            live = lo <= y <= hi and (zfloor is None or access(y) > zfloor)
+            live = lo <= y <= hi
+            if live and zfloor is not None:
+                ends_past = ends_past or _end_test(idx, hi, zfloor)
+                live = ends_past(y)
         else:
             run = pos2[j:k]
             a, b = min(run), max(run)
             end = stretch(a, b, hi + 1, hi + 1)[0]
             start = stretch(a, end - 1, lo, lo)[0] if cut_low else a
             started = [q for q in reversed(run) if start <= q < end]
-            if zfloor is None:
-                live = bool(started)
-            else:
-                live = any(access(access(q)) > zfloor for q in started)
+            live = bool(started)
+            if live and zfloor is not None:
+                ends_past = ends_past or _end_test(idx, hi, zfloor)
+                live = any(ends_past(access(q)) for q in started)
         if live:
             out.append(c)
         j = k
@@ -295,9 +351,12 @@ def reverse_neighbors(idx, v: int, sem: TimeSemantics) -> list[int]:
     if lo > hi:
         return []
     psi = idx.psi
-    nxt = [psi.access(y) for y in psi.stretch(*symbol_range(idx, c), lo, hi + 1)[1]]
-    if zfloor is not None:
-        nxt = [psi.access(z) for z in nxt if z > zfloor]
+    ys = psi.stretch(*symbol_range(idx, c), lo, hi + 1)[1]
+    if zfloor is None:
+        nxt = [psi.access(y) for y in ys]
+    else:
+        ends = map(psi.access, _may_outlive(idx, ys, hi, zfloor))
+        nxt = [psi.access(z) for z in ends if z > zfloor]
     return sorted(set(_terms(idx, nxt, 1).tolist()))
 
 
@@ -319,12 +378,35 @@ def active_edge(idx, u: int, v: int, sem: TimeSemantics) -> bool:
     return bool(_live_targets(idx, pos2, [c2] * len(pos2), lo, hi, zfloor))
 
 
+def _live_suffixes(idx, hi: int, zfloor: int) -> tuple[list[int], list[int]]:
+    """(starts, ends): the start- and end-section positions of the
+    contacts that start in a group up to position hi and end past zfloor.
+
+    Only the start groups whose latest end lies past zfloor are visited.
+    Psi never decreases along a group, so the live contacts of each form
+    its suffix: one stretch walk from the first value past zfloor.
+    """
+    a = idx.start_group0
+    k = idx.D.rank1(hi) - a
+    bounds = np.append(idx.D.positions()[a:a + k + 1], idx.arity * idx.n + 1).tolist()
+    starts, ends = [], []
+    for g in np.flatnonzero(idx.latest_end[:k] > zfloor).tolist():
+        first, vals = idx.psi.stretch(bounds[g], bounds[g + 1] - 1, zfloor + 1, TOP)
+        starts += range(first, first + len(vals))
+        ends += vals
+    return starts, ends
+
+
 def snapshot(idx, sem: TimeSemantics, contacts: bool = False):
     """Edges alive under sem as sorted distinct (u, v) pairs.
 
     Interval snapshots cover the strong reading only; asking to merely
     touch the interval is rejected. With contacts=True the underlying
     contact tuples come back instead of collapsed edges.
+
+    At arity 4 only the live suffixes of the start groups whose latest
+    end lies past the end cut are decoded (_live_suffixes); at arity 3
+    the whole window is, and Psi leads from it straight to section 1.
     """
     if idx.n == 0:
         return []
@@ -335,13 +417,11 @@ def snapshot(idx, sem: TimeSemantics, contacts: bool = False):
     if lo > hi:
         return []
     psi = idx.psi
-    nxt = checked_positions(psi.range(lo, hi), idx.arity * idx.n)
-    starts = np.arange(lo, hi + 1)
     if zfloor is None:  # no end section: Psi leads from a start straight to section 1
-        pos1 = nxt
+        starts = np.arange(lo, hi + 1)
+        pos1 = checked_positions(psi.range(lo, hi), idx.arity * idx.n)
     else:
-        live = nxt > zfloor
-        starts, ends = starts[live], nxt[live]
+        starts, ends = _live_suffixes(idx, hi, zfloor)
         pos1 = psi.access_many(ends)
     if not contacts:
         return _edges(idx, pos1)

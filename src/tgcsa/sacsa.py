@@ -104,6 +104,16 @@ class TgcsaIndex:
 
     Immutable after construction; queries live in the query module and
     are also exposed as methods for interface parity with the baselines.
+
+    At arity 4 the constructor, which build and load share, also derives
+    latest_end: per start-time group, in group order, Psi at its last
+    position. Psi never decreases along a group, so that is the group's
+    latest end-section position. start_group0 is the id of the group
+    before the first start group (rank1 of 2n), so position y's start
+    group is latest_end[D.rank1(y) - start_group0 - 1]. A latest end
+    outside the end section, 3n+1..4n, raises ValueError.
+    latest_end_min is its running minimum: whether any of the first k
+    start groups ends by a cut is one lookup.
     """
 
     kind = "tgcsa"
@@ -115,6 +125,17 @@ class TgcsaIndex:
         self.n = n
         self.arity = am.arity
         self.semantics = semantics
+        self.start_group0 = 0
+        self.latest_end = np.zeros(0, dtype=np.int64)
+        if self.arity == 4 and n:
+            marks = np.append(D.positions(), 4 * n + 1)
+            a, b = D.rank1(2 * n), D.rank1(3 * n)
+            self.start_group0 = a
+            self.latest_end = psi.access_many(marks[a + 1:b + 1] - 1)
+            if np.any((self.latest_end <= 3 * n) | (self.latest_end > 4 * n)):
+                raise ValueError("a start-time group's latest end lies outside "
+                                 "the end section")
+        self.latest_end_min = np.minimum.accumulate(self.latest_end)
 
     @property
     def nu(self) -> int:

@@ -151,6 +151,7 @@ def test_bench_report(g5_built, capsys):
     assert rows["kind"] == "tgcsa"
     assert rows["queries_per_class"] == "5"
     assert rows["timer"] == "process_time"
+    assert float(rows["load_seconds"]) > 0
     for cls in ("direct", "reverse", "edge", "snapshot",
                 "activated", "deactivated"):
         assert rows[f"{cls}.queries"] == "5"

@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from tgcsa import psienc
 from tgcsa.baseline import EdgeLogIndex
 from tgcsa.bitseq import BitSequence
 from tgcsa.corpus import ContactSet
@@ -153,6 +154,24 @@ def test_plain_values_past_the_positions_are_rejected():
     blob[start + 16] |= 0x1F   # the first 5-bit value now reads 32, past n = 20
     with pytest.raises(ValueError, match="past 20"):
         deserialize_index(bytes(blob))
+
+
+def test_latest_end_outside_the_end_section_is_rejected():
+    # swap the last Psi value of a start-time group with that of position
+    # 4n, which points into section 1: Psi stays a permutation that the
+    # plain codec's own checks accept, but that group's latest end now
+    # lies outside the end section
+    idx = build_index(small_ba(), codec="plain")
+    blob = serialize_index(idx)
+    n, a = idx.n, idx.start_group0
+    last = idx.D.select1(a + 3) - 1            # the second start group's last position
+    vals = idx.psi.access_many(list(range(1, 4 * n + 1)))
+    vals[[last - 1, 4 * n - 1]] = vals[[4 * n - 1, last - 1]]
+    assert 1 <= vals[last - 1] <= n
+    sections = [blob[s:s + k] for s, k in section_spans(blob)]
+    sections[2] = psienc.PlainPsi(vals).to_sections()[0]
+    with pytest.raises(ValueError, match="latest end lies outside the end section"):
+        deserialize_index(_emit(blob[:_HEAD.size + _SHAPE.size], sections))
 
 
 def test_retired_codec_tag_is_rejected():

@@ -9,7 +9,7 @@ from tgcsa.baseline import OracleIndex
 from tgcsa.corpus import Contact, ContactSet
 from tgcsa import psienc, query
 from tgcsa.sacsa import TgcsaIndex, build_index, verify_core
-from tgcsa.synth import GenSpec, generate
+from tgcsa.synth import GenSpec, generate, preset_icomm
 from tgcsa.query import (TimeSemantics, _terms, active_edge, activated_edges,
                          deactivated_edges, direct_neighbors, pattern_range,
                          reconstruct_contact, reverse_neighbors, snapshot,
@@ -407,3 +407,129 @@ def test_out_of_range_values_end_in_value_error_at_the_caller(g5):
                 assert "outside" in str(e)
                 raised += 1
     assert raised
+
+
+def prune_edge_graph(rng):
+    """Contacts of 1 step and contacts that last the whole lifetime, with
+    duplicates. A start group of short contacts only has its latest end
+    one step after its start, so every instant or interval has start
+    groups whose latest end lies exactly at its end cut and some one
+    step past it."""
+    nu, tau = rng.randint(3, 6), rng.randint(6, 10)
+    rows = []
+    for ts in range(1, tau):
+        kind = rng.choice(("short", "long", "mixed"))
+        for _ in range(rng.randint(1, 3)):
+            long = kind == "long" or (kind == "mixed" and rng.random() < 0.5)
+            rows.append((rng.randint(1, nu), rng.randint(1, nu), ts, tau if long else ts + 1))
+    rows += rng.sample(rows, 3)
+    return ContactSet(rows, nu=nu, tau=tau)
+
+
+def test_latest_end_prune_matches_the_oracle():
+    rng = random.Random("latest-end")
+    at_cut = past_cut = 0
+    for _ in range(2):
+        cs = prune_edge_graph(rng)
+        oracle = OracleIndex(cs)
+        sems = []
+        for t in range(1, cs.tau + 1):
+            sems.append(TimeSemantics.instant(t))
+            for t_end in range(t + 1, min(t + 3, cs.tau + 1) + 1):
+                sems += [TimeSemantics.strong(t, t_end), TimeSemantics.weak(t, t_end)]
+        latest = {}
+        for _, _, ts, te in cs.tuples():
+            latest[ts] = max(latest.get(ts, 0), te)
+        for sem in sems:
+            p1, p2 = sem.cuts()
+            started = [te for ts, te in latest.items() if ts <= p1]
+            at_cut += p2 in started
+            past_cut += p2 + 1 in started
+        for codec in ALL_CODECS:
+            for t_psi in (1, 3, 16):
+                idx = build_index(cs, codec=codec, t_psi=t_psi)
+                check_neighbour_queries(idx, oracle, sems)
+                for sem in sems:
+                    if sem.kind != "weak":
+                        assert idx.snapshot(sem) == oracle.snapshot(sem), sem
+                        assert (idx.snapshot(sem, contacts=True)
+                                == oracle.snapshot(sem, contacts=True)), sem
+    assert at_cut > 10 and past_cut > 10
+
+
+@pytest.mark.parametrize("codec", ALL_CODECS)
+def test_latest_end_prune_counts(codec, monkeypatch):
+    # snapshot decodes exactly its live contacts, by stretch walks and no
+    # range over its start window, and direct takes no end hop for a
+    # contact whose start group ends by the end cut
+    cs = preset_icomm(nu=60, seed=5)
+    idx = build_index(cs, codec=codec, t_psi=16)
+    n = idx.n
+    cls = type(idx.psi)
+    access, stretch, rng_ = cls.access, cls.stretch, cls.range
+    hops, walked, ranges = [], [], []
+    monkeypatch.setattr(cls, "access", lambda self, i: hops.append(i) or access(self, i))
+    monkeypatch.setattr(cls, "stretch", lambda self, *a: walked.append(stretch(self, *a))
+                        or walked[-1])
+    monkeypatch.setattr(cls, "range", lambda self, lo, hi: ranges.append(lo)
+                        or rng_(self, lo, hi))
+    oracle = OracleIndex(cs)
+
+    def outlives(y, zfloor):
+        return idx.latest_end[idx.D.rank1(y) - idx.start_group0 - 1] > zfloor
+
+    pruned = 0
+    for t in range(3, cs.tau, 7):
+        for sem in (TimeSemantics.instant(t), TimeSemantics.strong(t, t + 2)):
+            zfloor = query._section3_window(idx, *sem.cuts())[2]
+            walked.clear()
+            ranges.clear()
+            got = idx.snapshot(sem, contacts=True)
+            assert got == oracle.snapshot(sem, contacts=True)
+            p1, p2 = sem.cuts()
+            live = int(((cs.ts <= p1) & (cs.te > p2)).sum())
+            assert sum(len(vals) for _, vals in walked) == live
+            assert not [lo for lo in ranges if 2 * n < lo <= 3 * n]
+            for u in range(1, cs.nu + 1, 3):
+                hops.clear()
+                assert idx.direct_neighbors(u, sem) == oracle.direct_neighbors(u, sem)
+                ends = [y for y in hops if 2 * n < y <= 3 * n]
+                assert all(outlives(y, zfloor) for y in ends)
+                reached = {access(idx.psi, q) for q in hops if n < q <= 2 * n}
+                pruned += len({y for y in reached if not outlives(y, zfloor)})
+    assert pruned > 100
+    # at t = 1 every start group in the window outlasts the cut, so the
+    # group test is left out; at t = 30 it runs, and a start position
+    # outside the window's groups, as only a corrupted image gives, is a
+    # ValueError
+    _, hi, zfloor = query._section3_window(idx, 1, 1)
+    assert query._pruned_groups(idx, hi, zfloor) == 0
+    _, hi, zfloor = query._section3_window(idx, 30, 30)
+    assert query._pruned_groups(idx, hi, zfloor) > 0
+    for bad in (1, hi + 1, 3 * n + 1):
+        with pytest.raises(ValueError, match="outside the start groups"):
+            query._end_test(idx, hi, zfloor)(bad)
+        with pytest.raises(ValueError, match="outside the start groups"):
+            query._may_outlive(idx, [2 * n + 1, bad], hi, zfloor)
+
+
+@pytest.mark.parametrize("codec", ALL_CODECS)
+def test_group_ending_exactly_at_the_cut_takes_no_end_hop(codec, monkeypatch):
+    # start time 1's one contact ends at 3 and is the only one to end
+    # there, so at instant 3 the group's latest end is the end cut itself
+    # and the only group that fails the test
+    cs = ContactSet([(1, 2, 1, 3), (1, 3, 2, 9), (2, 1, 2, 5)], nu=3, tau=9)
+    idx = build_index(cs, codec=codec, t_psi=1)
+    n, sem = idx.n, TimeSemantics.instant(3)
+    _, hi, zfloor = query._section3_window(idx, *sem.cuts())
+    assert idx.latest_end[0] == zfloor and (idx.latest_end[1:] > zfloor).all()
+    hops = []
+    cls = type(idx.psi)
+    access = cls.access
+    monkeypatch.setattr(cls, "access", lambda self, i: hops.append(i) or access(self, i))
+    for ask, want in ((lambda: direct_neighbors(idx, 1, sem), [3]),
+                      (lambda: reverse_neighbors(idx, 2, sem), []),
+                      (lambda: active_edge(idx, 1, 2, sem), False)):
+        hops.clear()
+        assert ask() == want
+        assert not [y for y in hops if 2 * n < y <= 3 * n and idx.D.rank1(y) == idx.start_group0 + 1]
