@@ -1,7 +1,8 @@
 """Psi encodings.
 
 Three ways to store the permutation, all exposing the same small surface
-(access, access_many, stretch, range, size_bits, serialization sections).
+(access, access_many, stretch, lead, exceeds, range, size_bits,
+serialization sections).
 access_many(positions) returns psi at a list or int64 array of positions
 as an int64 array, taking each sample block the positions touch once; on
 the vbyte codec it has a fixed cost of about 25 pointwise accesses, so
@@ -16,7 +17,16 @@ starts of the next section (or the position past it); with y = x it
 only finds first. The sampled codecs answer it the way a compressed
 suffix array does: bisect the stored samples for x, then decode forward
 once from the sample before first, through the values. range(lo, hi)
-is that walk with both cuts open (-TOP and TOP, 2**63). It raises
+is that walk with both cuts open (-TOP and TOP, 2**63). lead(lo, hi,
+y) is the walk stretch(lo, hi, y, y) makes, keeping the values below y
+it passes from the sample it starts at (or from lo, if that is later;
+plain starts at lo). exceeds(i, z) tells whether psi(i) > z where that
+test is monotone along i's group, as it is in a start-time group for
+the right edge z of an end-time group: the same order that makes a
+start group's last value its latest end. The sampled codecs answer it
+from the sample that opens i's block when that is past z, or from the
+next sample of the group when that is at or below z, and otherwise walk
+from the block's sample to the first value past z, or to i. range raises
 ValueError when it comes back short: on a value at or past TOP, or
 below -TOP at lo (a later one is returned as it is). Positions outside
 1..n raise ValueError, and so does a code that runs past the end of its
@@ -31,7 +41,8 @@ the stream offset of the block's codes. Both follow one run rule: no +1
 run goes on past a sample, so every block's codes begin on a token.
 access finds a position's block with one bisect; stretch bisects the
 group's samples for x; range walks each group from the block that holds
-lo. Each codec decodes inside its blocks with its own loops.
+lo; exceeds reads the samples on either side of its position. Each
+codec decodes inside its blocks with its own loops.
 
 * plain: every value bit-packed at a fixed width. Fast, no compression.
 * vbyte-rle: per-group gap streams. Within a group the first value is a
@@ -259,6 +270,17 @@ class PlainPsi:
         first = bisect_left(vals, x, lo - 1, hi)
         return first + 1, vals[first:bisect_left(vals, y, first, hi)].tolist()
 
+    def lead(self, lo: int, hi: int, y: int) -> tuple[int, list[int]]:
+        """(lo, values): psi from lo on while it is below y and the
+        position at most hi. psi < y must be monotone on [lo, hi]."""
+        if lo > hi:
+            return lo, []
+        return lo, self.stretch(lo, hi, -TOP, y)[1]
+
+    def exceeds(self, i: int, z: int) -> bool:
+        """Whether psi(i) > z: one array read."""
+        return self.access(i) > z
+
     def size_bits(self) -> int:
         return len(self._vals) * self.width
 
@@ -296,7 +318,9 @@ class _SampledPsi:
     and offset columns. No +1 run goes on past a sample, so a block's
     codes begin on a token. Each codec decodes inside its blocks with its
     own access and _walk loops; the lookups that pick a block are here,
-    once: _sample, stretch's front and range's loop over groups.
+    once: _sample, _front (for stretch and lead), range's loop over
+    groups and exceeds, which reads one more column: whether each block
+    opens a group.
     """
 
     def _set_blocks(self, D: BitSequence, t_psi: int, opens, starts, val, ptr, end: int):
@@ -304,6 +328,7 @@ class _SampledPsi:
         self._n = D.nbits
         self.t_psi = t_psi
         self._open = _i64_array(np.flatnonzero(opens))   # each group's first block
+        self._opens = bytes(np.append(opens, True))       # whether each block (or n + 1) opens a group
         self._bpos = _i64_array(np.append(starts, D.nbits + 1))
         self._bval = _u64_array(val)
         self._bptr = _i64_array(np.append(ptr, end))
@@ -340,20 +365,16 @@ class _SampledPsi:
             c += 1
         return _whole(out, start, hi)
 
-    def stretch(self, lo: int, hi: int, x: int, y: int) -> tuple[int, list[int]]:
-        """(first, values): the first i in [lo, hi] with psi(i) >= x, or
-        hi + 1, and psi from there on while it is below y and the
-        position at most hi.
+    def _front(self, lo: int, hi: int, x: int) -> tuple[int, int]:
+        """(b, stop) for a walk over [lo, hi] to the first value at least
+        x: the block whose sample it starts from, and the position it
+        decodes no further than while it seeks.
 
-        [lo, hi] must lie in one group on which both predicates are
-        monotone. The samples inside (lo, hi] are bisected for the first
-        one at or above x; first then lies in the block that ends there
-        (or in the last block), and one walk decodes forward from the
-        previous sample, a +1 run in one step, and goes on past first
-        for the values.
+        [lo, hi] must lie in one group on which psi >= x is monotone. The
+        samples inside (lo, hi] are bisected for the first one at or
+        above x; the first value at least x then lies in the block that
+        ends there (or in the last block).
         """
-        if lo > hi:
-            return hi + 1, []
         if lo < 1 or hi > self._n:
             raise _outside(lo, hi, self._n)
         c = self._D.rank1(lo)
@@ -363,14 +384,58 @@ class _SampledPsi:
         l = self._bpos[g]
         b = g + (lo - l) // self.t_psi
         last = g + (hi - l) // self.t_psi
-        stop = hi  # where the walk ends while it seeks first
         if last > b:
             # blocks b + 1..last open at the group's samples inside (lo, hi]
             k = bisect_left(self._bval, x, b + 1, last + 1)
-            if k <= last:
-                stop = self._bpos[k]
-            b = k - 1
+            return k - 1, (self._bpos[k] if k <= last else hi)
+        return b, hi
+
+    def stretch(self, lo: int, hi: int, x: int, y: int) -> tuple[int, list[int]]:
+        """(first, values): the first i in [lo, hi] with psi(i) >= x, or
+        hi + 1, and psi from there on while it is below y and the
+        position at most hi.
+
+        [lo, hi] must lie in one group on which both predicates are
+        monotone. One walk decodes forward from the sample _front picks,
+        a +1 run in one step, and goes on past first for the values.
+        """
+        if lo > hi:
+            return hi + 1, []
+        b, stop = self._front(lo, hi, x)
         return self._walk(b, lo, hi, x, y, stop)
+
+    def lead(self, lo: int, hi: int, y: int) -> tuple[int, list[int]]:
+        """(first, values): psi from first on while it is below y and the
+        position at most hi, where first is the later of lo and the
+        sample before the first i in [lo, hi] with psi(i) >= y.
+
+        The walk is the one stretch(lo, hi, y, y) makes to find that i,
+        keeping the values it passes; psi < y must be monotone on
+        [lo, hi], which must lie in one group.
+        """
+        if lo > hi:
+            return lo, []
+        b = self._front(lo, hi, y)[0]
+        first = max(lo, self._bpos[b])
+        return first, self._walk(b, first, hi, -TOP, y, hi)[1]
+
+    def exceeds(self, i: int, z: int) -> bool:
+        """Whether psi(i) > z, where psi > z never turns from true to
+        false along i's group.
+
+        The sample that opens i's block settles it when it is past z, and
+        so does the next sample when it lies in the same group at or
+        below z; neither decodes. Otherwise one walk from the block's
+        sample ends at the first value past z, or at i.
+        """
+        if not 1 <= i <= self._n:
+            raise _outside(i, i, self._n)
+        b = bisect_right(self._bpos, i) - 1
+        if self._bval[b] > z:
+            return True
+        if not self._opens[b + 1] and self._bval[b + 1] <= z:
+            return False
+        return self._walk(b, self._bpos[b], i, z + 1, z + 1, i)[0] <= i
 
 
 class VbyteRlePsi(_SampledPsi):

@@ -17,8 +17,10 @@ the stretch's start instead of hopping entry by entry, then decodes
 forward to its end. pattern_range makes one walk per id, active_edge
 hands the pair walk's values straight to its hops, and reverse_neighbors
 walks only the part of its group inside the window. The pair and
-neighbour queries find each target's contacts started by the cut with a
-walk that stops at its start.
+direct queries find each target's contacts started by the cut with one
+walk, psi.lead, that ends at the first contact started after the cut
+and keeps the start-section positions it decodes on the way, from the
+sample it starts at: the started contacts it passes take no hop.
 
 The same order makes each start-time group's last Psi value its latest
 end, which the index derives at arity 4 (latest_end). A group whose
@@ -29,7 +31,11 @@ stretch walk: it decodes exactly its live contacts. When no start group
 up to the start cut ends by the end cut, which the running minimum of
 latest_end tells in one lookup, the pair and neighbour queries leave
 the group test out, so contacts that outlast the cuts do not pay for
-it. The change queries, and snapshot at arity 3, scan their window.
+it. The pair and direct queries need no contact's end itself, only
+whether it lies past the end cut, and ask psi.exceeds: by the same
+order the samples on either side of a start position settle that for
+most contacts with no decode. The change queries, and snapshot at
+arity 3, scan their window.
 
 Positions are 1-based throughout, matching the bitmaps. Every time cut
 is the right edge of a time group (_cut), and a window is the stretch
@@ -237,19 +243,22 @@ def _pruned_groups(idx, hi: int, zfloor: int) -> int:
 
 def _end_test(idx, hi: int, zfloor: int):
     """A function of the start-section position y of a contact started
-    by position hi: whether the contact ends past zfloor. It takes the
-    end hop only when y's start group's latest end lies past zfloor."""
-    access = idx.psi.access
+    by position hi: whether the contact ends past zfloor. It asks
+    psi.exceeds, which a start group allows, since Psi never decreases
+    along it and zfloor is the right edge of an end group; the samples
+    around y settle most contacts without a decode. It asks only when
+    y's start group's latest end lies past zfloor."""
+    exceeds = idx.psi.exceeds
     k = _pruned_groups(idx, hi, zfloor)
     if not k:
-        return lambda y: access(y) > zfloor
+        return lambda y: exceeds(y, zfloor)
     rank1, latest, first = idx.D.rank1, idx.latest_end, idx.start_group0 + 1
 
     def ends_past(y: int) -> bool:
         g = rank1(y) - first
         if not 0 <= g < k:
             raise ValueError(f"Psi position {y} lies outside the start groups up to {hi}")
-        return latest[g] > zfloor and access(y) > zfloor
+        return latest[g] > zfloor and exceeds(y, zfloor)
     return ends_past
 
 
@@ -273,17 +282,19 @@ def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
     pos2 holds the section-2 positions of a range of one source's
     section-1 group, in contact order, and groups the section-2 group of
     each: the positions of one target are adjacent, their groups ascend,
-    and within a target they ascend by start time. A target with one
-    contact takes one hop and, when there is an end cut and its start
-    group has a contact past it, a second. For more, its contacts
-    started by the cut (and, under point semantics, since the lower cut)
-    are found over the window they span by Psi walks that stop at their
-    first position (stretch with y = x); the end test then runs from the
-    latest start down and stops at the first live contact.
+    and within a target their start times ascend. A target with one
+    contact takes one hop and, when there is an end cut, the end test.
+    For more, one Psi walk over the span of its positions finds the
+    first one that starts after the cut (psi.lead), and keeps the
+    start-section positions it decoded on the way, from the sample
+    before that one. The started contacts are then tested from the
+    latest start down: each takes its start-section position from the
+    walk, or a hop when it lies before the walk's first position, and
+    the test stops at the first live contact, or at the first contact
+    that started before the lower cut (point semantics).
     """
-    access, stretch = idx.psi.access, idx.psi.stretch
+    access, lead = idx.psi.access, idx.psi.lead
     ends_past = None  # the end test, made when a contact first needs it
-    cut_low = lo > 2 * idx.n + 1
     out = []
     j, m = 0, len(pos2)
     while j < m:
@@ -299,14 +310,21 @@ def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
                 live = ends_past(y)
         else:
             run = pos2[j:k]
-            a, b = min(run), max(run)
-            end = stretch(a, b, hi + 1, hi + 1)[0]
-            start = stretch(a, end - 1, lo, lo)[0] if cut_low else a
-            started = [q for q in reversed(run) if start <= q < end]
-            live = bool(started)
-            if live and zfloor is not None:
-                ends_past = ends_past or _end_test(idx, hi, zfloor)
-                live = any(ends_past(access(q)) for q in started)
+            first, ys = lead(min(run), max(run), hi + 1)
+            end = first + len(ys)  # the first position that starts after the cut
+            live = False
+            for q in reversed(run):
+                if q >= end:
+                    continue
+                y = ys[q - first] if q >= first else access(q)
+                if y < lo:
+                    break
+                if zfloor is not None:
+                    ends_past = ends_past or _end_test(idx, hi, zfloor)
+                    if not ends_past(y):
+                        continue
+                live = True
+                break
         if live:
             out.append(c)
         j = k

@@ -6,6 +6,7 @@ on crafted sequences with runs longer than the sample step, oversized
 gaps, and sign escapes.
 """
 
+import bisect
 import hashlib
 import random
 import struct
@@ -1153,3 +1154,104 @@ def test_huffman_batch_values_past_int64_are_a_value_error():
     for call in (lambda: huff.access_many([1]), lambda: huff.range(1, 1)):
         with pytest.raises(ValueError, match="past int64"):
             call()
+
+
+def monotone_groups(cs, psi, D):
+    """The groups of sections 1..arity-1, each with the right edges of
+    the next section's groups: the z for which psi > z is monotone on
+    the group, as the queries' end cuts are."""
+    n = len(cs)
+    bounds = D.positions().tolist() + [len(psi) + 1]
+    out = []
+    for l, nxt in zip(bounds, bounds[1:]):
+        if l <= (cs.arity - 1) * n:
+            section = (l - 1) // n + 1
+            zs = [b - 1 for b in bounds if section * n < b <= (section + 1) * n + 1]
+            out.append((l, nxt - 1, zs))
+    return out
+
+
+@pytest.mark.parametrize("codec", ("plain",) + CODECS)
+def test_exceeds_and_lead_match_brute_force(codec):
+    # exceeds(i, z) at every position of every group of sections
+    # 1..arity-1 and every right edge z of the next section's groups;
+    # lead(lo, hi, y) over sub-ranges of each group and every group start
+    # y of the next section (and the position past it). lead's walk
+    # starts at the later of lo and the sample before the first value at
+    # least y, and returns every value from there up to that one.
+    rng = random.Random(f"lead-{codec}")
+    for cs in search_graphs():
+        psi, D = psi_and_d(cs)
+        want = psi.tolist()
+        for t in (1, 2, 3, 16, 64):
+            enc = psienc.encode(psi, D, codec=codec, t_psi=t)
+            starts = psienc._blocks(D, t)[1].tolist()
+            for l, r, zs in monotone_groups(cs, psi, D):
+                for i in range(l, r + 1):
+                    assert [enc.exceeds(i, z) for z in zs] == [want[i - 1] > z for z in zs]
+                spans = [(lo, hi) for lo in range(l, r + 1) for hi in range(lo, r + 1)]
+                if len(spans) > 30:
+                    spans = [(l, r)] + rng.sample(spans, 30)
+                for y in [z + 1 for z in zs]:
+                    for lo, hi in spans:
+                        first, vals = enc.lead(lo, hi, y)
+                        cut = brute_search(want, lo, hi, y)
+                        if codec == "plain" or cut == lo:
+                            assert first == lo
+                        else:
+                            assert first == max(lo, starts[bisect.bisect_right(starts, cut - 1) - 1])
+                        assert vals == want[first - 1:cut - 1], (t, lo, hi, y)
+                    assert enc.lead(r + 1, r, y) == (r + 1, [])
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_exceeds_decodes_only_what_the_samples_leave_open(codec, monkeypatch):
+    # a block whose sample is past z, or whose next sample in the same
+    # group is at or below z, decodes nothing; any other block takes one
+    # walk from its sample, and no access. Samples exactly at z, the next
+    # sample exactly at z, and a next group whose first sample is at or
+    # below z while psi(i) is past it all occur.
+    cls = type(psienc.encode(*g5_psi_d(), codec=codec, t_psi=4))
+    walks, hops = [], []
+    walk, access = cls._walk, cls.access
+    monkeypatch.setattr(cls, "_walk", lambda self, *a: walks.append(a) or walk(self, *a))
+    monkeypatch.setattr(cls, "access", lambda self, i: hops.append(i) or access(self, i))
+    seen = Counter()
+    for cs in search_graphs():
+        psi, D = psi_and_d(cs)
+        want = psi.tolist()
+        for t in (1, 2, 3, 16, 64):
+            enc = psienc.encode(psi, D, codec=codec, t_psi=t)
+            opens, starts = psienc._blocks(D, t)
+            opens, starts = opens.tolist() + [True], starts.tolist()
+            for l, r, zs in monotone_groups(cs, psi, D):
+                for i in range(l, r + 1):
+                    b = bisect.bisect_right(starts, i) - 1
+                    here = want[starts[b] - 1]
+                    nxt = want[starts[b + 1] - 1] if b + 1 < len(starts) else None
+                    for z in zs:
+                        walks.clear()
+                        hops.clear()
+                        assert enc.exceeds(i, z) == (want[i - 1] > z)
+                        settled = here > z or (not opens[b + 1] and nxt <= z)
+                        assert hops == [] and len(walks) == (not settled), (t, i, z)
+                        seen["sample at z"] += here == z
+                        seen["next sample in the group at z"] += not opens[b + 1] and nxt == z
+                        seen["next group's sample at or below z"] += (
+                            opens[b + 1] and nxt is not None and nxt <= z < want[i - 1])
+                        seen["walked"] += not settled
+    assert len(seen) == 4 and min(seen.values()) > 10, seen
+
+
+@pytest.mark.parametrize("codec", ("plain",) + CODECS)
+def test_exceeds_and_lead_reject_positions_outside_psi(codec):
+    psi, D = g5_psi_d()
+    enc = psienc.encode(psi, D, codec=codec, t_psi=4)
+    for call in (lambda: enc.exceeds(0, 15), lambda: enc.exceeds(21, 15),
+                 lambda: enc.exceeds(-2**70, 15), lambda: enc.exceeds(2**70, 15),
+                 lambda: enc.lead(0, 2, 7), lambda: enc.lead(20, 21, 1)):
+        with pytest.raises(ValueError, match="outside"):
+            call()
+    if codec != "plain":
+        with pytest.raises(ValueError, match="crosses a group end"):
+            enc.lead(1, 3, 8)

@@ -2,6 +2,7 @@
 against two independent oracles, and the time-semantics surface."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -297,8 +298,9 @@ def test_pair_lookups_skip_pointwise_access(codec, monkeypatch):
     idx = build_index(cs, codec=codec, t_psi=4)
     calls = []
     cls = type(idx.psi)
-    access = cls.access
+    access, exceeds = cls.access, cls.exceeds
     monkeypatch.setattr(cls, "access", lambda self, i: calls.append(i) or access(self, i))
+    monkeypatch.setattr(cls, "exceeds", lambda self, i, z: calls.append(i) or exceeds(self, i, z))
 
     for u, v in [(1, 2), (1, 3), (1, 11), (4, 2), (13, 2)]:
         l, r = pattern_range(idx, (idx.am.getmap(u, 1), idx.am.getmap(v, 2)))
@@ -306,7 +308,8 @@ def test_pair_lookups_skip_pointwise_access(codec, monkeypatch):
     assert active_edge(idx, 1, 2, TimeSemantics.instant(4)) is False
     assert active_edge(idx, 1, 2, TimeSemantics.strong(2, 5)) is False
     assert calls == []
-    # a live contact does take hops, so the counter sees them
+    # a live contact does take hops, or asks the end test, which can
+    # settle it without one, so the counter sees them
     assert active_edge(idx, 1, 2, TimeSemantics.instant(13)) is True
     assert calls
 
@@ -466,9 +469,11 @@ def test_latest_end_prune_counts(codec, monkeypatch):
     idx = build_index(cs, codec=codec, t_psi=16)
     n = idx.n
     cls = type(idx.psi)
-    access, stretch, rng_ = cls.access, cls.stretch, cls.range
+    access, stretch, rng_, exceeds = cls.access, cls.stretch, cls.range, cls.exceeds
     hops, walked, ranges = [], [], []
     monkeypatch.setattr(cls, "access", lambda self, i: hops.append(i) or access(self, i))
+    # the end test asks exceeds, which takes the end hop's place
+    monkeypatch.setattr(cls, "exceeds", lambda self, i, z: hops.append(i) or exceeds(self, i, z))
     monkeypatch.setattr(cls, "stretch", lambda self, *a: walked.append(stretch(self, *a))
                         or walked[-1])
     monkeypatch.setattr(cls, "range", lambda self, lo, hi: ranges.append(lo)
@@ -525,11 +530,141 @@ def test_group_ending_exactly_at_the_cut_takes_no_end_hop(codec, monkeypatch):
     assert idx.latest_end[0] == zfloor and (idx.latest_end[1:] > zfloor).all()
     hops = []
     cls = type(idx.psi)
-    access = cls.access
+    access, exceeds = cls.access, cls.exceeds
     monkeypatch.setattr(cls, "access", lambda self, i: hops.append(i) or access(self, i))
+    monkeypatch.setattr(cls, "exceeds", lambda self, i, z: hops.append(i) or exceeds(self, i, z))
     for ask, want in ((lambda: direct_neighbors(idx, 1, sem), [3]),
                       (lambda: reverse_neighbors(idx, 2, sem), []),
                       (lambda: active_edge(idx, 1, 2, sem), False)):
         hops.clear()
         assert ask() == want
         assert not [y for y in hops if 2 * n < y <= 3 * n and idx.D.rank1(y) == idx.start_group0 + 1]
+
+
+def hub_graph(rng, arity=4):
+    """Contacts into hub vertex 1 from every other vertex, vertex 2 with
+    the most, among contacts between random vertices; a third of them
+    start at one of three busy times, so those start groups hold samples
+    inside them. Ends are 1 to 3 steps after the start or at the
+    lifetime's end, with duplicates. At arity 3 the contacts are point
+    contacts."""
+    nu, tau = 9, 24
+    rows = []
+    for u, k in [(2, 24)] + [(u, 7) for u in range(3, nu + 1)] + [(0, 60)]:
+        for _ in range(k):
+            ts = rng.choice((5, 11, 17)) if rng.random() < 0.35 else rng.randint(1, tau - 1)
+            te = tau if rng.random() < 0.3 else min(ts + rng.randint(1, 3), tau)
+            src, dst = (u, 1) if u else (rng.randint(1, nu), rng.randint(1, nu))
+            rows.append((src, dst, ts, te))
+    rows += rng.sample(rows, 6)
+    if arity == 3:
+        return ContactSet([r[:3] for r in rows], arity=3, nu=nu, tau=tau, semantics="point")
+    return ContactSet(rows, nu=nu, tau=tau)
+
+
+def hub_semantics(tau):
+    sems = [TimeSemantics.instant(t) for t in range(1, tau + 1)]
+    for t in range(1, tau + 1):
+        for d in (1, 3):
+            if t + d <= tau + 1:
+                sems += [TimeSemantics.strong(t, t + d), TimeSemantics.weak(t, t + d)]
+    return sems
+
+
+def test_sampled_end_tests_and_walked_starts_match_the_oracle():
+    # every codec at t_psi 1, 2, 3, 16 and 64 on hub graphs: the hub's
+    # section-2 group spans several blocks, so vertex 2's started
+    # contacts are read partly from the walk and partly by hops, and the
+    # start groups' samples fall exactly at the end cut, one step before
+    # it and one step past it
+    rng = random.Random("sampled-end-test")
+    near = Counter()
+    for cs in (hub_graph(rng), hub_graph(rng), hub_graph(rng, arity=3)):
+        oracle = OracleIndex(cs)
+        sems = hub_semantics(cs.tau)
+        asks = [("direct_neighbors", (u,)) for u in range(1, cs.nu + 1)]
+        asks += [("reverse_neighbors", (v,)) for v in (1, 2, 5)]
+        asks += [("active_edge", (u, 1)) for u in range(1, cs.nu + 1)]
+        asks += [("active_edge", (u, v)) for u, v in ((3, 4), (5, 6), (7, 2), (1, 9))]
+        want = {(name, args, sem): getattr(oracle, name)(*args, sem)
+                for sem in sems for name, args in asks}
+        for codec in ALL_CODECS:
+            for t_psi in (1, 2, 3, 16, 64):
+                idx = build_index(cs, codec=codec, t_psi=t_psi)
+                for (name, args, sem), answer in want.items():
+                    assert getattr(idx, name)(*args, sem) == answer, (codec, t_psi, name, args, sem)
+                if codec == "plain" or idx.arity == 3:
+                    continue
+                opens, starts = psienc._blocks(idx.D, t_psi)
+                samples = starts[(starts > 2 * idx.n) & (starts <= 3 * idx.n)]
+                for sem in sems:
+                    _, hi, zfloor = query._section3_window(idx, *sem.cuts())
+                    vals = idx.psi.access_many(samples[samples <= hi])
+                    for d in (-1, 0, 1):
+                        near[t_psi, d] += int((vals == zfloor + d).sum())
+    assert all(near[t, d] > 0 for t in (1, 2, 3, 16, 64) for d in (-1, 0, 1)), near
+
+
+@pytest.mark.parametrize("codec", ALL_CODECS)
+def test_started_contacts_read_from_the_walk_take_no_hop(codec, monkeypatch):
+    # a target with several contacts takes one lead walk over their
+    # span; a started contact inside the walk takes no section-2 access,
+    # and one before the walk's first position takes one
+    cs = hub_graph(random.Random("walked-starts"))
+    idx = build_index(cs, codec=codec, t_psi=4)
+    oracle = OracleIndex(cs)
+    n = idx.n
+    cls = type(idx.psi)
+    access, lead = cls.access, cls.lead
+    hops, walks = [], {}
+
+    def counted_lead(self, lo, hi, y):
+        first, vals = lead(self, lo, hi, y)
+        walks[lo] = (first, first + len(vals))
+        return first, vals
+
+    monkeypatch.setattr(cls, "access", lambda self, i: hops.append(i) or access(self, i))
+    monkeypatch.setattr(cls, "lead", counted_lead)
+    seen = Counter()
+    for u in range(1, cs.nu + 1):
+        l, r = symbol_range(idx, idx.am.getmap(u, 1))
+        pos2 = idx.psi.range(l, r)
+        runs = {}
+        for q in pos2:
+            runs.setdefault(idx.D.rank1(q), []).append(q)
+        for sem in hub_semantics(cs.tau):
+            hops.clear()
+            walks.clear()
+            assert direct_neighbors(idx, u, sem) == oracle.direct_neighbors(u, sem)
+            live = set(oracle.direct_neighbors(u, sem))
+            hopped = [q for q in hops if n < q <= 2 * n]
+            for c, run in runs.items():
+                mine = [q for q in hopped if q in run]
+                if len(run) == 1:
+                    assert len(mine) <= 1
+                    continue
+                first, end = walks[min(run)]
+                assert all(q < first for q in mine), (u, sem, run, first, mine)
+                seen["hop before the walk"] += bool(mine)
+                v = idx.am.getunmap(c, 2)
+                seen["live from the walk"] += v in live and not mine
+    assert seen["live from the walk"] > 100, seen
+    if codec != "plain":
+        assert seen["hop before the walk"] > 10, seen
+
+
+@pytest.mark.parametrize("codec", ALL_CODECS)
+def test_walked_starts_and_end_tests_reject_positions_outside_the_index(codec):
+    # only a corrupted image hands these positions on: a target's
+    # section-2 positions to the lead walk or its hop, and a start
+    # position to the end test when no start group is pruned
+    idx = build_index(hub_graph(random.Random("outside")), codec=codec, t_psi=4)
+    total = idx.arity * idx.n
+    lo, hi, zfloor = query._section3_window(idx, 1, 1)
+    assert query._pruned_groups(idx, hi, zfloor) == 0
+    for bad in (0, total + 1, -2**70, 2**70):
+        with pytest.raises(ValueError, match="outside"):
+            query._end_test(idx, hi, zfloor)(bad)
+    for pos2 in ([0], [0, 3], [total, total + 1], [2**70, 2**70 + 1]):
+        with pytest.raises(ValueError, match="outside"):
+            query._live_targets(idx, pos2, [1] * len(pos2), lo, hi, zfloor)
