@@ -1,7 +1,7 @@
 """Psi encodings.
 
 Three ways to store the permutation, all exposing the same small surface
-(access, access_many, stretch, lead, exceeds, range, size_bits,
+(access, access_many, stretch, lead, exceeds, range, values, size_bits,
 serialization sections).
 access_many(positions) returns psi at a list or int64 array of positions
 as an int64 array, taking each sample block the positions touch once; on
@@ -26,13 +26,10 @@ the right edge z of an end-time group: the same order that makes a
 start group's last value its latest end. The sampled codecs answer it
 from the sample that opens i's block when that is past z, or from the
 next sample of the group when that is at or below z, and otherwise walk
-from the block's sample to the first value past z, or to i. range raises
-ValueError when it comes back short: on a value at or past TOP, or
-below -TOP at lo (a later one is returned as it is). Positions outside
-1..n raise ValueError, and so does a code that runs past the end of its
-stream. Decoded values are not checked against 1..n; where a caller
-uses one as a position (the next access, query._terms, verify_core) it
-is checked there, so a corrupted image still ends in ValueError.
+from the block's sample to the first value past z, or to i. values()
+returns all of Psi as one int64 array, decoded with array operations.
+Positions outside 1..n raise ValueError. No decoder checks a value it
+decodes: the index's constructor proves all of values() (sacsa._prove).
 
 The two sampled codecs share one block layout (_SampledPsi): a block
 opens at every group start and every t_psi positions inside a group,
@@ -65,9 +62,8 @@ codec decodes inside its blocks with its own loops.
   block start. Decoding looks each token up in a table indexed by the
   next few stream bits, built from the code lengths when the codec is
   built or loaded. access and the stretch walk each decode in one loop
-  with that lookup inline, and check the stream end once per walk,
-  after the loop; a walk that goes on across a block start checks that
-  its bit offset is that block's pointer. The image stores the code
+  with that lookup inline, and values() decodes every block at once,
+  one token per lane in each numpy step. The image stores the code
   lengths, the samples and the pointers bit-packed at their minimum
   widths, each after its count and width. A load takes each table only
   at its minimum width with zero padding, its pointers only in order
@@ -211,13 +207,6 @@ def checked_positions(positions, n: int) -> np.ndarray:
     return positions
 
 
-def _whole(vals: list[int], lo: int, hi: int) -> list[int]:
-    """vals, when range's walk gave a value for every position of lo..hi."""
-    if len(vals) <= hi - lo:
-        raise ValueError("Psi decodes a value past int64")
-    return vals
-
-
 def _i64_array(a) -> array:
     """A non-negative table as an array("q"): indexing and bisect see
     Python ints, and np.frombuffer views it as int64 without a copy."""
@@ -258,6 +247,10 @@ class PlainPsi:
     def access_many(self, positions) -> np.ndarray:
         return self._vals[checked_positions(positions, self._n) - 1]
 
+    def values(self) -> np.ndarray:
+        """All of Psi as one int64 array: the array itself."""
+        return self._vals
+
     def stretch(self, lo: int, hi: int, x: int, y: int) -> tuple[int, list[int]]:
         """(first, values): the first i in [lo, hi] with psi(i) >= x, or
         hi + 1, and psi from there on while it is below y and the
@@ -291,6 +284,7 @@ class PlainPsi:
 
     @classmethod
     def from_sections(cls, sections, D: BitSequence) -> "PlainPsi":
+        """The codec; the index's proof of Psi rejects a value past n."""
         blob = sections[0]
         if len(blob) < 16:
             raise ValueError("fixed-width section is shorter than its header")
@@ -301,10 +295,7 @@ class PlainPsi:
             raise ValueError("fixed-width payload disagrees with its header")
         if any(blob[9:16]) or (n * width % 8 and blob[-1] >> (n * width % 8)):
             raise ValueError("fixed-width section sets padding bits")
-        vals = _unpack_fixed(blob[16:], n, width).astype(np.int64) + 1
-        if n and int(vals.max()) > n:
-            raise ValueError(f"fixed-width Psi holds a value past {n}")
-        return cls(vals)
+        return cls(_unpack_fixed(blob[16:], n, width).astype(np.int64) + 1)
 
 
 class _SampledPsi:
@@ -349,12 +340,12 @@ class _SampledPsi:
 
     def range(self, lo: int, hi: int) -> list[int]:
         """Decode positions lo..hi: stretch's walk with both cuts open,
-        once per group, from the block that holds lo."""
+        once per group from lo's block; proven values never reach TOP."""
         if lo > hi:
             return []
         if lo < 1 or hi > self._n:
             raise _outside(lo, hi, self._n)
-        out, start = [], lo
+        out = []
         c = self._D.rank1(lo)
         while lo <= hi:
             g = self._open[c - 1]
@@ -363,7 +354,7 @@ class _SampledPsi:
             out += self._walk(b, lo, stop, -TOP, TOP, stop)[1]
             lo = stop + 1
             c += 1
-        return _whole(out, start, hi)
+        return out
 
     def _front(self, lo: int, hi: int, x: int) -> tuple[int, int]:
         """(b, stop) for a walk over [lo, hi] to the first value at least
@@ -499,7 +490,7 @@ class VbyteRlePsi(_SampledPsi):
             raise ValueError(f"vbyte codec needs {D.ones} group samples, "
                              f"the image holds {len(s0)}")
         if len(buf) and buf[-1] < 0x80:
-            raise _overrun()
+            raise ValueError("vbyte code runs past the end of the stream")
         ends, _, marker, _, steps, delta = self._codes(buf, buf >= 0x80, [0])
         if len(marker) and marker[-1] == len(ends) - 1:
             raise ValueError("vbyte marker at the end of the stream has no payload")
@@ -526,6 +517,12 @@ class VbyteRlePsi(_SampledPsi):
         if len(val) and (val.min() < 1 or val.max() > bound):
             raise ValueError(f"vbyte sample outside 1..{bound}")
         self._set_blocks(D, t_psi, opens, starts, val, np.append(0, ends[tok] + 1)[k], len(buf))
+
+    def values(self) -> np.ndarray:
+        """All of Psi: the stream cut again as the constructor cut it and
+        summed from each group's sample; a marker takes no step."""
+        steps, delta = self._codes(self._bytes, self._bytes >= 0x80, [0])[4:]
+        return _expand(steps, delta, self._D.positions(), self._s0().astype(np.int64), self._n)
 
     def _codes(self, buf: np.ndarray, term: np.ndarray, at) -> tuple[np.ndarray, ...]:
         """Cut buf into its codes and read them. A code ends at every byte
@@ -774,6 +771,14 @@ def _blocks(D: BitSequence, t_psi: int) -> tuple[np.ndarray, np.ndarray]:
     return j == 0, np.repeat(starts, counts) + j * t_psi
 
 
+def _expand(steps, delta, starts, firsts, n: int) -> np.ndarray:
+    """Psi from firsts, its values at starts, and the tokens of the other
+    positions in order (one of several steps is a +1 run): one cumsum."""
+    d = np.repeat(np.where(steps > 1, 1, delta), steps)
+    c = np.insert(d, starts - 1 - np.arange(len(starts)), 0).cumsum()
+    return c + np.repeat(firsts - c[starts - 1], np.diff(np.append(starts, n + 1)))
+
+
 def _vbyte_stream(psi: np.ndarray, D: BitSequence, t_psi: int) -> bytes:
     """The vbyte codec's stream: psi's gaps cut into tokens, none at a
     group start and no run past a sample, each token's codes written with
@@ -800,14 +805,6 @@ def _tokens(psi: np.ndarray, skip: np.ndarray, sample: np.ndarray) -> tuple[np.n
     last = np.append(first[1:], len(psi)) - 1
     tok = ~skip[first]
     return first[tok], last[tok], gap
-
-
-def _overrun(code: str = "vbyte") -> ValueError:
-    return ValueError(f"{code} code runs past the end of the stream")
-
-
-def _misaligned(b: int) -> ValueError:
-    return ValueError(f"Huffman codes before block {b} do not end at its pointer")
 
 
 # Huffman-coded variant. Symbol ids: run lengths 1..t map to 0..t-1,
@@ -914,15 +911,14 @@ class HuffRlePsi(_SampledPsi):
     and the shift once, reads the 24-bit window at a bit offset from
     three stream bytes, and adds each token's steps and delta in place.
     access adds every token whole and takes back what a last run
-    overshoots. _walk goes on across block starts inside a group. Where
-    it has decoded a block's last position, its bit offset must be the
-    next block's pointer, else ValueError, and a walk that goes on takes
-    the next block's sample; a run past a block's end is a ValueError
-    too. So no walk reads codes that access, which starts every block at
-    its own pointer, would not read. The stream carries 16 zero bytes of padding, so a walk reads past its end
-    without a check per token; each walk compares its end offset with the
-    stream's bit count once, after its loop, and a walk that runs past
-    the padding turns its IndexError into the same ValueError.
+    overshoots. _walk goes on across block starts inside a group, taking
+    the next block's sample where it has decoded a block's last position.
+
+    Neither loop checks its bit offset, the stream end or a run's end:
+    an index holds the codec only once values() has proved that each
+    block's tokens give exactly its positions up to the next block's
+    pointer, so no walk meets the IndexError, overrun or misalignment it
+    once checked for. Zero padding lets a window be read at the end.
 
     build cuts the gaps into tokens with _tokens at the block starts,
     takes each escape's class from the bit length of its magnitude,
@@ -942,9 +938,8 @@ class HuffRlePsi(_SampledPsi):
         self._lengths_u8 = bytes(lengths_u8)
         self._stream = bytes(stream)
         self._stream_bits = stream_bits
-        # zero padding lets a walk read past the end; _limit catches it
+        # zero padding: a window read at the stream end needs no check
         self._padded = self._stream + bytes(16)
-        self._limit = stream_bits
         opens, starts = _blocks(D, t_psi)
         self._set_blocks(D, t_psi, opens, starts, samples, ptrs, stream_bits)
         self._build_table()
@@ -961,7 +956,8 @@ class HuffRlePsi(_SampledPsi):
         run = np.where(rel < 0, rel + t + 1, 1)
         base = np.select([rel < 0, rel < NSV, neg], [run, rel + 2, -1 - half], NSV + 2 + half)
         nraw = (k - 1).clip(0) * np.where(neg, -1, 1)
-        self._entries = list(zip(lens.tolist(), run.tolist(), base.tolist(), nraw.tolist()))
+        self._code = np.stack((lens, run, base, nraw))   # the entries' columns, for values()
+        self._entries = list(zip(*self._code.tolist()))
         maxlen = len(first) - 1
         self._k = width = min(maxlen, TABLE_BITS)
         self._mask = (1 << width) - 1
@@ -1016,11 +1012,10 @@ class HuffRlePsi(_SampledPsi):
         return (x >> (8 * nbytes - (pos & 7) - width)) & ((1 << width) - 1)
 
     def _long_code(self, pos: int) -> tuple:
-        """The entry of a code longer than the table width."""
+        """The entry of a code longer than the table width. One that runs
+        past the stream is left to values(), which checks every pointer."""
         first, count, offset = self._first, self._count, self._offset
         for ln in range(self._k + 1, len(first)):
-            if pos + ln > self._limit:
-                raise _overrun("Huffman")
             idx = self._peek(pos, ln) - first[ln]
             if 0 <= idx < count[ln]:
                 return self._entries[offset[ln] + idx]
@@ -1032,26 +1027,21 @@ class HuffRlePsi(_SampledPsi):
         p, v, pos = self._sample(bisect_right(self._bpos, i) - 1)
         steps = i - p
         P, table, mask, shift = self._padded, self._table, self._mask, 24 - self._k
-        try:
-            while steps > 0:
-                b = pos >> 3
-                e = table[(P[b] << 16 | P[b + 1] << 8 | P[b + 2]) >> (shift - (pos & 7)) & mask]
-                if e is None:
-                    e = self._long_code(pos)
-                ln, run, delta, nraw = e
-                pos += ln
-                if nraw > 0:
-                    delta += self._peek(pos, nraw)
-                    pos += nraw
-                elif nraw:
-                    delta -= self._peek(pos, -nraw)
-                    pos -= nraw
-                v += delta
-                steps -= run
-        except IndexError:
-            raise _overrun("Huffman") from None
-        if pos > self._limit:
-            raise _overrun("Huffman")
+        while steps > 0:
+            b = pos >> 3
+            e = table[(P[b] << 16 | P[b + 1] << 8 | P[b + 2]) >> (shift - (pos & 7)) & mask]
+            if e is None:
+                e = self._long_code(pos)
+            ln, run, delta, nraw = e
+            pos += ln
+            if nraw > 0:
+                delta += self._peek(pos, nraw)
+                pos += nraw
+            elif nraw:
+                delta -= self._peek(pos, -nraw)
+                pos -= nraw
+            v += delta
+            steps -= run
         return v + steps  # a last run that overshoots leaves steps < 0
 
     def access_many(self, positions) -> np.ndarray:
@@ -1076,13 +1066,53 @@ class HuffRlePsi(_SampledPsi):
                 vals += [got[q - lo] for q in qs[j:k]]
             j = k
         out = np.empty(len(i), dtype=np.int64)
-        try:
-            out[order] = vals
-        except OverflowError:
-            # escapes carry up to 63 raw bits, so a corrupted stream can
-            # sum past int64
-            raise ValueError("Huffman stream decodes a value past int64") from None
+        out[order] = vals  # values() proved them inside 1..n, so inside int64
         return out
+
+    def values(self) -> np.ndarray:
+        """All of Psi, decoded in lockstep: each numpy step decodes one
+        token in every block with positions left, by a table of entry ids
+        that np.repeat builds as _build_table builds its list, and a
+        second window for up to 16 raw bits; a longer code or escape goes
+        through _long_code one block at a time. ValueError, before any
+        sum, on an unassigned code, a value change past INT64_MAX // (n +
+        1), or a block whose tokens do not end at the next pointer."""
+        n, bound = self._n, INT64_MAX // (self._n + 1)
+        bpos, bval, bptr = self._columns()
+        k = min(len(self._first) - 1, 17)  # a 24-bit window holds 17 bits at any offset
+        lens, run, base, nraw = np.hstack((np.zeros((4, 1), dtype=np.int64), self._code))
+        reps = 1 << (k - lens[1:][lens[1:] <= k])
+        ids = np.zeros(1 << k, dtype=np.int64)  # id 0: no code of up to k bits
+        ids[:reps.sum()] = np.repeat(np.arange(1, len(reps) + 1), reps)
+        P = np.frombuffer(self._padded, dtype=np.uint8).astype(np.int64)
+        W = P[:-2] << 16 | P[1:-1] << 8 | P[2:]
+        lane, pos, end, left = np.arange(len(bval)), bptr[:-1], bptr[1:], np.diff(bpos) - 1
+        got = [(lane[:0],) * 3]
+        while True:
+            if np.any((pos > end) | (left < 0) | ((left == 0) & (pos != end))):
+                raise ValueError("Huffman codes of a block do not end with it, at the next pointer")
+            lane, pos, end, left = (a[left > 0] for a in (lane, pos, end, left))
+            if not len(lane):
+                break
+            e = ids[W[pos >> 3] >> (24 - k - (pos & 7)) & ((1 << k) - 1)]
+            ln, st, dl, nr = lens[e], run[e], base[e], nraw[e]
+            slow = (ln == 0) | (np.abs(nr) > 16)
+            r, at = np.abs(nr) * ~slow, pos + ln  # raw bit counts, and where they start
+            dl += np.sign(nr) * (W[at >> 3] >> (24 - r - (at & 7)) & ((1 << r) - 1))
+            at += r
+            for j in np.flatnonzero(slow).tolist():
+                q = int(pos[j])
+                e = self._long_code(q) if not ln[j] else (ln[j], st[j], dl[j], nr[j])
+                L, S, d, R = map(int, e)
+                d += self._peek(q + L, R) if R > 0 else -self._peek(q + L, -R)
+                at[j], st[j], dl[j] = q + L + abs(R), S, d if abs(d) <= bound else bound + 1
+            if np.any((dl > bound) | (dl < -bound)):
+                raise ValueError(f"Huffman token changes the value by more than {bound}")
+            got.append((lane, st, dl))
+            pos, left = at, left - st
+        lane, st, dl = (np.concatenate([g[c] for g in got]) for c in range(3))
+        order = np.argsort(lane, kind="stable")  # stream order: by block, then step
+        return _expand(st[order], dl[order], bpos[:-1], bval, n)
 
     def _walk(self, b: int, lo: int, hi: int, x: int, y: int,
               stop: int) -> tuple[int, list[int]]:
@@ -1090,8 +1120,7 @@ class HuffRlePsi(_SampledPsi):
         seeks the first position from lo on whose value is at least x,
         decoding no further than stop while it seeks, then collects the
         values below y up to hi. A +1 run takes one step, and a block
-        start inside the walk takes its sample, once the walk's bit
-        offset is checked against the block's pointer."""
+        start inside the walk takes its sample."""
         p, v, pos = self._sample(b)
         first, out = hi + 1, []
         seek = p < lo or v < x
@@ -1100,67 +1129,56 @@ class HuffRlePsi(_SampledPsi):
             if v >= y:
                 return first, out
             out.append(v)
-        bpos, bval, bptr = self._bpos, self._bval, self._bptr
+        bpos, bval = self._bpos, self._bval
         end = bpos[b + 1] - 1  # the block's last position
         P, table, mask, shift = self._padded, self._table, self._mask, 24 - self._k
-        try:
-            while p < stop:
-                if p == end:
-                    b += 1
-                    if pos != bptr[b]:
-                        raise _misaligned(b)
-                    end = bpos[b + 1] - 1
-                    delta = bval[b] - v
-                else:
-                    c = pos >> 3
-                    e = table[(P[c] << 16 | P[c + 1] << 8 | P[c + 2]) >> (shift - (pos & 7)) & mask]
-                    if e is None:
-                        e = self._long_code(pos)
-                    ln, run, delta, nraw = e
-                    pos += ln
-                    if nraw > 0:
-                        delta += self._peek(pos, nraw)
-                        pos += nraw
-                    elif nraw:
-                        delta -= self._peek(pos, -nraw)
-                        pos -= nraw
-                    elif run > 1:
-                        if run > end - p:
-                            raise ValueError("Huffman run crosses a block start")
-                        if run > stop - p:
-                            run = stop - p
-                        if seek:
-                            q = max(lo, p + 1, p + x - v)
-                            if q > p + run:
-                                v += run
-                                p += run
-                                continue
-                            first, seek, stop = q, False, hi
-                            run = min(delta, hi - p)  # delta is the whole run
-                        else:
-                            q = p + 1
-                        if v + run >= y:
-                            out.extend(range(v + q - p, y))
-                            break
-                        out.extend(range(v + q - p, v + run + 1))
-                        v += run
-                        p += run
-                        continue
-                v += delta
-                p += 1
-                if seek:
-                    if p < lo or v < x:
-                        continue
-                    first, seek, stop = p, False, hi
-                if v >= y:
-                    break
-                out.append(v)
-        except IndexError:
-            raise _overrun("Huffman") from None
-        if pos > self._limit:
-            raise _overrun("Huffman")
-        if p == end and pos != bptr[b + 1]:
-            raise _misaligned(b + 1)
+        while p < stop:
+            if p == end:
+                b += 1
+                end = bpos[b + 1] - 1
+                delta = bval[b] - v
+            else:
+                c = pos >> 3
+                e = table[(P[c] << 16 | P[c + 1] << 8 | P[c + 2]) >> (shift - (pos & 7)) & mask]
+                if e is None:
+                    e = self._long_code(pos)
+                ln, run, delta, nraw = e
+                pos += ln
+                if nraw > 0:
+                    delta += self._peek(pos, nraw)
+                    pos += nraw
+                elif nraw:
+                    delta -= self._peek(pos, -nraw)
+                    pos -= nraw
+                elif run > 1:
+                    if run > stop - p:
+                        run = stop - p
+                    if seek:
+                        q = max(lo, p + 1, p + x - v)
+                        if q > p + run:
+                            v += run
+                            p += run
+                            continue
+                        first, seek, stop = q, False, hi
+                        run = min(delta, hi - p)  # delta is the whole run
+                    else:
+                        q = p + 1
+                    if v + run >= y:
+                        out.extend(range(v + q - p, y))
+                        break
+                    out.extend(range(v + q - p, v + run + 1))
+                    v += run
+                    p += run
+                    continue
+            v += delta
+            p += 1
+            if seek:
+                if p < lo or v < x:
+                    continue
+                first, seek, stop = p, False, hi
+            if v >= y:
+                break
+            out.append(v)
         return first, out
 
     def _tables(self) -> tuple[np.ndarray, ...]:

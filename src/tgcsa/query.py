@@ -50,7 +50,8 @@ query's hops nearly all fall in distinct sample blocks (on both sampled
 codecs a block opens at every group start). Lists of positions
 become terms in one array step: a position's symbol id is the number
 of D's group marks up to it (np.searchsorted on D's one-positions), and
-the term is values[id - 1] less the section's gap.
+the term is values[id - 1] less the section's gap. No query checks a
+decoded value, since the index proved Psi and D when built (sacsa._prove).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Contact
-from .psienc import TOP, checked_positions
+from .psienc import TOP
 
 
 @dataclass(frozen=True)
@@ -217,10 +218,9 @@ def _terms(idx, positions, section: int) -> np.ndarray:
 
     A position's symbol id is the number of group marks of D up to it,
     and the id's shifted value is values[id - 1]. The positions, a list
-    or a codec's int64 array, are checked first; a list before numpy
-    sees it, so that no corrupted value reaches numpy.
+    or a codec's int64 array, lie in 1..arity*n, as the index proved of
+    every Psi value.
     """
-    positions = checked_positions(positions, idx.arity * idx.n)
     ids = np.searchsorted(idx.D.positions(), positions, side="right")
     return idx.am.values[ids - 1] - idx.am.gaps[section - 1]
 
@@ -247,32 +247,23 @@ def _end_test(idx, hi: int, zfloor: int):
     psi.exceeds, which a start group allows, since Psi never decreases
     along it and zfloor is the right edge of an end group; the samples
     around y settle most contacts without a decode. It asks only when
-    y's start group's latest end lies past zfloor."""
+    y's start group's latest end lies past zfloor. y, at most hi and a
+    section-2 position's Psi value, lies in a start group (sacsa._prove)."""
     exceeds = idx.psi.exceeds
-    k = _pruned_groups(idx, hi, zfloor)
-    if not k:
+    if not _pruned_groups(idx, hi, zfloor):
         return lambda y: exceeds(y, zfloor)
     rank1, latest, first = idx.D.rank1, idx.latest_end, idx.start_group0 + 1
-
-    def ends_past(y: int) -> bool:
-        g = rank1(y) - first
-        if not 0 <= g < k:
-            raise ValueError(f"Psi position {y} lies outside the start groups up to {hi}")
-        return latest[g] > zfloor and exceeds(y, zfloor)
-    return ends_past
+    return lambda y: latest[rank1(y) - first] > zfloor and exceeds(y, zfloor)
 
 
 def _may_outlive(idx, ys: list[int], hi: int, zfloor: int) -> list[int]:
     """The positions among ys, start-section positions up to hi, whose
-    start group has a contact that ends past zfloor, in one array step."""
-    k = _pruned_groups(idx, hi, zfloor)
-    if not k:
+    start group has a contact that ends past zfloor, in one array step
+    (as in _end_test, each y lies in a start group)."""
+    if not _pruned_groups(idx, hi, zfloor):
         return ys
-    ys = checked_positions(ys, idx.arity * idx.n)
     g = np.searchsorted(idx.D.positions(), ys, side="right") - idx.start_group0 - 1
-    if len(g) and (g.min() < 0 or g.max() >= k):
-        raise ValueError(f"a Psi position lies outside the start groups up to {hi}")
-    return ys[idx.latest_end[g] > zfloor].tolist()
+    return np.array(ys, dtype=np.int64)[idx.latest_end[g] > zfloor].tolist()
 
 
 def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
@@ -424,7 +415,8 @@ def snapshot(idx, sem: TimeSemantics, contacts: bool = False):
 
     At arity 4 only the live suffixes of the start groups whose latest
     end lies past the end cut are decoded (_live_suffixes); at arity 3
-    the whole window is, and Psi leads from it straight to section 1.
+    the whole window is, and Psi leads from it straight to section 1, to
+    positions that need no check, since the index proved them.
     """
     if idx.n == 0:
         return []
@@ -437,7 +429,7 @@ def snapshot(idx, sem: TimeSemantics, contacts: bool = False):
     psi = idx.psi
     if zfloor is None:  # no end section: Psi leads from a start straight to section 1
         starts = np.arange(lo, hi + 1)
-        pos1 = checked_positions(psi.range(lo, hi), idx.arity * idx.n)
+        pos1 = psi.range(lo, hi)
     else:
         starts, ends = _live_suffixes(idx, hi, zfloor)
         pos1 = psi.access_many(ends)

@@ -105,15 +105,16 @@ class TgcsaIndex:
     Immutable after construction; queries live in the query module and
     are also exposed as methods for interface parity with the baselines.
 
-    At arity 4 the constructor, which build and load share, also derives
-    latest_end: per start-time group, in group order, Psi at its last
-    position. Psi never decreases along a group, so that is the group's
-    latest end-section position. start_group0 is the id of the group
-    before the first start group (rank1 of 2n), so position y's start
-    group is latest_end[D.rank1(y) - start_group0 - 1]. A latest end
-    outside the end section, 3n+1..4n, raises ValueError.
-    latest_end_min is its running minimum: whether any of the first k
-    start groups ends by a cut is one lookup.
+    The constructor, which build and load share, proves all of Psi as
+    values() decodes it (_prove), and at arity 4 derives from the same
+    array latest_end: per start-time group, in group order, Psi at its
+    last position. Psi never decreases along a group, so that is the
+    group's latest end, which the proof put in the end section with no
+    check of its own. start_group0 is the id of the group before the
+    first start group (rank1 of 2n), so position y's start group is
+    latest_end[D.rank1(y) - start_group0 - 1]. latest_end_min is its
+    running minimum: whether any of the first k start groups ends by a
+    cut is one lookup.
     """
 
     kind = "tgcsa"
@@ -127,14 +128,11 @@ class TgcsaIndex:
         self.semantics = semantics
         self.start_group0 = 0
         self.latest_end = np.zeros(0, dtype=np.int64)
-        if self.arity == 4 and n:
-            marks = np.append(D.positions(), 4 * n + 1)
-            a, b = D.rank1(2 * n), D.rank1(3 * n)
-            self.start_group0 = a
-            self.latest_end = psi.access_many(marks[a + 1:b + 1] - 1)
-            if np.any((self.latest_end <= 3 * n) | (self.latest_end > 4 * n)):
-                raise ValueError("a start-time group's latest end lies outside "
-                                 "the end section")
+        if n:
+            vals = _prove(psi, am, D, n)
+            if self.arity == 4:  # the proof put a mark at 3n + 1
+                a = self.start_group0 = D.rank1(2 * n)
+                self.latest_end = vals[D.positions()[a + 1:D.rank1(3 * n) + 1] - 2]
         self.latest_end_min = np.minimum.accumulate(self.latest_end)
 
     @property
@@ -182,6 +180,37 @@ class TgcsaIndex:
         return query.deactivated_edges(self, t, t_end)
 
 
+def _prove(psi, am: AlphabetMap, D: BitSequence, n: int) -> np.ndarray:
+    """psi.values(), proved: ValueError unless each section opens with a
+    group of D and holds as many as B has symbols, and every value steps
+    into the next section and back to each section-1 start in arity
+    steps (so each step is onto the next section). Along a group of
+    sections 1..arity-1 the next position's group never decreases (only
+    a descent can break that), nor at arity 4 does Psi in a start group."""
+    vals, arity, total, marks = psi.values(), am.arity, am.arity * n, D.positions()
+    first = np.arange(arity) * n + 1                 # each section's first position
+    before = np.searchsorted(am.values, am.gaps, side="right")  # B's symbols before each
+    if D.ones != am.sigma or not np.array_equal(np.append(marks, 0)[before], first):
+        raise ValueError("group bitmap disagrees with the sections of the alphabet")
+    nxt, by_section = np.roll(first, -1), vals.reshape(arity, n)
+    if np.any(by_section.min(axis=1) < nxt) or np.any(by_section.max(axis=1) >= nxt + n):
+        raise ValueError(f"Psi holds a value outside 1..{total} or its next section")
+    cur = np.arange(1, n + 1)
+    for _ in range(arity):
+        cur = vals[cur - 1]
+    if np.any(cur != np.arange(1, n + 1)):
+        raise ValueError("Psi cycles do not close after arity steps")
+    inner = np.bincount(marks, minlength=total + 1) == 0  # inner[i + 1]: i + 1 is in i's group
+    m = (arity - 1) * n
+    down = np.flatnonzero(inner[2:m + 1] & (vals[1:m] < vals[:m - 1]))
+    if np.any(np.searchsorted(marks, vals[down + 1], side="right")
+              < np.searchsorted(marks, vals[down], side="right")):
+        raise ValueError("along a group, the group of the next position decreases")
+    if arity == 4 and np.any((2 * n <= down) & (down < 3 * n)):
+        raise ValueError("Psi decreases along a start-time group")
+    return vals
+
+
 def build_index(cs: ContactSet, codec: str = "plain", t_psi: int = 64) -> TgcsaIndex:
     """Build the full index for a contact set."""
     am = AlphabetMap.build(cs)
@@ -194,61 +223,22 @@ def build_index(cs: ContactSet, codec: str = "plain", t_psi: int = 64) -> TgcsaI
 
 
 def verify_core(idx: TgcsaIndex, cs: ContactSet | None = None) -> list[str]:
-    """Structural checks on a built index; returns human-readable violations.
-
-    Checks that Psi is a permutation that advances one section per step
-    and closes into cycles of length arity (so every cycle visits each
-    section once), that D opens with a mark and carries exactly sigma
-    ones, and, when the source contacts are supplied, that position q of
-    the first section reconstructs the q-th sorted contact (the pinned
-    first-section order). A Psi that decodes a value at or past 2**63,
-    or a code past the end of its stream, raises ValueError.
-    """
-    problems = []
-    total = idx.arity * idx.n
-    if total:
-        # range raises ValueError on a value at or past 2**63 but returns
-        # one below -2**63, so out-of-range values are turned away before
-        # numpy sees them
-        vals = idx.psi.range(1, total)
-        in_range = 1 <= min(vals) and max(vals) <= total
-        vals = np.array(vals if in_range else [], dtype=np.int64)
-        if not np.array_equal(np.sort(vals), np.arange(1, total + 1)):
-            problems.append("psi is not a permutation of [1, arity*n]")
-            return problems
-        sec = np.arange(total, dtype=np.int64) // idx.n
-        if not np.array_equal((vals - 1) // idx.n, (sec + 1) % idx.arity):
-            problems.append("psi does not advance exactly one section per step")
-        cur = np.arange(total, dtype=np.int64)
-        for _ in range(idx.arity):
-            cur = vals[cur] - 1
-        if not np.array_equal(cur, np.arange(total, dtype=np.int64)):
-            problems.append("psi cycles do not close after arity steps")
-    d_checked = len(problems)
-    if idx.D.ones != idx.sigma:
-        problems.append(f"D has {idx.D.ones} marks, expected sigma={idx.sigma}")
-    if total and idx.D.access(1) != 1:
-        problems.append("D does not start with a group mark")
-    if cs is not None:
-        if len(cs) != idx.n:
-            problems.append("contact count differs from n")
-        elif idx.n and len(problems) == d_checked:
-            # D is sound, so every position's symbol id lies in 1..sigma.
-            # All cycles at once: the contact at first-section position q
-            # has its terms at q, psi(q), psi(psi(q)), ...
-            pos = np.arange(1, idx.n + 1, dtype=np.int64)
-            got = []
-            for section in range(1, idx.arity + 1):
-                got.append(query._terms(idx, pos, section))
-                pos = vals[pos - 1]
-            want = [c for c in (cs.u, cs.v, cs.ts, cs.te) if c is not None]
-            if len(got) != len(want):  # a contact set of another arity
-                bad = [0]
-            else:
-                bad = np.flatnonzero((np.array(got) != np.array(want)).any(axis=0))
-            if len(bad):
-                q = int(bad[0])
-                problems.append(f"first-section position {q + 1} reconstructs "
-                                f"{tuple(int(c[q]) for c in got)}, "
-                                f"expected {tuple(int(c[q]) for c in want)}")
-    return problems
+    """Human-readable violations of a built index against its source
+    contacts: position q of the first section must reconstruct the q-th
+    sorted contact (the pinned first-section order). The index proved
+    its Psi and D when it was constructed (_prove)."""
+    if cs is None or len(cs) == idx.n == 0:
+        return []
+    if len(cs) != idx.n:
+        return ["contact count differs from n"]
+    # All cycles at once: the contact at first-section position q has its
+    # terms at q, psi(q), psi(psi(q)), ...
+    vals, pos, got = idx.psi.values(), np.arange(1, idx.n + 1), []
+    for section in range(1, idx.arity + 1):
+        got.append(query._terms(idx, pos, section))
+        pos = vals[pos - 1]
+    want = [c for c in (cs.u, cs.v, cs.ts, cs.te) if c is not None]
+    bad = ([0] if len(got) != len(want)  # a contact set of another arity
+           else np.flatnonzero((np.array(got) != np.array(want)).any(axis=0)))
+    return [f"first-section position {q + 1} reconstructs {tuple(int(c[q]) for c in got)}, "
+            f"expected {tuple(int(c[q]) for c in want)}" for q in bad[:1]]

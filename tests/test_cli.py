@@ -3,6 +3,9 @@
 import pytest
 
 from tgcsa.cli import main
+from tgcsa.corpus import ContactSet
+from tgcsa.indexfile import serialize_index
+from tgcsa.sacsa import build_index
 from conftest import G5_CONTACTS
 
 
@@ -206,6 +209,24 @@ def test_query_zero_t_psi_image_exits_1(g5_built, tmp_path, capsys):
     qf.write_text("D 1 5\n")
     assert main(["query", str(bad), "--queries", str(qf)]) == 1
     assert "t_psi" in capsys.readouterr().err
+
+
+def test_query_on_an_image_that_fails_the_psi_proof_exits_1(tmp_path, capsys):
+    # g5's vbyte stream with its first byte set to 0xff: it decodes Psi
+    # values past 4n = 20, which the load's proof of Psi rejects before
+    # any query line runs
+    idx = build_index(ContactSet(G5_CONTACTS), codec="vbyte-rle", t_psi=64)
+    blob = bytearray(serialize_index(idx))
+    first = idx.psi.to_sections()[0]   # s0, then the stream
+    blob[blob.index(first) + len(first) - len(idx.psi._stream)] = 0xFF
+    bad = tmp_path / "bad.tgx"
+    bad.write_bytes(bytes(blob))
+    qf = tmp_path / "q.txt"
+    qf.write_text("D 1 5\nS 5\n")
+    assert main(["query", str(bad), "--queries", str(qf)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("tgcsa: ") and err.count("\n") == 1 and "outside 1..20" in err
 
 
 def test_retired_codec_exits_2_on_build_and_1_on_query(g5_file, g5_built, tmp_path, capsys):

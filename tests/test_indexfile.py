@@ -151,8 +151,8 @@ def test_forged_lengths_are_rejected(codec, section, value, message):
 def test_plain_values_past_the_positions_are_rejected():
     blob = bytearray(serialize_index(build_index(ContactSet(G5_CONTACTS), codec="plain")))
     start, _ = section_spans(blob)[2]
-    blob[start + 16] |= 0x1F   # the first 5-bit value now reads 32, past n = 20
-    with pytest.raises(ValueError, match="past 20"):
+    blob[start + 16] |= 0x1F   # the first 5-bit value now reads 32, past 4n = 20
+    with pytest.raises(ValueError, match="outside 1..20"):
         deserialize_index(bytes(blob))
 
 
@@ -160,7 +160,8 @@ def test_latest_end_outside_the_end_section_is_rejected():
     # swap the last Psi value of a start-time group with that of position
     # 4n, which points into section 1: Psi stays a permutation that the
     # plain codec's own checks accept, but that group's latest end now
-    # lies outside the end section
+    # lies outside the end section, which the proof of Psi at load finds
+    # as a step that does not advance one section
     idx = build_index(small_ba(), codec="plain")
     blob = serialize_index(idx)
     n, a = idx.n, idx.start_group0
@@ -170,7 +171,7 @@ def test_latest_end_outside_the_end_section_is_rejected():
     assert 1 <= vals[last - 1] <= n
     sections = [blob[s:s + k] for s, k in section_spans(blob)]
     sections[2] = psienc.PlainPsi(vals).to_sections()[0]
-    with pytest.raises(ValueError, match="latest end lies outside the end section"):
+    with pytest.raises(ValueError, match="or its next section"):
         deserialize_index(_emit(blob[:_HEAD.size + _SHAPE.size], sections))
 
 
@@ -300,12 +301,27 @@ def small_ba(overlap="allow"):
                             overlap=overlap, seed=2))
 
 
+def assert_psi_proven(idx):
+    """An index's Psi, read with range, holds every value in 1..N, steps
+    one section on at every position, and closes into cycles of arity
+    steps: a check of the load's proof that shares none of its code."""
+    n, arity = idx.n, idx.arity
+    vals = idx.psi.range(1, arity * n)
+    assert all(1 <= v <= arity * n for v in vals)
+    assert all((v - 1) // n == (p // n + 1) % arity for p, v in enumerate(vals))
+    for p in range(1, n + 1):
+        q = p
+        for _ in range(arity):
+            q = vals[q - 1]
+        assert q == p
+
+
 def query_corrupted_images(blob, trials, seed):
     """Load and query `trials` 1-3-byte corruptions of a small_ba image,
-    drawn from random.Random(seed). Each corruption must answer or
-    raise ValueError, through every query and through verify_core.
-    Wrong answers stay possible: the streams and samples carry no
-    checksum."""
+    drawn from random.Random(seed). Each corruption must load or raise
+    ValueError; a compressed index that loads must hold a proven Psi,
+    and every query on it must answer or raise ValueError. Wrong answers
+    stay possible: the streams and samples carry no checksum."""
     rng = random.Random(seed)
     for _ in range(trials):
         bad = bytearray(blob)
@@ -313,6 +329,11 @@ def query_corrupted_images(blob, trials, seed):
             bad[rng.randrange(len(bad))] = rng.randrange(256)
         try:
             idx = deserialize_index(bytes(bad))
+        except ValueError:
+            continue
+        if idx.kind == "tgcsa":
+            assert_psi_proven(idx)
+        try:
             for t in (5, 20, 35):
                 idx.snapshot(TimeSemantics.instant(t))
             for u in (1, 7, 20):
@@ -325,8 +346,6 @@ def query_corrupted_images(blob, trials, seed):
                 idx.activated_edges(t)
                 idx.deactivated_edges(t)
                 idx.snapshot(TimeSemantics.instant(t), contacts=True)
-            if idx.kind == "tgcsa":
-                verify_core(idx)
         except ValueError:
             pass
 
@@ -351,12 +370,13 @@ def test_corrupted_edgelog_queries_raise_only_value_error():
 def test_corrupted_vbyte_sample_is_a_value_error_not_an_overflow(at, byte):
     # single-byte edits of the small-BA vbyte image (t_psi 16) that set a
     # stored group sample to 0, or a stream code that a level-two sample
-    # is derived from; verify_core once raised OverflowError on the value
-    # an edited sample decoded to
+    # is derived from; a structural check once raised OverflowError on
+    # the value an edited sample decoded to, and the load now rejects
+    # each sample before Psi is decoded
     bad = bytearray(serialize_index(build_index(small_ba(), codec="vbyte-rle", t_psi=16)))
     bad[at] = byte
-    with pytest.raises(ValueError, match="outside"):
-        verify_core(deserialize_index(bytes(bad)))
+    with pytest.raises(ValueError, match="sample outside"):
+        deserialize_index(bytes(bad))
 
 
 # sha256 of serialize_index(build_index(graph, codec, t_psi)); plain

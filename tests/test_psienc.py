@@ -19,7 +19,8 @@ import pytest
 from tgcsa import psienc
 from tgcsa.bitseq import BitSequence
 from tgcsa.corpus import AlphabetMap, ContactSet, build_sid
-from tgcsa.sacsa import build_d, build_rotation_array, compute_psi, cyclic_adjust
+from tgcsa.sacsa import (TgcsaIndex, build_d, build_index, build_rotation_array, compute_psi,
+                         cyclic_adjust)
 from conftest import G5_CONTACTS, G5_D, G5_PSI, random_contactset
 
 CODECS = ("vbyte-rle", "huff-rle-opt")
@@ -259,7 +260,7 @@ def test_huffman_long_codes_and_escapes_match_plain(t):
     neg_esc = pos_esc + psienc.ESC_CLASSES
     assert lengths.max() > psienc.TABLE_BITS
     assert lengths[pos_esc:neg_esc].any() and lengths[neg_esc:].any()
-    assert enc.range(1, n) == plain.range(1, n)
+    assert enc.range(1, n) == plain.range(1, n) == enc.values().tolist()
     rng = random.Random(t)
     for i in [rng.randint(1, n) for _ in range(1500)]:
         assert enc.access(i) == plain.access(i), i
@@ -518,31 +519,24 @@ def with_slack(enc, k, z):
             psienc._fixed_section(ptrs), struct.pack("<Q", len(bits)) + stream]
 
 
-def test_huffman_walks_reject_slack_between_blocks():
+def test_huffman_values_reject_slack_between_blocks():
     # zero bits between two blocks' codes, with every later pointer moved
     # to match, load; access reads each block from its own pointer and
-    # still answers, but a walk that reaches the end of the block before
-    # the slack raises ValueError, so range never disagrees with access
+    # still answers, but values() finds the codes before the slack ending
+    # short of the next pointer, so no index holds such a stream and no
+    # walk meets it
     crafted = crafted_sequence()
     graph = psi_and_d(search_graphs()[0])
     for (psi, D), t in ((crafted, 64), (crafted, 3), (graph, 2), (graph, 64)):
         enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
         n = len(psi)
         bpos = np.frombuffer(enc._bpos, dtype=np.int64)
-        opens = set(np.frombuffer(enc._open, dtype=np.int64).tolist())
         want = psi.tolist()
         for k in range(1, len(bpos) - 1):
             bad = psienc.from_sections(enc.tag, with_slack(enc, k, 5), D, t)
             assert [bad.access(i) for i in range(1, n + 1)] == want
-            l, end = bpos[k - 1], bpos[k] - 1
-            with pytest.raises(ValueError, match=f"before block {k} do not end"):
-                bad.range(1, n)
-            with pytest.raises(ValueError, match=f"before block {k} do not end"):
-                bad.range(l, end)
-            if k not in opens:
-                # a stretch inside the group that crosses the block start
-                with pytest.raises(ValueError, match=f"before block {k} do not end"):
-                    bad.stretch(l, bpos[k], -2**70, 2**70)
+            with pytest.raises(ValueError, match="do not end with it, at the next pointer"):
+                bad.values()
             assert bad.range(bpos[k], n) == want[bpos[k] - 1:]
 
 
@@ -564,30 +558,30 @@ def one_group(n):
 def test_huffman_decode_stops_at_bad_codes_and_the_stream_end():
     # run symbols 0 and 1 coded 0 and 10: the prefix 11 is unassigned
     enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xff", 8, one_group(4), 4)
-    for call in decode_calls(enc, 2):
+    for call in decode_calls(enc, 2) + [enc.values]:
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
             call()
+    # each stream below ends before its block's positions do: values()
+    # rejects it, so no index holds it and no walk reads past its end
+    ends_short = "do not end with it, at the next pointer"
     # eight codes 10 (runs of 2) fill the stream; a ninth token would start at its end
     enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xaa", 16, one_group(64), 64)
     assert enc.access(17) == 17 and enc.range(1, 17) == list(range(1, 18))
     assert enc.stretch(1, 17, 18, 18)[0] == 18 and enc.access_many([16, 17]).tolist() == [16, 17]
-    for call in decode_calls(enc, 18) + [lambda: enc.stretch(1, 40, 18, 18)]:
-        with pytest.raises(ValueError, match="past the end"):
-            call()
+    with pytest.raises(ValueError, match=ends_short):
+        enc.values()
     with pytest.raises(ValueError, match="outside"):
         enc.access(65)
     # six runs of 2 in 12 bits: the four zero bits after them are no codes
     enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xa0", 12, one_group(64), 64)
     assert enc.range(1, 13) == list(range(1, 14))
-    for call in decode_calls(enc, 14):
-        with pytest.raises(ValueError, match="past the end"):
-            call()
-    # a walk of 1-bit codes runs past the zero padding behind the stream
+    with pytest.raises(ValueError, match=ends_short):
+        enc.values()
+    # 1-bit codes would run on past the zero padding behind the stream
     enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\x00", 8, one_group(1000), 1000)
     assert enc.access(9) == 9
-    for call in decode_calls(enc, 999):
-        with pytest.raises(ValueError, match="past the end"):
-            call()
+    with pytest.raises(ValueError, match=ends_short):
+        enc.values()
     # run symbol 0 coded 0 and the positive escape class 20 coded 1: the
     # escape's 19 raw bits run past the 8-bit stream
     t = 4
@@ -595,20 +589,18 @@ def test_huffman_decode_stops_at_bad_codes_and_the_stream_end():
     lengths[0] = lengths[-1] = 1
     enc = psienc.HuffRlePsi(bytes(lengths), [1], [0], b"\x20", 8, one_group(t), t)
     assert enc.range(1, 3) == [1, 2, 3]
-    for call in decode_calls(enc, 4):
-        with pytest.raises(ValueError, match="past the end"):
-            call()
+    with pytest.raises(ValueError, match=ends_short):
+        enc.values()
 
 
-def test_huffman_walk_rejects_a_run_past_its_block():
+def test_huffman_values_reject_a_run_past_its_block():
     # one group 1..8 at t_psi 4: blocks open at 1 and 5. Run symbols 0 and
     # 3 (runs of 1 and 4) are coded 0 and 1; block 1's codes are one run
     # of 4, which would step over block 2's sample at 5
     enc = psienc.HuffRlePsi(bytes([1, 0, 0, 1]), [1, 5], [0, 1], b"\x80", 4, one_group(8), 4)
     assert [enc.access(i) for i in range(1, 9)] == list(range(1, 9))
-    for call in (lambda: enc.range(1, 8), lambda: enc.stretch(2, 8, 1, 9)):
-        with pytest.raises(ValueError, match="run crosses a block start"):
-            call()
+    with pytest.raises(ValueError, match="do not end with it, at the next pointer"):
+        enc.values()
 
 
 def search_graphs():
@@ -703,8 +695,9 @@ def test_search_matches_brute_force(codec):
         groups = [(l, nxt - 1) for l, nxt in zip(bounds, bounds[1:])
                   if l <= (cs.arity - 1) * n]
         assert any(b < a for a, b in zip(want, want[1:]))   # a negative gap
-        for t in (1, 2, 3, 64):
+        for t in (1, 2, 3, 16, 64):
             enc = psienc.encode(psi, D, codec=codec, t_psi=t)
+            assert enc.values().tolist() == enc.range(1, len(psi)), t
             for l, r in groups:
                 section = (l - 1) // n + 1
                 xs = [x for x in bounds if section * n < x <= (section + 1) * n]
@@ -728,8 +721,9 @@ def test_search_solves_long_runs_and_escapes(codec):
     want = psi.tolist()
     stretches = [(1, 702), (703, 744), (745, 757)]
     rng = random.Random(codec)
-    for t in (1, 3, 64):
+    for t in (1, 3, 16, 64):
         enc = psienc.encode(psi, D, codec=codec, t_psi=t)
+        assert enc.values().tolist() == enc.range(1, len(psi)), t
         for lo, hi in stretches:
             xs = range(min(want[lo - 1:hi]) - 1, max(want[lo - 1:hi]) + 2, 7)
             # y = x, and a threshold up to 40 steps above x as the stretch's end
@@ -1147,13 +1141,16 @@ def test_access_many_reads_a_shortened_block_again_in_full():
 
 
 def test_huffman_batch_values_past_int64_are_a_value_error():
-    # the sample 2**64 - 1 fits the u64 sample table, not an int64 array
-    huff = psienc.HuffRlePsi(bytes([1, 2]), [2**64 - 1], [0], b"\xaa\xaa", 16,
-                             one_group(64), 64)
-    assert huff.access(1) == 2**64 - 1
-    for call in (lambda: huff.access_many([1]), lambda: huff.range(1, 1)):
-        with pytest.raises(ValueError, match="past int64"):
-            call()
+    # one contact at arity 3, so Psi is 2, 3, 1, every position a group
+    # start and a sample. The sample 2**64 - 1 fits the u64 sample table,
+    # not an int64 array: values() reads it as -1, which the index's
+    # proof of Psi turns away
+    idx = build_index(ContactSet([(1, 2, 1)], arity=3, nu=2, tau=1))
+    huff = psienc.HuffRlePsi(bytes([1]), [2, 3, 2**64 - 1], [0, 0, 0], b"", 0, idx.D, 64)
+    assert huff.access(3) == 2**64 - 1
+    assert huff.values().tolist() == [2, 3, -1]
+    with pytest.raises(ValueError, match="outside 1..3"):
+        TgcsaIndex(idx.am, idx.D, huff, idx.n, idx.semantics)
 
 
 def monotone_groups(cs, psi, D):

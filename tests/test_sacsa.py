@@ -13,7 +13,7 @@ import pytest
 
 from tgcsa.bitseq import BitSequence
 from tgcsa.corpus import AlphabetMap, ContactSet, build_sid
-from tgcsa.psienc import ESC_CLASSES, NSV, HuffRlePsi
+from tgcsa.psienc import ESC_CLASSES, NSV, HuffRlePsi, PlainPsi
 from tgcsa.sacsa import (TgcsaIndex, build_d, build_index,
                          build_rotation_array, compute_psi, cyclic_adjust,
                          verify_core)
@@ -155,10 +155,51 @@ def test_verify_core_passes_on_random_graphs():
 
 
 def test_verify_core_catches_tampering(g5):
+    # Psi swapped at two first-section positions after the build: the
+    # contact check reports it, and an index constructed on it fails its
+    # proof of Psi
     idx = build_index(g5, codec="plain")
     vals = idx.psi._vals
     vals[0], vals[1] = vals[1], vals[0]
-    assert verify_core(idx) != []
+    assert verify_core(idx, g5) != []
+    with pytest.raises(ValueError, match="cycles do not close"):
+        TgcsaIndex(idx.am, idx.D, idx.psi, idx.n, idx.semantics)
+
+
+def relinked(idx, i, j):
+    """idx's Psi as a plain codec with positions i and j trading their
+    successors, and their predecessors trading them, so that every cycle
+    still closes and every step still enters the next section."""
+    vals = idx.psi.values().copy()
+    p, q = (int(np.flatnonzero(vals == x)[0]) for x in (i, j))
+    vals[[i - 1, j - 1]] = vals[[j - 1, i - 1]]
+    vals[[p, q]] = vals[[q, p]]
+    return PlainPsi(vals)
+
+
+def test_construction_proves_the_group_orders_and_d():
+    # u = 1 sends to v = 2 and v = 4, and all three start-time-1 contacts
+    # end at 3, so trading successors inside u's group or inside the
+    # start group breaks one order each and nothing else
+    cs = ContactSet([(1, 2, 1, 3), (1, 4, 1, 3), (2, 3, 1, 3), (3, 1, 2, 5)], nu=4, tau=6)
+    idx = build_index(cs)
+    n = idx.n
+
+    def index(psi=idx.psi, D=idx.D):
+        return TgcsaIndex(idx.am, D, psi, n, idx.semantics)
+    assert index().latest_end.tolist() == [3 * n + 3, 3 * n + 4]
+    with pytest.raises(ValueError, match="the group of the next position decreases"):
+        index(relinked(idx, 1, 2))
+    with pytest.raises(ValueError, match="Psi decreases along a start-time group"):
+        index(relinked(idx, 2 * n + 1, 2 * n + 2))
+    # the start section's first mark moved one position on: D keeps its
+    # mark count and its per-section counts, but position 2n + 1 joins
+    # the last group of section 2
+    marks = idx.D.positions().tolist()
+    assert 2 * n + 1 in marks and 2 * n + 2 not in marks
+    moved = [m + (m == 2 * n + 1) for m in marks]
+    with pytest.raises(ValueError, match="group bitmap disagrees with the sections"):
+        index(D=BitSequence.from_positions(moved, 4 * n))
 
 
 def escape_codec(escape_class, count, D):
@@ -173,21 +214,20 @@ def escape_codec(escape_class, count, D):
     return HuffRlePsi(bytes(lengths), [1], [0], stream, len(bits), D, 64)
 
 
-def test_verify_core_turns_away_psi_values_outside_int64():
-    # one contact, so Psi has three positions, given here as one Huffman
-    # group: the sample 1, then two escapes down by 2**63 each (values
-    # below -2**63, which range returns as they are), or one escape up by
-    # 2**63 + NSV + 1 (a value past 2**63, which range refuses). A vbyte
+def test_values_turn_away_psi_values_outside_int64():
+    # Psi of three positions as one Huffman group: the sample 1, then two
+    # escapes down by 2**63 each (values below -2**63), or one escape up
+    # by 2**63 + NSV + 1 (a value past 2**63). The pointwise decode
+    # returns them as Python ints; values(), which every index's proof
+    # of Psi reads, rejects each escape before it sums anything. A vbyte
     # load rejects any code that could sum past int64.
-    idx = build_index(ContactSet([(1, 2, 1)], arity=3, nu=2, tau=1))
     D = BitSequence.from_positions([1], 3)
-    idx.psi = escape_codec(ESC_CLASSES + 63, 2, D)
-    assert idx.psi.range(1, 3) == [1, 1 - 2**63, 1 - 2**64]
-    assert verify_core(idx) == ["psi is not a permutation of [1, arity*n]"]
-    idx.psi = escape_codec(63, 1, D)
-    assert idx.psi.access(2) == 2**63 + NSV + 2
-    with pytest.raises(ValueError, match="past int64"):
-        verify_core(idx)
+    down, up = escape_codec(ESC_CLASSES + 63, 2, D), escape_codec(63, 1, D)
+    assert down.range(1, 3) == [1, 1 - 2**63, 1 - 2**64]
+    assert up.access(2) == 2**63 + NSV + 2
+    for psi in (down, up):
+        with pytest.raises(ValueError, match="changes the value by more than"):
+            psi.values()
 
 
 @pytest.mark.parametrize("arity", (4, 3))
