@@ -45,9 +45,10 @@ class ContactError(ValueError):
 class ContactSet:
     """Sorted multiset of contacts plus the universe sizes nu and tau.
 
-    Contacts are kept lexicographically sorted; duplicates are allowed.
-    nu and tau default to the largest vertex / time actually seen but
-    can be forced larger to embed a graph in a wider universe.
+    contacts is an iterable of arity-term rows or an (n, arity) integer
+    array. Contacts are kept lexicographically sorted; duplicates are
+    allowed. nu and tau default to the largest vertex / time actually
+    seen but can be forced larger to embed a graph in a wider universe.
     """
 
     def __init__(self, contacts, arity: int = 4, nu: int | None = None,
@@ -61,12 +62,20 @@ class ContactSet:
         self.arity = arity
         self.semantics = semantics
 
-        rows = list(contacts)
-        for i, c in enumerate(rows):
-            if len(c) != arity:
-                raise ContactError(i, f"expected {arity} terms, got {len(c)}")
-        cols = np.array(rows, dtype=np.int64).reshape(len(rows), arity)
-        if len(rows):
+        if isinstance(contacts, np.ndarray):
+            if contacts.ndim != 2:
+                raise ValueError(f"contact array must have 2 dimensions, "
+                                 f"not {contacts.ndim}")
+            if len(contacts) and contacts.shape[1] != arity:
+                raise ContactError(0, f"expected {arity} terms, got {contacts.shape[1]}")
+            cols = contacts.astype(np.int64, copy=False).reshape(len(contacts), arity)
+        else:
+            rows = list(contacts)
+            for i, c in enumerate(rows):
+                if len(c) != arity:
+                    raise ContactError(i, f"expected {arity} terms, got {len(c)}")
+            cols = np.array(rows, dtype=np.int64).reshape(len(rows), arity)
+        if len(cols):
             if cols.min() < 1:
                 bad = int(np.argmin(cols.min(axis=1)))
                 raise ContactError(bad, "terms must be >= 1")
@@ -88,7 +97,7 @@ class ContactSet:
             raise ValueError(f"vertex {seen_nu} outside the declared universe [1, {self.nu}]")
         if self.tau < seen_tau:
             raise ValueError(f"time {seen_tau} outside the declared lifetime [1, {self.tau}]")
-        if arity == 4 and len(rows) and not np.all(ts < te):
+        if arity == 4 and len(cols) and not np.all(ts < te):
             bad = int(np.argmax(ts >= te))
             raise ContactError(bad, f"empty interval (ts={int(ts[bad])}, te={int(te[bad])})")
 
@@ -113,9 +122,14 @@ class ContactSet:
         for i in range(len(self)):
             yield self[i]
 
+    def _rows(self):
+        """The sorted contacts as tuples of Python ints, read column-wise."""
+        return zip(*(col.tolist() for col in (self.u, self.v, self.ts, self.te)
+                     if col is not None))
+
     def tuples(self) -> list[tuple]:
         """All contacts as plain tuples, sorted."""
-        return [tuple(t for t in c if t is not None) for c in self]
+        return list(self._rows())
 
     def distinct_edges(self) -> int:
         if not len(self):
@@ -162,8 +176,8 @@ def write_contacts(cs: ContactSet, fh, header=()) -> None:
     """Write a contact file; header lines are emitted as # comments."""
     for line in header:
         fh.write(f"# {line}\n")
-    for c in cs:
-        fh.write(" ".join(str(t) for t in c if t is not None) + "\n")
+    line = " ".join(["%d"] * cs.arity) + "\n"
+    fh.writelines(line % row for row in cs._rows())
 
 
 def _layout(arity: int, nu: int, tau: int) -> tuple[tuple[int, ...], int]:

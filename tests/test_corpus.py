@@ -80,6 +80,43 @@ def test_contactset_validation():
         ContactSet([(1, 2, 3, 4)], semantics="point")
 
 
+def test_array_input_matches_rows():
+    rng = random.Random(5)
+    for arity in (3, 4):
+        rows = []
+        for _ in range(40):
+            ts = rng.randint(1, 30)
+            rows.append((rng.randint(1, 9), rng.randint(1, 9), ts, ts + rng.randint(1, 5))[:arity])
+        for kw in ({}, dict(nu=12, tau=40)):
+            a = ContactSet(rows, arity=arity, **kw)
+            b = ContactSet(np.array(rows, dtype=np.uint64), arity=arity, **kw)
+            assert (a.nu, a.tau, len(a)) == (b.nu, b.tau, len(b))
+            for x, y in zip((a.u, a.v, a.ts, a.te), (b.u, b.v, b.ts, b.te)):
+                assert (x is None and y is None) or (x.dtype == y.dtype and np.array_equal(x, y))
+            assert a.tuples() == b.tuples()
+    empty = ContactSet(np.empty((0, 4), dtype=np.int64), nu=3, tau=4)
+    assert (len(empty), empty.nu, empty.tau) == (0, 3, 4)
+    with pytest.raises(ValueError, match="must have 2 dimensions, not 1"):
+        ContactSet(np.arange(1, 5))
+
+
+@pytest.mark.parametrize("rows, kw", [
+    ([(1, 2, 1, 5), (1, 0, 1, 5)], {}),                 # a term below 1
+    ([(1, 2, 1, 5), (1, 2, 1, 2 ** 32)], {}),           # a term past 2**32 - 1
+    ([(1, 2, 1, 5), (3, 1, 4, 4), (2, 2, 7, 6)], {}),   # ts >= te
+    ([(1, 2, 3), (2, 1, 5)], {}),                       # three columns at arity 4
+    ([(1, 2, 1, 5), (4, 2, 1, 5)], dict(nu=3)),         # nu too small
+    ([(1, 2, 1, 5), (3, 2, 1, 9)], dict(tau=8)),        # tau too small
+])
+def test_array_input_is_rejected_like_rows(rows, kw):
+    errors = []
+    for contacts in (rows, np.array(rows, dtype=np.int64)):
+        with pytest.raises(ValueError) as info:
+            ContactSet(contacts, **kw)
+        errors.append((type(info.value), str(info.value), getattr(info.value, "row", None)))
+    assert errors[0] == errors[1]
+
+
 def test_universe_overrides():
     cs = ContactSet(G5_CONTACTS, nu=9, tau=12)
     assert cs.nu == 9 and cs.tau == 12
@@ -112,6 +149,19 @@ def test_write_then_parse_roundtrip():
     assert text.startswith("# five contacts\n# hand made\n")
     back = parse_contacts(text, nu=cs.nu, tau=cs.tau)
     assert back.tuples() == cs.tuples()
+
+
+def test_write_contacts_prints_each_row_as_its_terms():
+    rng = random.Random(8)
+    for arity in (3, 4):
+        rows = [(rng.randint(1, 2 ** 32 - 1), rng.randint(1, 40), t, t + rng.randint(1, 9))[:arity]
+                for t in (rng.randint(1, 2 ** 31) for _ in range(50))]
+        cs = ContactSet(rows, arity=arity)
+        buf = io.StringIO()
+        write_contacts(cs, buf)
+        expected = "".join(" ".join(str(t) for t in row) + "\n" for row in sorted(rows))
+        assert buf.getvalue() == expected
+        assert list(cs) == [Contact(*row) for row in sorted(rows)]
 
 
 def test_load_contacts(tmp_path):

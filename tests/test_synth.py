@@ -1,13 +1,15 @@
 """Deterministic generators and the dataset summary."""
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from tgcsa.baseline import EdgeLogIndex
 from tgcsa.corpus import ContactSet
-from tgcsa.synth import (GenSpec, XorShift64Star, dataset_stats, generate,
-                         preset_icomm, preset_powerlaw)
+from tgcsa.synth import (GenSpec, XorShift64Star, _Stream, dataset_stats,
+                         generate, preset_icomm, preset_powerlaw)
 from conftest import G5_CONTACTS
 
 
@@ -32,6 +34,31 @@ def test_seed_zero_is_usable():
     r = XorShift64Star(0)
     assert r.next_u64() != 0
     assert r.next_u64() != r.next_u64()
+
+
+# around a chunk boundary: 63 draws end in a partial chunk of 8, 64 fill
+# eight chunks of 8, and 65 open a fifth chunk of 16 with one draw
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
+def test_bulk_draws_match_scalar_draws(seed):
+    for count in (0, 1, 2, 63, 64, 65, 100_000):
+        bulk, scalar = XorShift64Star(seed), XorShift64Star(seed)
+        bulk.next_u64()
+        scalar.next_u64()
+        out = bulk.draws(count)
+        assert out.dtype == np.uint64 and out.shape == (count,)
+        assert out.tolist() == [scalar.next_u64() for _ in range(count)]
+        assert bulk.state == scalar.state
+        assert bulk.next_u64() == scalar.next_u64()
+
+
+def test_buffered_stream_hands_out_draws_in_order():
+    scalar = XorShift64Star(11)
+    stream = _Stream(11)
+    got = []
+    for k in (0, 1, 5, 60, 3, 200, 0, 1000, 7, 70_000, 2):
+        got += [stream.next_u64() for _ in range(k)]
+        got += stream.draws(k).tolist()
+    assert got == [scalar.next_u64() for _ in range(len(got))]
 
 
 def test_randint_is_inclusive_and_bounded():
@@ -67,13 +94,14 @@ def test_genspec_validation():
 
 
 def test_attachment_edge_count_is_exact():
+    edges = {}
     for nu, m in ((100, 10), (50, 3), (20, 1)):
         cs = generate(GenSpec(nu=nu, m=m, lifetime=12, dist="uniform",
                               dist_param=1, overlap="allow", seed=4))
-        st = dataset_stats(cs)
-        assert st["edges"] == m * (nu - m)
+        edges[nu, m] = dataset_stats(cs)["edges"]
+        assert edges[nu, m] == m * (nu - m)
     # the desk-scale profile lands near the reference count of 941
-    assert abs(10 * (100 - 10) - 941) / 941 < 0.10
+    assert abs(edges[100, 10] - 941) / 941 < 0.10
 
 
 def test_generation_is_deterministic():
@@ -83,6 +111,44 @@ def test_generation_is_deterministic():
     other = GenSpec(nu=40, m=4, lifetime=30, dist="pareto", dist_param=1.5,
                     overlap="allow", seed=78)
     assert generate(other).tuples() != generate(spec).tuples()
+
+
+def _column_digest(cs):
+    h = hashlib.sha256()
+    h.update(np.array([len(cs), cs.arity, cs.nu, cs.tau], dtype="<i8").tobytes())
+    for col in (cs.u, cs.v, cs.ts, cs.te):
+        h.update(np.asarray(col, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+def _ba(dist, param, overlap, seed):
+    return generate(GenSpec(nu=60, m=3, lifetime=80, dist=dist,
+                            dist_param=param, overlap=overlap, seed=seed))
+
+
+# SHA-256 of the contact columns, as the one-call-per-draw generators
+# made them; the bulk draws must give the same graphs
+@pytest.mark.parametrize("make, n, digest", [
+    (lambda: _ba("uniform", 3, "allow", 11), 513,
+     "5c6669ac9e2365cef2001e72a3d9408eb738ded25bfcc0e8a55ecc54048ed49c"),
+    (lambda: _ba("uniform", 3, "forbid", 12), 513,
+     "9cb6d467fe045c76f3b0d8d1bd977cb004e2dff5517a9475b0575a77d5b03f77"),
+    (lambda: _ba("pareto", 1.5, "allow", 13), 523,
+     "4715abc5b967520b0edbe05560ce514907dc511940207dbe0d37055707f06cd6"),
+    (lambda: _ba("pareto", 1.5, "forbid", 14), 585,
+     "2fd86587134ad0a86986ab7e2433073b7cfa35a32fab5f6aecd011776b9d0df0"),
+    (lambda: preset_icomm(nu=50, seed=2), 956,
+     "bc1ed0db1aebf269e9324eae115963888ce3fcc5e4b6e3ea84e53cd2ec636d34"),
+    (lambda: preset_icomm(nu=50, lifetime=300, seed=3), 956,
+     "b4025df1f9d977a818f0389b8580aee2bdb2e04ac993d81fbab635e66baf9ca5"),
+    (lambda: preset_powerlaw(nu=120, seed=4), 2871,
+     "bdd327779beda917b84bc9e84b1d307f98607a862f6de62151adcb6228ac71df"),
+], ids=["uniform-allow", "uniform-forbid", "pareto-allow", "pareto-forbid",
+        "icomm", "icomm-lifetime", "powerlaw"])
+def test_generators_are_pinned(make, n, digest):
+    cs = make()
+    assert len(cs) == n
+    assert _column_digest(cs) == digest
 
 
 def test_uniform_contact_count_per_edge():
