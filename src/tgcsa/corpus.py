@@ -47,8 +47,13 @@ class ContactSet:
 
     contacts is an iterable of arity-term rows or an (n, arity) integer
     array. Contacts are kept lexicographically sorted; duplicates are
-    allowed. nu and tau default to the largest vertex / time actually
-    seen but can be forced larger to embed a graph in a wider universe.
+    allowed. The sort is one stable argsort of a packed int64 key, the
+    terms u, v, ts (and te) side by side, each as wide as its column's
+    largest value; when those widths add up to more than 63 bits, as
+    terms near the 32-bit limit can, np.lexsort sorts the columns
+    instead, in the same order. nu and tau default to the largest
+    vertex / time actually seen but can be forced larger to embed a
+    graph in a wider universe.
     """
 
     def __init__(self, contacts, arity: int = 4, nu: int | None = None,
@@ -101,7 +106,16 @@ class ContactSet:
             bad = int(np.argmax(ts >= te))
             raise ContactError(bad, f"empty interval (ts={int(ts[bad])}, te={int(te[bad])})")
 
-        order = np.lexsort((te, ts, v, u)) if arity == 4 else np.lexsort((ts, v, u))
+        terms = (u, v, ts, te)[:arity]
+        widths = [int(col.max(initial=0)).bit_length() for col in terms]
+        if sum(widths) <= 63:
+            key = np.zeros(len(cols), dtype=np.int64)
+            for col, w in zip(terms, widths):
+                key <<= w
+                key |= col
+            order = np.argsort(key, kind="stable")
+        else:
+            order = np.lexsort(terms[::-1])
         self.u = u[order]
         self.v = v[order]
         self.ts = ts[order]

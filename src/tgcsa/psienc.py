@@ -446,10 +446,12 @@ class VbyteRlePsi(_SampledPsi):
     both go through it. It cuts the whole stream with _codes, the code
     cut access_many shares, and sums the tokens' steps: every sample
     must fall where a token ends, which gives every block's offset, and
-    the summed value changes give its value. It rejects a stream whose
-    tokens do not end at every sample and give every group exactly its
-    positions (so no run crosses a block start, and no code is missing
-    or left over), a last code that does not end at the stream's last
+    the summed value changes give its value. It keeps the codes' steps
+    and value changes only for the first values() call, the index's
+    proof, which would otherwise cut the stream again. It rejects a
+    stream whose tokens do not end at every sample and give every group
+    exactly its positions (so no run crosses a block start, and no code
+    is missing or left over), a last code that does not end at the stream's last
     byte, a marker with no payload, a run length or magnitude of 0, and
     a sample outside 1.._bound. No pointer is stored, so slack in the
     stream cannot make a walk disagree with access. The image's first
@@ -517,11 +519,14 @@ class VbyteRlePsi(_SampledPsi):
         if len(val) and (val.min() < 1 or val.max() > bound):
             raise ValueError(f"vbyte sample outside 1..{bound}")
         self._set_blocks(D, t_psi, opens, starts, val, np.append(0, ends[tok] + 1)[k], len(buf))
+        self._cut = steps, delta
 
     def values(self) -> np.ndarray:
-        """All of Psi: the stream cut again as the constructor cut it and
-        summed from each group's sample; a marker takes no step."""
-        steps, delta = self._codes(self._bytes, self._bytes >= 0x80, [0])[4:]
+        """All of Psi: the stream's codes, as the constructor cut them (on
+        the first call) or cut again, summed from each group's sample; a
+        marker takes no step."""
+        cut, self._cut = self._cut, None
+        steps, delta = cut or self._codes(self._bytes, self._bytes >= 0x80, [0])[4:]
         return _expand(steps, delta, self._D.positions(), self._s0().astype(np.int64), self._n)
 
     def _codes(self, buf: np.ndarray, term: np.ndarray, at) -> tuple[np.ndarray, ...]:

@@ -9,13 +9,18 @@ distribution, either overlapping freely or laid out disjointly.
 
 The generators draw the stream in bulk (XorShift64Star.draws): chunks of
 it are stepped together as numpy arrays, each chunk starting from a
-state found by GF(2) jump-ahead. Loops whose draws depend on earlier
-draws (the attachment picks, disjoint intervals, distinct icomm pairs,
-pareto contact counts) read Python ints from that buffer in stream
-order; every other draw is array arithmetic. A seed gives the graph that
-one next_u64 call per draw gives, draw for draw, and set-up of the
-benchmark's 499,875-contact ba-build graph fell from 2.11 to 0.76 s
-(perfbench setup_s medians on a 2-vCPU virtual machine).
+state found by GF(2) jump-ahead, eight byte-table lookups per jump.
+Loops whose draws depend on earlier draws (the attachment picks,
+disjoint intervals, pareto contact counts) read Python ints from that
+buffer in stream order. icomm's distinct pairs are drawn in array
+rounds, one candidate per pair still missing, so that no round draws
+past the last pair kept; every other draw is array arithmetic. A seed
+gives the graph that one next_u64 call per draw gives, draw for draw.
+Set-up of the benchmark's 499,875-contact ba-build graph, ContactSet's
+sort included, fell from 2.11 to 0.76 s with bulk draws and to 0.26 s
+with these and a packed sort key; icomm-interval's from 0.27 to 0.16
+and then 0.05 s (perfbench setup_s medians on a 2-vCPU virtual
+machine).
 
 Two presets approximate familiar dataset shapes: a dense communication
 network with short contacts, and a sparse power-law graph with one
@@ -37,31 +42,41 @@ _MULT = 2685821657736338717
 _MULT_INV = pow(_MULT, -1, 1 << 64)
 
 
-def _apply(cols: tuple[int, ...], x: int) -> int:
-    """The GF(2) matrix cols (entry i the image of bit i) applied to x."""
-    r, i = 0, 0
-    while x:
-        if x & 1:
-            r ^= cols[i]
-        x >>= 1
-        i += 1
-    return r
+def _apply(tables: tuple[tuple[int, ...], ...], x: int) -> int:
+    """A GF(2) matrix, given as its byte tables (_byte_tables), applied
+    to x: one lookup per byte of x."""
+    t0, t1, t2, t3, t4, t5, t6, t7 = tables
+    return (t0[x & 255] ^ t1[x >> 8 & 255] ^ t2[x >> 16 & 255] ^ t3[x >> 24 & 255]
+            ^ t4[x >> 32 & 255] ^ t5[x >> 40 & 255] ^ t6[x >> 48 & 255] ^ t7[x >> 56])
+
+
+def _byte_tables(cols: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The GF(2) matrix cols (entry i the image of bit i) as eight
+    256-entry tables: table k maps a byte b to the image of b << 8k."""
+    tables = []
+    for k in range(8):
+        t = [0]
+        for c in cols[8 * k:8 * k + 8]:
+            t += [x ^ c for x in t]
+        tables.append(tuple(t))
+    return tuple(tables)
 
 
 @functools.cache
-def _jump(j: int) -> tuple[int, ...]:
-    """The state step taken 2**j times, as a GF(2) matrix: entry i is the
-    state it makes from the state with only bit i set."""
+def _jump(j: int) -> tuple[tuple[int, ...], ...]:
+    """The state step taken 2**j times, as the byte tables of its GF(2)
+    matrix, whose entry i is the state it makes from the state with only
+    bit i set."""
     if j:
         half = _jump(j - 1)
-        return tuple(_apply(half, c) for c in half)
+        return _byte_tables([_apply(half, _apply(half, 1 << i)) for i in range(64)])
     rng = XorShift64Star(0)
     cols = []
     for i in range(64):
         rng.state = 1 << i
         rng.next_u64()
         cols.append(rng.state)
-    return tuple(cols)
+    return _byte_tables(cols)
 
 
 class XorShift64Star:
@@ -188,26 +203,27 @@ class GenSpec:
             raise ValueError(f"unknown overlap mode {self.overlap!r}")
 
 
-def _ba_edges(nu: int, m: int, rng: XorShift64Star) -> list[tuple[int, int]]:
-    """Preferential-attachment edge list: exactly m*(nu-m) distinct pairs.
+def _ba_edges(nu: int, m: int, rng: XorShift64Star) -> np.ndarray:
+    """Preferential-attachment edge list: exactly m*(nu-m) distinct pairs,
+    one (source, target) row each.
 
     Vertices 2..m+1 form a star around vertex 1; every later vertex picks
     m distinct targets from a pool holding each endpoint once per edge,
-    which makes the pick degree-proportional.
+    which makes the pick degree-proportional. The pool is the flat edge
+    list itself.
     """
-    edges = []
     pool = []
     for w in range(2, m + 2):
-        edges.append((w, 1))
         pool += [w, 1]
+    draw = rng.next_u64
     for w in range(m + 2, nu + 1):
+        size = len(pool)
         seen = set()
         while len(seen) < m:
-            seen.add(pool[rng.randint(0, len(pool) - 1)])
+            seen.add(pool[draw() % size])
         for t in sorted(seen):
-            edges.append((w, t))
             pool += [w, t]
-    return edges
+    return np.array(pool, dtype=np.int64).reshape(-1, 2)
 
 
 def _contact_count(spec: GenSpec, rng: XorShift64Star) -> int:
@@ -237,7 +253,7 @@ def generate(spec: GenSpec) -> ContactSet:
     edges = _ba_edges(spec.nu, spec.m, rng)
     if spec.overlap == "forbid":
         rows = []
-        for u, v in edges:
+        for u, v in edges.tolist():
             k = _contact_count(spec, rng)
             rows += [(u, v, ts, te)
                      for ts, te in _disjoint_intervals(rng, k, spec.lifetime)]
@@ -255,9 +271,28 @@ def generate(spec: GenSpec) -> ContactSet:
     lifetime = np.uint64(spec.lifetime)
     ts = 1 + x[0::2] % (lifetime - np.uint64(1))
     te = ts + 1 + x[1::2] % (lifetime - ts)
-    uv = np.repeat(np.array(edges, dtype=np.int64), counts, axis=0)
+    uv = np.repeat(edges, counts, axis=0)
     rows = np.column_stack([uv, ts.astype(np.int64), te.astype(np.int64)])
     return ContactSet(rows, arity=4, nu=spec.nu, tau=spec.lifetime)
+
+
+def _distinct_pairs(rng: XorShift64Star, nu: int, count: int) -> np.ndarray:
+    """count distinct pairs (u, v) of vertices in [1, nu] with u != v, one
+    row each, as drawing u then v with randint(1, nu) and keeping each
+    new pair would pick them.
+
+    Each round draws one (u, v) for every pair still missing, so it never
+    draws past the last pair kept, and keeps in stream order those with
+    u != v that occur there first and were not kept before.
+    """
+    keys = np.empty(0, dtype=np.int64)          # (u - 1) * nu + v - 1, in pick order
+    while len(keys) < count:
+        uv = (rng.draws(2 * (count - len(keys))) % np.uint64(nu)).astype(np.int64)
+        k = uv[0::2] * nu + uv[1::2]
+        first = np.sort(np.unique(k, return_index=True)[1])
+        first = first[(uv[2 * first] != uv[2 * first + 1]) & ~np.isin(k[first], keys)]
+        keys = np.concatenate([keys, k[first]])
+    return 1 + np.column_stack(np.divmod(keys, nu))
 
 
 def preset_icomm(nu: int = 100, lifetime: int | None = None,
@@ -272,14 +307,7 @@ def preset_icomm(nu: int = 100, lifetime: int | None = None,
         raise ValueError(f"{nu} vertices cannot carry {e_target} distinct edges")
     c_target = round(1.2 * e_target)
     rng = _Stream(seed)
-    seen = set()
-    pairs = []
-    while len(pairs) < e_target:
-        u = rng.randint(1, nu)
-        v = rng.randint(1, nu)
-        if u != v and (u, v) not in seen:
-            seen.add((u, v))
-            pairs.append((u, v))
+    pairs = _distinct_pairs(rng, nu, e_target)
     # every pair gets one contact (duration, start), then each extra
     # contact picks a pair (pick, duration, start)
     once = rng.draws(2 * e_target).reshape(-1, 2)
@@ -288,7 +316,7 @@ def preset_icomm(nu: int = 100, lifetime: int | None = None,
                            extra[:, 0] % np.uint64(e_target)])
     d = 1 + np.concatenate([once[:, 0], extra[:, 1]]) % np.uint64(3)
     ts = 1 + np.concatenate([once[:, 1], extra[:, 2]]) % (np.uint64(tau) - d)
-    uv = np.array(pairs, dtype=np.int64).reshape(-1, 2)[pick.astype(np.int64)]
+    uv = pairs[pick.astype(np.int64)]
     rows = np.column_stack([uv, ts.astype(np.int64), (ts + d).astype(np.int64)])
     return ContactSet(rows, arity=4, nu=nu, tau=tau)
 

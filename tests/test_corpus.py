@@ -65,6 +65,31 @@ def test_contactset_sorts_and_keeps_duplicates():
     assert cs[0] == Contact(1, 3, 1, 8)
 
 
+# each column's values lie just below 2**width; a key of more than 63
+# bits is sorted by np.lexsort, a narrower one packed into int64
+@pytest.mark.parametrize("widths", [(6, 6, 6), (6, 6, 8, 8), (32, 21, 10), (31, 16, 8, 8),
+                                    (20, 20, 12, 12), (32, 32, 32), (32, 32, 32, 32)])
+def test_contactset_sorts_as_lexsort(widths, monkeypatch):
+    rng = random.Random(sum(widths))
+    tops = [2 ** w - 1 for w in widths]
+    distinct = []
+    for _ in range(60):
+        row = [top - rng.randint(0, 40) for top in tops[:2]]
+        ts = tops[2] - rng.randint(10, 40)
+        row += [ts, min(ts + rng.randint(1, 9), tops[3])] if len(widths) == 4 else [ts]
+        distinct.append(tuple(row))
+    rows = [rng.choice(distinct) for _ in range(200)]
+    cols = np.array(rows, dtype=np.int64)
+    lexsort = np.lexsort
+    want = cols[lexsort(cols.T[::-1])]
+    sorts = []
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    cs = ContactSet(rows, arity=len(widths))
+    assert len(sorts) == (sum(widths) > 63)
+    got = np.column_stack([col for col in (cs.u, cs.v, cs.ts, cs.te) if col is not None])
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_contactset_validation():
     with pytest.raises(ValueError, match="arity must be 3 or 4"):
         ContactSet([], arity=5)

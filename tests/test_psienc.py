@@ -19,6 +19,7 @@ import pytest
 from tgcsa import psienc
 from tgcsa.bitseq import BitSequence
 from tgcsa.corpus import AlphabetMap, ContactSet, build_sid
+from tgcsa.indexfile import deserialize_index, serialize_index
 from tgcsa.sacsa import (TgcsaIndex, build_d, build_index, build_rotation_array, compute_psi,
                          cyclic_adjust)
 from conftest import G5_CONTACTS, G5_D, G5_PSI, random_contactset
@@ -936,6 +937,20 @@ def test_vbyte_load_derives_the_table_of_any_valid_stream():
             vbyte_image(stream, [5, 2], D, 2)
     with pytest.raises(ValueError, match="codes 1 steps, the groups hold 0"):
         vbyte_image(codes(2), [3, 1, 2], BitSequence.from_positions([1, 2, 3], 3), 1)
+
+
+def test_vbyte_index_keeps_no_cut_of_the_stream():
+    # the constructor's cut serves the first values(), which is the
+    # index's proof; a built or loaded index then holds the stream alone
+    cs = random_contactset(seed=31, duplicates=True)
+    psi, D = psi_and_d(cs)
+    enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=4)
+    assert enc.values().tolist() == enc.values().tolist() == psi.tolist()
+    idx = build_index(cs, codec="vbyte-rle", t_psi=4)
+    for held in (idx.psi, deserialize_index(serialize_index(idx)).psi):
+        arrays = [k for k, v in vars(held).items() if isinstance(v, (np.ndarray, tuple))]
+        assert arrays == ["_bytes"]
+        assert held.values().tolist() == psi.tolist()
 
 
 @pytest.mark.parametrize("stream, s0, starts, message", [

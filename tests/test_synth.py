@@ -8,8 +8,8 @@ import pytest
 
 from tgcsa.baseline import EdgeLogIndex
 from tgcsa.corpus import ContactSet
-from tgcsa.synth import (GenSpec, XorShift64Star, _Stream, dataset_stats,
-                         generate, preset_icomm, preset_powerlaw)
+from tgcsa.synth import (GenSpec, XorShift64Star, _apply, _distinct_pairs, _jump, _Stream,
+                         dataset_stats, generate, preset_icomm, preset_powerlaw)
 from conftest import G5_CONTACTS
 
 
@@ -49,6 +49,38 @@ def test_bulk_draws_match_scalar_draws(seed):
         assert out.tolist() == [scalar.next_u64() for _ in range(count)]
         assert bulk.state == scalar.state
         assert bulk.next_u64() == scalar.next_u64()
+
+
+def bit_loop(cols, x):
+    """The GF(2) matrix cols (entry i the image of bit i) applied to x."""
+    r, i = 0, 0
+    while x:
+        if x & 1:
+            r ^= cols[i]
+        x >>= 1
+        i += 1
+    return r
+
+
+def test_jump_tables_match_the_bit_loop():
+    # the state step's columns, squared j times with the bit loop
+    rng = XorShift64Star(0)
+    cols = []
+    for i in range(64):
+        rng.state = 1 << i
+        rng.next_u64()
+        cols.append(rng.state)
+    states = [XorShift64Star(s).state for s in range(20)] + [1, 2**63, 2**64 - 1]
+    for j in range(11):
+        if j:
+            cols = [bit_loop(cols, c) for c in cols]
+        for x in states:
+            assert _apply(_jump(j), x) == bit_loop(cols, x)
+        # and both are the step taken 2**j times
+        rng.state = states[j]
+        for _ in range(2 ** j):
+            rng.next_u64()
+        assert rng.state == bit_loop(cols, states[j])
 
 
 def test_buffered_stream_hands_out_draws_in_order():
@@ -193,16 +225,35 @@ def test_forbid_overlap_needs_room():
                          dist_param=4, overlap="forbid", seed=2))
 
 
+# at 17 vertices the preset needs 271 of the 272 possible pairs
+@pytest.mark.parametrize("nu, count, seed", [(17, 271, 3), (17, 200, 4), (50, 797, 2),
+                                             (300, 4782, 1)])
+def test_distinct_pairs_match_a_scalar_rejection_loop(nu, count, seed):
+    ref, rng = XorShift64Star(seed), _Stream(seed)
+    seen, pairs = set(), []
+    while len(pairs) < count:
+        u = ref.randint(1, nu)
+        v = ref.randint(1, nu)
+        if u != v and (u, v) not in seen:
+            seen.add((u, v))
+            pairs.append([u, v])
+    got = _distinct_pairs(rng, nu, count)
+    assert got.dtype == np.int64 and got.tolist() == pairs
+    assert rng.next_u64() == ref.next_u64()
+
+
 def test_icomm_preset_shape():
-    cs = preset_icomm(nu=100, seed=0)
-    st = dataset_stats(cs)
-    assert st["nu"] == 100
-    assert st["tau"] == 100
-    assert st["edges"] == round(15.941 * 100)
-    assert st["contacts"] == round(1.2 * st["edges"])
-    assert 1.15 < st["contacts_per_edge"] < 1.25
-    assert all(1 <= te - ts <= 3 for _, _, ts, te in cs.tuples())
-    assert preset_icomm(nu=100, seed=0).tuples() == cs.tuples()
+    # 17 vertices carry 271 of their 272 possible edges
+    for nu in (100, 17):
+        cs = preset_icomm(nu=nu, seed=0)
+        st = dataset_stats(cs)
+        assert st["nu"] == nu
+        assert st["tau"] == nu
+        assert st["edges"] == round(15.941 * nu)
+        assert st["contacts"] == round(1.2 * st["edges"])
+        assert 1.15 < st["contacts_per_edge"] < 1.25
+        assert all(1 <= te - ts <= 3 for _, _, ts, te in cs.tuples())
+        assert preset_icomm(nu=nu, seed=0).tuples() == cs.tuples()
 
 
 def test_powerlaw_preset_shape():
