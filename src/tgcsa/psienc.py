@@ -41,7 +41,11 @@ group's samples for x; range walks each group from the block that holds
 lo; exceeds reads the samples on either side of its position. Each
 codec decodes inside its blocks with its own loops.
 
-* plain: every value bit-packed at a fixed width. Fast, no compression.
+* plain: every value v as v - 1, in one table bit-packed at its minimum
+  width after its count and width (_fixed_section, read back by
+  _read_fixed, as every packed table of the other codecs is); for a
+  permutation of 1..N that is ceil(log2 N) bits a value. Fast, no
+  compression, and it round-trips any values from 1 to INT64_MAX.
 * vbyte-rle: per-group gap streams. Within a group the first value is a
   sample (s0); the rest are byte codes for the successive differences,
   with maximal runs of +1 folded into a <1, length> pair, cut after
@@ -59,9 +63,11 @@ codec decodes inside its blocks with its own loops.
 * huff-rle-opt: Huffman-codes run lengths, small literal gaps, and
   escape classes for everything else into a single bitstream, which
   codes only the positions between samples: +1 runs are cut at every
-  block start. Decoding looks each token up in a table indexed by the
-  next few stream bits, built from the code lengths when the codec is
-  built or loaded. access and the stretch walk each decode in one loop
+  block start. A gap of 0 inside a group has no code, so build refuses
+  one, as the byte codec does; it also refuses a gap larger than
+  values() accepts. Decoding looks each token up in a table indexed by
+  the next few stream bits, built from the code lengths when the codec
+  is built or loaded. access and the stretch walk each decode in one loop
   with that lookup inline, and values() decodes every block at once,
   one token per lane in each numpy step. The image stores the code
   lengths, the samples and the pointers bit-packed at their minimum
@@ -165,14 +171,22 @@ def _fixed_section(vals: np.ndarray) -> bytes:
     return struct.pack("<QB7x", len(vals), width) + _pack_fixed(vals, width)
 
 
+def _fixed_header(blob: bytes, what: str) -> tuple[int, int, int]:
+    """(count, width, end) from the header _fixed_section wrote at the
+    start of blob: the table's count and width, and the offset where a
+    payload of that size ends."""
+    if len(blob) < 16:
+        raise ValueError(f"{what} section is shorter than its header")
+    count, width = struct.unpack_from("<QB", blob, 0)
+    return count, width, 16 + (count * width + 7) // 8
+
+
 def _read_fixed(blob: bytes, what: str) -> np.ndarray:
     """The table of a section that _fixed_section wrote, as uint64. A
     payload that disagrees with its header, a width that is not the
     table's minimum and padding bits that are set raise ValueError."""
-    if len(blob) < 16:
-        raise ValueError(f"{what} section is shorter than its header")
-    count, width = struct.unpack_from("<QB", blob, 0)
-    if not 1 <= width <= 64 or len(blob) - 16 != (count * width + 7) // 8:
+    count, width, end = _fixed_header(blob, what)
+    if not 1 <= width <= 64 or len(blob) != end:
         raise ValueError(f"{what} payload disagrees with its header")
     if any(blob[9:16]) or (count * width % 8 and blob[-1] >> (count * width % 8)):
         raise ValueError(f"{what} section sets padding bits")
@@ -214,7 +228,9 @@ def _i64_array(a) -> array:
 
 
 class PlainPsi:
-    """Fixed-width array: value v stored as v-1 in ceil(log2 N) bits."""
+    """Fixed-width array: value v stored as v-1, in one table at its
+    minimum width (_fixed_section); for a permutation of 1..N that is
+    ceil(log2 N) bits."""
 
     name = "plain"
     tag = 0
@@ -222,8 +238,8 @@ class PlainPsi:
 
     def __init__(self, vals: np.ndarray):
         self._vals = np.ascontiguousarray(vals, dtype=np.int64)
-        self._n = n = len(self._vals)
-        self.width = max(1, (n - 1).bit_length()) if n else 1
+        self._n = len(self._vals)
+        self.width = _min_width(self._vals - 1)
 
     @classmethod
     def build(cls, psi: np.ndarray, D=None, t_psi: int = 0) -> "PlainPsi":
@@ -278,24 +294,15 @@ class PlainPsi:
         return len(self._vals) * self.width
 
     def to_sections(self) -> list[bytes]:
-        head = struct.pack("<QB7x", len(self._vals), self.width)
-        packed = _pack_fixed((self._vals - 1).astype(np.uint64), self.width)
-        return [head + packed]
+        return [_fixed_section(self._vals - 1)]
 
     @classmethod
     def from_sections(cls, sections, D: BitSequence) -> "PlainPsi":
         """The codec; the index's proof of Psi rejects a value past n."""
-        blob = sections[0]
-        if len(blob) < 16:
-            raise ValueError("fixed-width section is shorter than its header")
-        n, width = struct.unpack_from("<QB", blob, 0)
+        n = _fixed_header(sections[0], "fixed-width")[0]
         if n != D.nbits:
             raise ValueError(f"fixed-width header holds {n} values, D has {D.nbits} bits")
-        if width != max(1, (n - 1).bit_length()) or len(blob) - 16 != (n * width + 7) // 8:
-            raise ValueError("fixed-width payload disagrees with its header")
-        if any(blob[9:16]) or (n * width % 8 and blob[-1] >> (n * width % 8)):
-            raise ValueError("fixed-width section sets padding bits")
-        return cls(_unpack_fixed(blob[16:], n, width).astype(np.int64) + 1)
+        return cls(_read_fixed(sections[0], "fixed-width").astype(np.int64) + 1)
 
 
 class _SampledPsi:
@@ -493,7 +500,7 @@ class VbyteRlePsi(_SampledPsi):
                              f"the image holds {len(s0)}")
         if len(buf) and buf[-1] < 0x80:
             raise ValueError("vbyte code runs past the end of the stream")
-        ends, _, marker, _, steps, delta = self._codes(buf, buf >= 0x80, [0])
+        ends, _, marker, steps, delta = self._codes(buf, buf >= 0x80, [0])
         if len(marker) and marker[-1] == len(ends) - 1:
             raise ValueError("vbyte marker at the end of the stream has no payload")
         tok = np.ones(len(ends), dtype=bool)
@@ -526,7 +533,7 @@ class VbyteRlePsi(_SampledPsi):
         the first call) or cut again, summed from each group's sample; a
         marker takes no step."""
         cut, self._cut = self._cut, None
-        steps, delta = cut or self._codes(self._bytes, self._bytes >= 0x80, [0])[4:]
+        steps, delta = cut or self._codes(self._bytes, self._bytes >= 0x80, [0])[3:]
         return _expand(steps, delta, self._D.positions(), self._s0().astype(np.int64), self._n)
 
     def _codes(self, buf: np.ndarray, term: np.ndarray, at) -> tuple[np.ndarray, ...]:
@@ -536,13 +543,13 @@ class VbyteRlePsi(_SampledPsi):
         part markers and payloads alternate, and a code after a marker is
         its payload.
 
-        Returns (ends, fc, marker, ones, steps, delta): each code's last
-        byte, each part's first code, the markers, the payloads of <1, L>
-        pairs, and each code's steps and value change: none for a marker,
-        L for both for a <1, L> pair's payload, one step down by the
-        magnitude for a <0, m> pair's payload, and one step by its value
-        for any other code. A code wider than any up to _bound, or above
-        it, raises ValueError before anything is summed.
+        Returns (ends, fc, marker, steps, delta): each code's last byte,
+        each part's first code, the markers, and each code's steps and
+        value change: none for a marker, L for both for a <1, L> pair's
+        payload, one step down by the magnitude for a <0, m> pair's
+        payload, and one step by its value for any other code. A code
+        wider than any up to _bound, or above it, raises ValueError
+        before anything is summed.
         """
         ends = np.flatnonzero(term)
         m = len(ends)
@@ -574,7 +581,7 @@ class VbyteRlePsi(_SampledPsi):
         steps[marker] = val[marker] = 0
         steps[ones] = val[ones]
         val[esc] *= -1
-        return ends, fc, marker, ones, steps, val
+        return ends, fc, marker, steps, val
 
     @classmethod
     def build(cls, psi: np.ndarray, D: BitSequence, t_psi: int) -> "VbyteRlePsi":
@@ -647,7 +654,7 @@ class VbyteRlePsi(_SampledPsi):
             buf = self._bytes[np.arange(int(lens.sum())) + np.repeat(a - at, lens)]
             term = buf >= 0x80
             term[(at + lens - 1)[lens > 0]] = True      # no code runs into the next block
-            ends, fc, _, ones, steps, delta = self._codes(buf, term, at)
+            ends, fc, _, steps, delta = self._codes(buf, term, at)
             m = len(ends)
             fcn = np.append(fc[1:], m)                  # each block's first code after it
             # the last code of a shortened block may be cut short: it
@@ -663,8 +670,9 @@ class VbyteRlePsi(_SampledPsi):
                 break
             stop = np.where(short, full, stop)
         # a position off > 0 steps past its sample is reached by the first
-        # code of its block whose step count G reaches before + off; a run
-        # there may overshoot it
+        # code of its block whose step count G reaches before + off; only a
+        # run can overshoot it (any other code takes one step, and a marker
+        # none), and a run's value change is its step count
         vals = bval[b]
         tail = off > 0
         if tail.any():
@@ -672,11 +680,9 @@ class VbyteRlePsi(_SampledPsi):
             T = before[rt] + off[tail]
             G = cs[1:]
             k = np.searchsorted(G, T)
-            isrun = np.zeros(m, dtype=bool)
-            isrun[ones] = True
             dv = np.zeros(m + 1, dtype=np.int64)
             delta.cumsum(out=dv[1:])
-            vals[tail] += dv[k + 1] - dv[fc[rt]] - (G[k] - T) * isrun[k]
+            vals[tail] += dv[k + 1] - dv[fc[rt]] - (G[k] - T)
         out[order] = vals
         return out
 
@@ -759,8 +765,7 @@ class VbyteRlePsi(_SampledPsi):
         if any(reserved):
             raise ValueError("vbyte codec's reserved sections 2 to 9 must be empty")
         # the s0 table's header gives its length; the stream is the rest
-        count, width = struct.unpack_from("<QB", blob) if len(blob) >= 16 else (0, 0)
-        end = 16 + (count * width + 7) // 8
+        end = _fixed_header(blob, "vbyte group sample")[2]
         return cls(blob[end:], _read_fixed(blob[:end], "vbyte group sample"), D, t_psi)
 
 
@@ -926,7 +931,7 @@ class HuffRlePsi(_SampledPsi):
     once checked for. Zero padding lets a window be read at the end.
 
     build cuts the gaps into tokens with _tokens at the block starts,
-    takes each escape's class from the bit length of its magnitude,
+    takes each escape's class from the exact bit length of its magnitude,
     counts the symbols with bincount for the code lengths, and packs
     every token's code and raw bits into one stream with _pack_msb. The
     image's sections are the code lengths, the samples and the pointers,
@@ -981,9 +986,15 @@ class HuffRlePsi(_SampledPsi):
         at[starts - 1] = True
         first, last, gap = _tokens(psi, at, at)
         g = gap[first]
+        if np.any(g == 0):
+            raise ValueError("Huffman codec cannot code a gap of 0 inside a group")
+        bound = INT64_MAX // (len(psi) + 1)  # values() refuses a larger value change
+        if len(g) and np.abs(g).max() > bound:
+            raise ValueError(f"Huffman gap magnitude past {bound}")
         esc = g > NSV + 1
         mag = np.where(esc, g - (NSV + 2), np.where(g <= 0, -g - 1, 0))
-        k = np.frexp(mag)[1].astype(np.int64)   # bit length, exact below 2**53
+        # exact bit lengths: the powers of two at or below each magnitude
+        k = np.searchsorted(1 << np.arange(63, dtype=np.int64), mag, side="right")
         sym = np.select([g == 1, g <= 0, ~esc],
                         [last - first, t + NSV + ESC_CLASSES + k, t + g - 2], t + NSV + k)
         nraw = np.maximum(k - 1, 0)
@@ -1231,10 +1242,14 @@ class HuffRlePsi(_SampledPsi):
 
 def encode(psi: np.ndarray, D: BitSequence, codec: str = "plain",
            t_psi: int = 64):
-    """Build the named encoding of psi. D supplies the group boundaries."""
+    """Build the named encoding of psi. D supplies the group boundaries.
+    Every codec stores values from 1 up; a value below 1 raises
+    ValueError rather than load back changed."""
     if codec not in TAGS:
         raise ValueError(f"unknown psi codec {codec!r}")
     psi = np.ascontiguousarray(psi, dtype=np.int64)
+    if len(psi) and psi.min() < 1:
+        raise ValueError(f"Psi value {psi.min()} is below 1")
     if codec == "plain":
         return PlainPsi.build(psi)
     _check_t_psi(t_psi)

@@ -138,6 +138,7 @@ def test_query_empty_result_prints_blank_line(g5_built, tmp_path, capsys):
     "S 5 .. 7 w",       # snapshot has no weak form
     "D x 5",            # non-integer
     "D 1 0",            # out of range
+    "D 1 .. 5 6",       # two end times
 ])
 def test_query_errors_exit_2(g5_built, tmp_path, capsys, bad):
     qf = tmp_path / "q.txt"

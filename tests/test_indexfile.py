@@ -139,11 +139,15 @@ def test_corrupted_image_loads_or_raises_value_error(codec):
     ("plain", 2, 1 << 40, "fixed-width header"),     # n of the packed Psi
     ("vbyte-rle", -1, 19, "reserved sections"),      # nbits of D1, a reserved slot
     ("plain", 1, 19, "group bitmap"),                 # nbits of D, arity * n is 20
-], ids=["plain-n", "D1-nbits", "D-nbits"])
+    ("plain", 2, None, "fixed-width section is shorter than its header"),  # n alone
+], ids=["plain-n", "D1-nbits", "D-nbits", "plain-header"])
 def test_forged_lengths_are_rejected(codec, section, value, message):
     blob = serialize_index(build_index(ContactSet(G5_CONTACTS), codec=codec))
     sections = [bytearray(blob[a:a + n]) for a, n in section_spans(blob)]
-    sections[section][:8] = struct.pack("<Q", value)   # an empty section grows to 8 bytes
+    if value is None:
+        del sections[section][8:]                       # the section ends after 8 bytes
+    else:
+        sections[section][:8] = struct.pack("<Q", value)   # an empty section grows to 8 bytes
     with pytest.raises(ValueError, match=message):
         deserialize_index(_emit(blob[:_HEAD.size + _SHAPE.size], sections))
 

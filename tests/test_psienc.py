@@ -189,6 +189,68 @@ def test_sections_roundtrip(codec):
     assert back.size_bits() == enc.size_bits()
 
 
+def contract_sequences(count, seed):
+    """(values, D): seeded int64 sequences of values from 1 to INT64_MAX,
+    cut into groups at random starts (position 1 always one), with +1
+    runs, repeats, descents, small gaps and jumps up or down by about
+    2**53 to 2**62. Most jumps escape a magnitude within 3 of 2**k - 1,
+    which a float rounds up to 2**k once k passes 53. One sequence in
+    ten has one value below 1 in place of its own."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 60)
+        vals = [rng.randint(1, 1000)]
+        while len(vals) < n:
+            v, kind = vals[-1], rng.randrange(6)
+            if kind == 0:
+                vals += range(v + 1, v + rng.randint(2, 40))
+            elif kind == 1:
+                vals.append(v)
+            elif kind == 2:
+                vals.append(rng.randint(1, v))
+            elif kind == 3:
+                vals.append(v + rng.randint(2, 20000))
+            else:
+                # an escaped gap g > 0 stores g - NSV - 2, and g < 0 stores
+                # -g - 1: both jumps store 2**k - 1 + r
+                k, r = rng.choice((53, 54, 55, 60, 62)), rng.randint(-2, 2)
+                fits = [d for d in ((1 << k) + r + psienc.NSV + 1, -(1 << k) - r)
+                        if 1 <= v + d <= psienc.INT64_MAX]
+                vals.append(v + rng.choice(fits) if fits else 1)
+        vals = vals[:n]
+        if rng.random() < 0.1:
+            vals[rng.randrange(n)] = rng.choice((0, -1, -psienc.INT64_MAX - 1))
+        starts = [1] + sorted(rng.sample(range(2, n + 1), rng.randint(0, (n - 1) // 3)))
+        yield vals, BitSequence.from_positions(starts, n)
+
+
+@pytest.mark.parametrize("codec", ("plain",) + CODECS)
+def test_every_codec_round_trips_what_it_encodes(codec):
+    # the codec contract on sequences that are not permutations: an
+    # image loads back as the input, through values() and access, or
+    # encode refuses it with ValueError; a value truncated to a
+    # permutation's width, a gap of 0 or an escape class one too high
+    # once loaded back silently wrong, and so did a value below 1
+    refused = 0
+    for vals, D in contract_sequences(150, f"contract-{codec}"):
+        n = len(vals)
+        for t in (1, 3, 16, 64):
+            if min(vals) < 1:
+                with pytest.raises(ValueError, match=f"Psi value {min(vals)} is below 1"):
+                    psienc.encode(np.array(vals, dtype=np.int64), D, codec=codec, t_psi=t)
+                continue
+            try:
+                enc = psienc.encode(np.array(vals, dtype=np.int64), D, codec=codec, t_psi=t)
+            except ValueError:
+                refused += 1
+                continue
+            back = psienc.from_sections(enc.tag, enc.to_sections(), D, t)
+            assert back.values().tolist() == vals, (vals, t)
+            assert [back.access(i) for i in range(1, n + 1)] == vals, (vals, t)
+    # plain takes every other sequence; the sampled codecs refuse some
+    assert (refused == 0) if codec == "plain" else (0 < refused < 600), refused
+
+
 def test_huffman_build_is_deterministic():
     psi, D = crafted_sequence()
     a = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=32)
@@ -426,7 +488,7 @@ def huffman_sections(forge=lambda enc: {}):
     (t_psi 64) and its D. forge maps the encoding to replacement parts:
     codebook (the length bytes), samples or ptrs (sequences), stream_bits
     or stream, or a whole section as bytes under codebook-section,
-    samples-section or ptrs-section."""
+    samples-section, ptrs-section or stream-section."""
     psi, D = crafted_sequence()
     enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=64)
     _, samples, ptrs = enc._tables()
@@ -436,7 +498,8 @@ def huffman_sections(forge=lambda enc: {}):
     tables = (np.frombuffer(parts["codebook"], dtype=np.uint8), parts["samples"], parts["ptrs"])
     sections = [parts.get(f"{name}-section") or packed_section(table)
                 for name, table in zip(("codebook", "samples", "ptrs"), tables)]
-    return sections + [struct.pack("<Q", parts["stream_bits"]) + parts["stream"]], D
+    return sections + [parts.get("stream-section")
+                       or struct.pack("<Q", parts["stream_bits"]) + parts["stream"]], D
 
 
 def huffman_tables(enc):
@@ -465,8 +528,9 @@ def test_huffman_sections_load_back():
      "bits past its bit count"),
     (lambda p: dict(ptrs=huffman_tables(p)[2][::-1]), "out of order"),
     (lambda p: dict(ptrs=huffman_tables(p)[2][:-1] + [p._stream_bits + 1]), "past the stream"),
+    (lambda p: {"stream-section": bytes(7)}, "stream section is shorter than its header"),
 ], ids=["kraft", "symbol", "samples", "ptrs", "stream-bits", "stream-byte",
-        "stream-pad", "ptr-order", "ptr-end"])
+        "stream-pad", "ptr-order", "ptr-end", "stream-header"])
 def test_huffman_load_rejects_forged_sections(forge, message):
     sections, D = huffman_sections(forge)
     with pytest.raises(ValueError, match=message):
@@ -497,8 +561,10 @@ def wide(table, pad=False):
     (lambda p: {"samples-section": psienc._fixed_section(p._tables()[1])[:-1]},
      "disagrees with its header"),
     (lambda p: {"codebook-section": bytes(range(1, 8))}, "shorter than its header"),
+    (lambda p: {"codebook-section": packed_section([256])}, "Huffman code length past 255"),
 ], ids=["block-count", "ptr-decrease", "codebook-width", "samples-width", "ptrs-width",
-        "codebook-pad", "samples-pad", "ptrs-pad", "samples-short", "codebook-header"])
+        "codebook-pad", "samples-pad", "ptrs-pad", "samples-short", "codebook-header",
+        "codebook-256"])
 def test_huffman_load_rejects_forged_tables(forge, message):
     sections, D = huffman_sections(forge)
     with pytest.raises(ValueError, match=message):
@@ -860,10 +926,12 @@ def top_sample_past_bound(p):
      f"codes {2**40 - 64 + 757} steps, the groups hold 757"),
     # two whole codes after the last block's codes: they would never decode
     (lambda p: dict(stream=p._stream + b"\x85\x85"), "codes 759 steps, the groups hold 757"),
-], ids=["s0", "D1", "s1-value", "s0-value", "run1-value", "stream-slack"])
+    # the byte coder refuses to write a negative gap as it stands
+    (lambda p: dict(stream=codes(-1)), "non-negative integers only"),
+], ids=["s0", "D1", "s1-value", "s0-value", "run1-value", "stream-slack", "negative-code"])
 def test_vbyte_load_rejects_forged_sections(forge, message):
-    sections, D = vbyte_sections(forge)
     with pytest.raises(ValueError, match=message):
+        sections, D = vbyte_sections(forge)
         psienc.from_sections(psienc.TAGS["vbyte-rle"], sections, D, 64)
 
 
@@ -1139,20 +1207,29 @@ def test_access_many_rejects_codes_that_could_wrap_int64():
     assert enc.access_many([2, 1]).tolist() == [1 + bound, 1] == enc.range(1, 2)[::-1]
 
 
-def test_access_many_reads_a_shortened_block_again_in_full():
-    # one 64-position group: 30 one-byte gaps, a three-byte gap, a run
-    # pair and five more three-byte gaps, 50 bytes in all. For position
-    # 32 the batch decoder first reads the block's share for 32 of 64
-    # positions plus a margin, 31 bytes: that cuts the three-byte code
-    # position 32 needs after its first byte, so the block falls short
-    # and is read again in full.
-    gaps = [2] * 30 + [20000] + [1] * 27 + [20000] * 5
-    psi = np.cumsum([1] + gaps)
+def test_access_many_reads_a_shortened_block_again_in_full(monkeypatch):
+    # one 64-position group: 31 three-byte gaps, then a +1 run of 32 in
+    # one two-byte pair, 95 bytes in all. For position 40 the batch
+    # decoder first reads the block's share for 40 of 64 positions plus
+    # a margin of two of the widest codes, 59 + 18 = 77 bytes: 25 whole
+    # codes, which reach position 26, so the block falls short and is
+    # read again in full. Asking for the last position reads it in full
+    # at once, and position 2 needs only its share.
+    psi = np.cumsum([1] + [20000] * 31 + [1] * 32)
     D = BitSequence.from_positions([1], len(psi))
     enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=64)
-    assert len(enc._stream) == 50
-    for ps in ([32], [31, 32], [32, 64], list(range(1, 65))):
-        assert enc.access_many(ps).tolist() == psi[np.array(ps) - 1].tolist()
+    assert len(enc._stream) == 95 and enc._wmax == 9
+    want = enc.values()
+    assert want.tolist() == psi.tolist()
+    reads = []
+    cut = psienc.VbyteRlePsi._codes
+    monkeypatch.setattr(psienc.VbyteRlePsi, "_codes",
+                        lambda self, *a: reads.append(len(a[0])) or cut(self, *a))
+    for ps, lens in (([40], [77, 95]), ([32], [65, 95]), ([2, 40], [77, 95]),
+                     ([2], [20]), ([40, 64], [95]), (list(range(1, 65)), [95])):
+        reads.clear()
+        assert enc.access_many(ps).tolist() == want[np.array(ps) - 1].tolist(), ps
+        assert reads == lens, ps
 
 
 def test_huffman_batch_values_past_int64_are_a_value_error():
