@@ -823,7 +823,6 @@ def _tokens(psi: np.ndarray, skip: np.ndarray, sample: np.ndarray) -> tuple[np.n
 
 NSV = 1 << 14
 ESC_CLASSES = 64
-TABLE_BITS = 16  # widest code prefix the decode table indexes
 
 
 def _huff_lengths(freqs: dict[int, int]) -> dict[int, int]:
@@ -904,17 +903,19 @@ class HuffRlePsi(_SampledPsi):
     pointer is the bit offset of its first token, and its tokens end
     where the next block's begin.
 
-    Decoding reads one token per table lookup. The table is indexed by
-    the next k = min(maxlen, TABLE_BITS) stream bits; the canonical codes
-    of length <= k fill it from prefix 0 upwards, each code repeated
-    over the 2**(k - length) prefixes that open with it. An entry holds
-    the whole decoded token as (code length, steps, base delta, signed
-    raw bit count): a run token advances its run length of +1 steps, so
-    its steps and delta are both that length; any other token advances
-    one position by the base delta plus (or, for a negative escape,
-    minus) its raw bits. Prefixes past the short codes hold None and
-    finish on the canonical per-length search, which also rejects
-    unassigned codes.
+    Decoding reads one token per table lookup. One table, built by the
+    constructor, serves every decoder: indexed by the next k = min(maxlen,
+    17) stream bits (a 24-bit window holds 17 at any bit offset), it
+    repeats each canonical code of length <= k, from prefix 0 upwards,
+    over the 2**(k - length) prefixes that open with it, as a list of
+    entries for access and _walk and as entry ids for values(). An entry
+    holds the whole decoded token as (code length, steps, base delta,
+    signed raw bit count): a run token advances its run length of +1
+    steps, so its steps and delta are both that length; any other token
+    advances one position by the base delta plus (or, for a negative
+    escape, minus) its raw bits. Prefixes past those codes hold None (id
+    0) and finish on the canonical per-length search, _long_code, which
+    also rejects unassigned codes.
 
     access and _walk (stretch's walk, and range's per group) each decode
     in one loop. Each loop binds the padded stream, the table, the mask
@@ -952,9 +953,6 @@ class HuffRlePsi(_SampledPsi):
         self._padded = self._stream + bytes(16)
         opens, starts = _blocks(D, t_psi)
         self._set_blocks(D, t_psi, opens, starts, samples, ptrs, stream_bits)
-        self._build_table()
-
-    def _build_table(self):
         syms, lens, first, count, offset = _canonical_code(self._lengths_u8)
         t = self.t_psi
         if len(syms) and syms.max() >= t + NSV + 2 * ESC_CLASSES:
@@ -966,16 +964,19 @@ class HuffRlePsi(_SampledPsi):
         run = np.where(rel < 0, rel + t + 1, 1)
         base = np.select([rel < 0, rel < NSV, neg], [run, rel + 2, -1 - half], NSV + 2 + half)
         nraw = (k - 1).clip(0) * np.where(neg, -1, 1)
-        self._code = np.stack((lens, run, base, nraw))   # the entries' columns, for values()
-        self._entries = list(zip(*self._code.tolist()))
-        maxlen = len(first) - 1
-        self._k = width = min(maxlen, TABLE_BITS)
+        code = np.stack((lens, run, base, nraw))
+        self._entries = list(zip(*code.tolist()))
+        self._code = np.pad(code, ((0, 0), (1, 0)))  # for values(): id 0 is no code of up to k bits
+        # a 24-bit window holds 17 bits at any bit offset
+        self._k = width = min(len(first) - 1, 17)
         self._mask = (1 << width) - 1
         self._first, self._count, self._offset = first, count, offset
-        short = sum(count[1:width + 1])
+        reps = 1 << (width - lens[:sum(count[1:width + 1])])
+        self._ids = np.zeros(1 << width, dtype=np.int64)
+        self._ids[:reps.sum()] = np.repeat(np.arange(1, len(reps) + 1), reps)
         table = []
-        for e, reps in zip(self._entries, (1 << (width - lens[:short])).tolist()):
-            table += [e] * reps
+        for e, r in zip(self._entries, reps.tolist()):
+            table += [e] * r
         self._table = table + [None] * ((1 << width) - len(table))
 
     @classmethod
@@ -993,8 +994,10 @@ class HuffRlePsi(_SampledPsi):
             raise ValueError(f"Huffman gap magnitude past {bound}")
         esc = g > NSV + 1
         mag = np.where(esc, g - (NSV + 2), np.where(g <= 0, -g - 1, 0))
-        # exact bit lengths: the powers of two at or below each magnitude
-        k = np.searchsorted(1 << np.arange(63, dtype=np.int64), mag, side="right")
+        # exact bit lengths of the escapes' magnitudes (the powers of two at
+        # or below each); every other token stays class 0
+        k, nz = np.zeros_like(mag), np.flatnonzero(mag)
+        k[nz] = np.searchsorted(1 << np.arange(63, dtype=np.int64), mag[nz], side="right")
         sym = np.select([g == 1, g <= 0, ~esc],
                         [last - first, t + NSV + ESC_CLASSES + k, t + g - 2], t + NSV + k)
         nraw = np.maximum(k - 1, 0)
@@ -1087,19 +1090,16 @@ class HuffRlePsi(_SampledPsi):
 
     def values(self) -> np.ndarray:
         """All of Psi, decoded in lockstep: each numpy step decodes one
-        token in every block with positions left, by a table of entry ids
-        that np.repeat builds as _build_table builds its list, and a
-        second window for up to 16 raw bits; a longer code or escape goes
-        through _long_code one block at a time. ValueError, before any
-        sum, on an unassigned code, a value change past INT64_MAX // (n +
-        1), or a block whose tokens do not end at the next pointer."""
+        token in every block with positions left, by the decode table's
+        entry ids and a second window for up to 16 raw bits; a longer
+        code or escape goes through _long_code one block at a time.
+        ValueError, before any sum, on an unassigned code, a value change
+        past INT64_MAX // (n + 1), or a block whose tokens do not end at
+        the next pointer."""
         n, bound = self._n, INT64_MAX // (self._n + 1)
         bpos, bval, bptr = self._columns()
-        k = min(len(self._first) - 1, 17)  # a 24-bit window holds 17 bits at any offset
-        lens, run, base, nraw = np.hstack((np.zeros((4, 1), dtype=np.int64), self._code))
-        reps = 1 << (k - lens[1:][lens[1:] <= k])
-        ids = np.zeros(1 << k, dtype=np.int64)  # id 0: no code of up to k bits
-        ids[:reps.sum()] = np.repeat(np.arange(1, len(reps) + 1), reps)
+        k, mask, ids = self._k, self._mask, self._ids
+        lens, run, base, nraw = self._code
         P = np.frombuffer(self._padded, dtype=np.uint8).astype(np.int64)
         W = P[:-2] << 16 | P[1:-1] << 8 | P[2:]
         lane, pos, end, left = np.arange(len(bval)), bptr[:-1], bptr[1:], np.diff(bpos) - 1
@@ -1110,7 +1110,7 @@ class HuffRlePsi(_SampledPsi):
             lane, pos, end, left = (a[left > 0] for a in (lane, pos, end, left))
             if not len(lane):
                 break
-            e = ids[W[pos >> 3] >> (24 - k - (pos & 7)) & ((1 << k) - 1)]
+            e = ids[W[pos >> 3] >> (24 - k - (pos & 7)) & mask]
             ln, st, dl, nr = lens[e], run[e], base[e], nraw[e]
             slow = (ln == 0) | (np.abs(nr) > 16)
             r, at = np.abs(nr) * ~slow, pos + ln  # raw bit counts, and where they start

@@ -31,11 +31,13 @@ stretch walk: it decodes exactly its live contacts. When no start group
 up to the start cut ends by the end cut, which the running minimum of
 latest_end tells in one lookup, the pair and neighbour queries leave
 the group test out, so contacts that outlast the cuts do not pay for
-it. The pair and direct queries need no contact's end itself, only
-whether it lies past the end cut, and ask psi.exceeds: by the same
-order the samples on either side of a start position settle that for
-most contacts with no decode. The change queries, and snapshot at
-arity 3, scan their window.
+it. The pair and both neighbour queries need no contact's end itself,
+only whether it lies past the end cut, and decide it with one end
+test, _end_test: the group test, then psi.exceeds, where by the same
+order the samples on either side of a start position settle most
+contacts with no decode. reverse_neighbors hops on to the end section
+only from the live contacts. The change queries, and snapshot at arity
+3, scan their window.
 
 Positions are 1-based throughout, matching the bitmaps. Every time cut
 is the right edge of a time group (_cut), and a window is the stretch
@@ -256,16 +258,6 @@ def _end_test(idx, hi: int, zfloor: int):
     return lambda y: latest[rank1(y) - first] > zfloor and exceeds(y, zfloor)
 
 
-def _may_outlive(idx, ys: list[int], hi: int, zfloor: int) -> list[int]:
-    """The positions among ys, start-section positions up to hi, whose
-    start group has a contact that ends past zfloor, in one array step
-    (as in _end_test, each y lies in a start group)."""
-    if not _pruned_groups(idx, hi, zfloor):
-        return ys
-    g = np.searchsorted(idx.D.positions(), ys, side="right") - idx.start_group0 - 1
-    return np.array(ys, dtype=np.int64)[idx.latest_end[g] > zfloor].tolist()
-
-
 def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
                   zfloor) -> list[int]:
     """Section-2 groups among pos2 that hold a contact alive in the window.
@@ -347,7 +339,9 @@ def reverse_neighbors(idx, v: int, sem: TimeSemantics) -> list[int]:
 
     v's group is ordered by start time, so the contacts in the window
     are one stretch of it: one Psi walk finds its first position and
-    decodes it, before any hop."""
+    decodes it, before any hop. With an end cut, the end test of the
+    pair and direct queries picks the live contacts, and only they hop
+    on through the end section to their source."""
     if idx.n == 0:
         return []
     p1, p2 = _check_sem(idx, sem)
@@ -359,14 +353,12 @@ def reverse_neighbors(idx, v: int, sem: TimeSemantics) -> list[int]:
     lo, hi, zfloor = _section3_window(idx, p1, p2)
     if lo > hi:
         return []
-    psi = idx.psi
-    ys = psi.stretch(*symbol_range(idx, c), lo, hi + 1)[1]
-    if zfloor is None:
-        nxt = [psi.access(y) for y in ys]
-    else:
-        ends = map(psi.access, _may_outlive(idx, ys, hi, zfloor))
-        nxt = [psi.access(z) for z in ends if z > zfloor]
-    return sorted(set(_terms(idx, nxt, 1).tolist()))
+    access = idx.psi.access
+    at = idx.psi.stretch(*symbol_range(idx, c), lo, hi + 1)[1]  # start-section positions
+    if zfloor is not None:  # only the live contacts hop on, to their end section
+        ends_past = _end_test(idx, hi, zfloor)
+        at = [access(y) for y in at if ends_past(y)]
+    return sorted(set(_terms(idx, [access(p) for p in at], 1).tolist()))
 
 
 def active_edge(idx, u: int, v: int, sem: TimeSemantics) -> bool:

@@ -295,9 +295,10 @@ def test_codec_names_and_tags_agree():
 
 def long_code_sequence(levels=20):
     """One group whose gap pieces occur with Fibonacci frequencies, so the
-    Huffman tree is a chain deeper than the decode table is wide; the
-    rarest pieces are escapes of both signs and a run. levels counts the
-    pieces, the last ones being literal gaps."""
+    Huffman tree is a chain as deep as levels allows (at levels 23 deeper
+    than the widest decode table, 17 bits); the rarest pieces are escapes
+    of both signs and a run. levels counts the pieces, the last ones
+    being literal gaps."""
     fib = [1, 1]
     while len(fib) < levels:
         fib.append(fib[-1] + fib[-2])
@@ -310,32 +311,66 @@ def long_code_sequence(levels=20):
     return psi, BitSequence.from_positions([1], len(psi))
 
 
+def long_code_calls(monkeypatch) -> list[int]:
+    """The bit offsets that HuffRlePsi._long_code is called at, from now on."""
+    calls = []
+    long_code = psienc.HuffRlePsi._long_code
+    monkeypatch.setattr(psienc.HuffRlePsi, "_long_code",
+                        lambda self, pos: calls.append(pos) or long_code(self, pos))
+    return calls
+
+
 @pytest.mark.parametrize("t", (64, 256))
-def test_huffman_long_codes_and_escapes_match_plain(t):
-    # one level more than the pinned sequence: the samples every t_psi
-    # take some of its rarest gaps out of the stream
-    psi, D = long_code_sequence(21)
+def test_huffman_long_codes_and_escapes_match_plain(t, monkeypatch):
+    # three levels more than the pinned sequence: the longest code (18
+    # bits at t_psi 64, 19 at 256) is longer than the decode table is
+    # wide, so access, range and values() each take _long_code; the
+    # samples every t_psi take some of the rarest gaps out of the stream
+    psi, D = long_code_sequence(23)
     n = len(psi)
     plain = psienc.encode(psi, D, codec="plain")
     enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
     lengths = np.frombuffer(enc._lengths_u8, dtype=np.uint8)
     pos_esc = t + psienc.NSV
     neg_esc = pos_esc + psienc.ESC_CLASSES
-    assert lengths.max() > psienc.TABLE_BITS
+    assert lengths.max() > enc._k
     assert lengths[pos_esc:neg_esc].any() and lengths[neg_esc:].any()
-    assert enc.range(1, n) == plain.range(1, n) == enc.values().tolist()
+    calls = long_code_calls(monkeypatch)
+    assert enc.values().tolist() == plain.range(1, n)
+    assert calls
+    calls.clear()
+    assert enc.range(1, n) == plain.range(1, n)
+    assert calls
+    calls.clear()
     rng = random.Random(t)
-    for i in [rng.randint(1, n) for _ in range(1500)]:
+    block_ends = [p - 1 for p in enc._bpos[1:]]  # an access there decodes its whole block
+    for i in block_ends + [rng.randint(1, n) for _ in range(1500)]:
         assert enc.access(i) == plain.access(i), i
+    assert calls
     for _ in range(40):
         lo = rng.randint(1, n)
         hi = min(n, lo + rng.randint(0, 3 * t))
         assert enc.range(lo, hi) == plain.range(lo, hi), (lo, hi)
 
 
+def test_huffman_17_bit_codes_take_no_long_code(monkeypatch):
+    # the decode table is 17 bits wide when the longest code is, so no
+    # decoder leaves it: not values(), and not the walks of access and
+    # range, which read the table from the same 24-bit window
+    psi, D = long_code_sequence()
+    n = len(psi)
+    enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=256)
+    assert np.frombuffer(enc._lengths_u8, dtype=np.uint8).max() == 17
+    calls = long_code_calls(monkeypatch)
+    assert enc.values().tolist() == enc.range(1, n) == psi.tolist()
+    ends = np.array(enc._bpos[1:]) - 1  # an access there decodes its whole block
+    assert [enc.access(i) for i in ends.tolist()] == psi[ends - 1].tolist()
+    assert not calls
+
+
 # sha256 of each codec's to_sections() on the crafted and long-code
 # sequences, every section prefixed by its u64 length. These cover
-# escapes of both signs, descents and codes longer than the decode table.
+# escapes of both signs, descents and codes of up to 17 bits.
 SECTION_DIGESTS = {
     ("crafted", "vbyte-rle", 1): "5cdd242d3025a876f57b635e06276840242daca06eb26e270f370532d1b64dd7",
     ("crafted", "vbyte-rle", 4): "317685a8ff957ca18273b138a799cf3037ee62c46d51ad02e5bdebdba9112c63",

@@ -632,6 +632,37 @@ def test_started_contacts_read_from_the_walk_take_no_hop(codec, monkeypatch):
 
 
 @pytest.mark.parametrize("codec", ALL_CODECS)
+def test_reverse_hops_only_from_live_contacts(codec, monkeypatch):
+    # reverse decides each started contact with the end test of the pair
+    # and direct queries, which on the sampled codecs decides without
+    # access (plain's exceeds is itself one access): a contact that ends
+    # by the cut takes no hop, also when a live contact shares its start
+    # group, so that the group test alone would let it through
+    cs = hub_graph(random.Random("reverse-end-test"))
+    oracle = OracleIndex(cs)
+    want = {(v, sem): oracle.reverse_neighbors(v, sem)
+            for v in range(1, cs.nu + 1) for sem in hub_semantics(cs.tau)}
+    indexes = {t_psi: build_index(cs, codec=codec, t_psi=t_psi) for t_psi in (1, 2, 3, 16, 64)}
+    cls = type(indexes[1].psi)
+    access, hops = cls.access, []
+    monkeypatch.setattr(cls, "access", lambda self, i: hops.append(i) or access(self, i))
+    shared = 0
+    for t_psi, idx in indexes.items():
+        n, vals = idx.n, idx.psi.values()
+        for (v, sem), answer in want.items():
+            lo, hi, zfloor = query._section3_window(idx, *sem.cuts())
+            hops.clear()
+            assert reverse_neighbors(idx, v, sem) == answer, (t_psi, v, sem)
+            if codec != "plain":
+                assert all(vals[y - 1] > zfloor for y in hops if 2 * n < y <= 3 * n), (t_psi, v, sem)
+            l, r = symbol_range(idx, idx.am.getmap(v, 2))
+            dead = [y for y in vals[l - 1:r].tolist() if lo <= y <= hi and vals[y - 1] <= zfloor]
+            shared += sum(int(idx.latest_end[idx.D.rank1(y) - idx.start_group0 - 1] > zfloor)
+                          for y in dead)
+    assert shared > 100, shared
+
+
+@pytest.mark.parametrize("codec", ALL_CODECS)
 def test_walked_starts_and_end_tests_reject_positions_outside_the_index(codec):
     # only a corrupted image hands these positions on: a target's
     # section-2 positions to the lead walk or its hop, and a start
