@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import ContactSet
+from .corpus import ContactSet, _packed_order
 from .psienc import vbyte_codes, vbyte_decode
 from .query import TimeSemantics, _check_event_time, _check_sem
 
@@ -181,7 +181,7 @@ class EdgeLogIndex:
 
         # edges in (u, v) order, and their sources in (v, u) order
         edge_u, edge_v = cs.u[starts], cs.v[starts]
-        order = np.lexsort((edge_u, edge_v))
+        order = _packed_order((edge_v, edge_u))
         vertices = np.arange(nu + 1)
         edge_base = np.searchsorted(edge_u, vertices, side="right")
         adj, adj_off = _dgap_lists(edge_v, edge_base)

@@ -15,6 +15,7 @@ in [1, sigma].
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -42,18 +43,34 @@ class ContactError(ValueError):
         self.reason = reason
 
 
+def _packed_order(columns) -> np.ndarray:
+    """The stable order that sorts rows by the columns, the first one
+    primary. The columns hold non-negative int64 values. They are packed
+    side by side into one int64 key, each as wide as its largest value,
+    and the key is argsorted stably; when those widths add up to more
+    than 63 bits, np.lexsort sorts the columns instead, in the same
+    order."""
+    widths = [int(col.max(initial=0)).bit_length() for col in columns]
+    if sum(widths) > 63:
+        return np.lexsort(columns[::-1])
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for col, w in zip(columns, widths):
+        key <<= w
+        key |= col
+    return np.argsort(key, kind="stable")
+
+
 class ContactSet:
     """Sorted multiset of contacts plus the universe sizes nu and tau.
 
     contacts is an iterable of arity-term rows or an (n, arity) integer
-    array. Contacts are kept lexicographically sorted; duplicates are
-    allowed. The sort is one stable argsort of a packed int64 key, the
-    terms u, v, ts (and te) side by side, each as wide as its column's
-    largest value; when those widths add up to more than 63 bits, as
-    terms near the 32-bit limit can, np.lexsort sorts the columns
-    instead, in the same order. nu and tau default to the largest
-    vertex / time actually seen but can be forced larger to embed a
-    graph in a wider universe.
+    array. Every term must be an integer in [1, 2**32 - 1], however it
+    is held (a float of integral value counts as that integer); a
+    ContactError names the first row that breaks this. Contacts are kept
+    lexicographically sorted, by _packed_order over u, v, ts (and te);
+    duplicates are allowed. nu and tau default to the largest vertex /
+    time actually seen but can be forced larger to embed a graph in a
+    wider universe.
     """
 
     def __init__(self, contacts, arity: int = 4, nu: int | None = None,
@@ -73,20 +90,34 @@ class ContactSet:
                                  f"not {contacts.ndim}")
             if len(contacts) and contacts.shape[1] != arity:
                 raise ContactError(0, f"expected {arity} terms, got {contacts.shape[1]}")
-            cols = contacts.astype(np.int64, copy=False).reshape(len(contacts), arity)
+            arr, rows = contacts, None
         else:
             rows = list(contacts)
             for i, c in enumerate(rows):
                 if len(c) != arity:
                     raise ContactError(i, f"expected {arity} terms, got {len(c)}")
-            cols = np.array(rows, dtype=np.int64).reshape(len(rows), arity)
-        if len(cols):
-            if cols.min() < 1:
-                bad = int(np.argmin(cols.min(axis=1)))
+            arr = np.array(rows)
+        if arr.dtype.kind not in "iuf":
+            # a term that is no number, or an integer past 64 bits, which
+            # numpy keeps as a Python object; the checks below compare those
+            rows = arr.tolist() if rows is None else rows
+            for i, row in enumerate(rows):
+                if not all(isinstance(t, numbers.Real) for t in row):
+                    raise ContactError(i, "term is not an integer")
+            arr = np.array(rows, dtype=object)
+        arr = arr.reshape(len(arr), arity)
+        if len(arr):
+            if arr.min() < 1:
+                bad = int(np.argmin(arr.min(axis=1)))
                 raise ContactError(bad, "terms must be >= 1")
-            if cols.max() > _LIMIT:
-                bad = int(np.argmax(cols.max(axis=1)))
+            if arr.max() > _LIMIT:
+                bad = int(np.argmax(arr.max(axis=1)))
                 raise ContactError(bad, "term exceeds the 32-bit id range")
+            if arr.dtype.kind in "fO":
+                fraction = (arr % 1 != 0).any(axis=1)  # NaN counts
+                if fraction.any():
+                    raise ContactError(int(np.argmax(fraction)), "term is not an integer")
+        cols = arr.astype(np.int64, copy=False)
 
         u, v, ts = cols[:, 0], cols[:, 1], cols[:, 2]
         te = cols[:, 3] if arity == 4 else None
@@ -106,16 +137,7 @@ class ContactSet:
             bad = int(np.argmax(ts >= te))
             raise ContactError(bad, f"empty interval (ts={int(ts[bad])}, te={int(te[bad])})")
 
-        terms = (u, v, ts, te)[:arity]
-        widths = [int(col.max(initial=0)).bit_length() for col in terms]
-        if sum(widths) <= 63:
-            key = np.zeros(len(cols), dtype=np.int64)
-            for col, w in zip(terms, widths):
-                key <<= w
-                key |= col
-            order = np.argsort(key, kind="stable")
-        else:
-            order = np.lexsort(terms[::-1])
+        order = _packed_order((u, v, ts, te)[:arity])
         self.u = u[order]
         self.v = v[order]
         self.ts = ts[order]

@@ -14,8 +14,12 @@ rotation opening at contact c+1 (cyclically). Rotations opening at
 contacts sort in contact order, except for degenerate repeated tails: a
 trailing run of equal contacts wraps onto the smaller first contact, so
 the run sorts in reverse, and when all contacts are equal every rotation
-ties. Each later block is therefore one stable sort by the contact's
-remaining ids, then by the rank of the next contact's rotation.
+ties. The later blocks then follow from the last one down, as in
+prefix-doubling suffix sorting: a rotation is its own id followed by
+the next rotation, so each block is one stable sort by two columns, the
+section's ids and the rank of the rotation that follows. That rank is
+the closed-form rank of the next contact's first rotation for the last
+block, and for every other block the position in the block just sorted.
 
 Psi[i] is the rank of the successor rotation of A[i]. Entries of the
 last section are then remapped with ((Psi[i] - 2) mod n) + 1 so that
@@ -31,12 +35,16 @@ import numpy as np
 
 from . import psienc, query
 from .bitseq import BitSequence
-from .corpus import AlphabetMap, ContactSet, build_sid
+from .corpus import AlphabetMap, ContactSet, _packed_order, build_sid
 
 
 def build_rotation_array(sid: np.ndarray, arity: int) -> np.ndarray:
     """The 1-based rotation array A: section 1 in contact order, the rest
     in rotation order with positional tie-breaks.
+
+    Sections are sorted from the last down to the second, each by its
+    ids, then by the rank of the rotation that follows, and each order is
+    inverted into the rank the section before it reads.
 
     sid must hold the contacts in sorted order, as build_sid gives them.
     """
@@ -60,13 +68,15 @@ def build_rotation_array(sid: np.ndarray, arity: int) -> np.ndarray:
         rank[t:] = rank[:t - 1:-1]
     else:
         rank = np.zeros(n, dtype=np.int64)
-    nxt = np.roll(rank, -1)
+    # a last-section rotation is followed by the next contact's first rotation
+    rank = np.roll(rank, -1)
     starts = np.arange(n, dtype=np.int64) * arity
     A = np.empty(total, dtype=np.int64)
     A[:n] = starts
-    for s in range(1, arity):
-        order = np.lexsort((nxt, *rows[:, s:].T[::-1]))
+    for s in range(arity - 1, 0, -1):
+        order = _packed_order((rows[:, s], rank))
         A[s * n:(s + 1) * n] = starts[order] + s
+        rank[order] = np.arange(n)
     return A + 1
 
 

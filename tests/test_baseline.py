@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from tgcsa.baseline import EdgeLogIndex, OracleIndex, OverlapError
@@ -72,6 +73,16 @@ def test_edgelog_matches_oracle_on_random_graphs():
         el = EdgeLogIndex.build(cs)
         orc = OracleIndex(cs)
         assert_same_answers(el, orc, rng)
+
+
+def test_edgelog_orders_sources_without_lexsort(monkeypatch):
+    rng = random.Random(77002)
+    graphs = [random_contactset(seed=rng.randrange(10**9), overlap=False) for _ in range(5)]
+    lexsort, calls = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    for cs in graphs:
+        assert_same_answers(EdgeLogIndex.build(cs), OracleIndex(cs), rng)
+    assert calls == []
 
 
 def test_edgelog_weak_snapshot_rejected():

@@ -303,9 +303,12 @@ def test_bad_contact_file_exits_1(tmp_path, capsys):
 
 def test_oversized_term_exits_1_with_its_line(tmp_path, capsys):
     p = tmp_path / "big.txt"
-    p.write_text("1 2 1 5\n1 2 1 4294967296\n")
-    assert main(["build", str(p), "-o", str(tmp_path / "x.tgx")]) == 1
-    assert "line 2: term exceeds the 32-bit id range" in capsys.readouterr().err
+    # terms past int64 too, which numpy cannot hold as int64
+    for big in (2 ** 32, 2 ** 63, 2 ** 70):
+        p.write_text(f"1 2 1 5\n{big} 1 1 2\n")
+        for args in (["build", str(p), "-o", str(tmp_path / "x.tgx")], ["stats", str(p)]):
+            assert main(args) == 1
+            assert "line 2: term exceeds the 32-bit id range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [["--nu", "1000000000000"],

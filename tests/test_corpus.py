@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from tgcsa.corpus import (AlphabetMap, Contact, ContactSet, build_sid,
+from tgcsa.corpus import (AlphabetMap, Contact, ContactError, ContactSet, build_sid,
                           load_contacts, parse_contacts, write_contacts)
 from conftest import G5_B_ONES, G5_CONTACTS, G5_SID
 
@@ -37,6 +37,8 @@ def test_parse_errors_carry_source_line_numbers():
         parse_contacts("1 2 1 5\n0 2 1 5\n")
     with pytest.raises(ValueError, match="line 3: term exceeds the 32-bit id range"):
         parse_contacts("1 2 1 5\n# note\n1 2 1 4294967296\n")
+    with pytest.raises(ValueError, match="line 2: term exceeds the 32-bit id range"):
+        parse_contacts("1 2 1 5\n9223372036854775808 1 1 2\n")
     # a file-like source is read once; its line numbers must survive
     with pytest.raises(ValueError, match="line 3: empty interval"):
         parse_contacts(io.StringIO("# c\n1 2 3 4\n5 6 7 2\n"))
@@ -46,6 +48,14 @@ def test_oversized_term_names_its_row():
     # rows are checked before sorting, so the index is the input row
     with pytest.raises(ValueError, match="contact 1: term exceeds the 32-bit id range"):
         ContactSet([(3, 1, 1, 2), (1, 2 ** 32, 1, 2)])
+    # however large: past int64, a list holds Python ints and numpy holds
+    # them as uint64 or as objects
+    for big, dtype in ((2 ** 63, np.uint64), (2 ** 64 - 1, np.uint64), (2 ** 70, object)):
+        rows = [(3, 1, 1, 2), (1, big, 1, 2)]
+        for contacts in (rows, np.array(rows, dtype=dtype)):
+            with pytest.raises(ContactError, match="contact 1: term exceeds") as info:
+                ContactSet(contacts)
+            assert info.value.row == 1
 
 
 def test_declared_universe_is_bounded_by_the_id_range():
@@ -103,6 +113,14 @@ def test_contactset_validation():
         ContactSet([(1, 2, 3)], arity=3, semantics="interval")
     with pytest.raises(ValueError, match="semantics 'point' not valid"):
         ContactSet([(1, 2, 3, 4)], semantics="point")
+    # a float of integral value is its integer; other floats and terms
+    # that are no number are refused with their row
+    assert ContactSet([(1.0, 2, 3, 4)]).tuples() == [(1, 2, 3, 4)]
+    for bad in (1.5, float("nan"), None, "1"):
+        with pytest.raises(ContactError, match="contact 1: term is not an integer"):
+            ContactSet([(1, 2, 3, 4), (bad, 2, 3, 4)])
+    with pytest.raises(ContactError, match="contact 0: term is not an integer"):
+        ContactSet(np.array([("1", "2", "3", "4")]))
 
 
 def test_array_input_matches_rows():
@@ -132,10 +150,15 @@ def test_array_input_matches_rows():
     ([(1, 2, 3), (2, 1, 5)], {}),                       # three columns at arity 4
     ([(1, 2, 1, 5), (4, 2, 1, 5)], dict(nu=3)),         # nu too small
     ([(1, 2, 1, 5), (3, 2, 1, 9)], dict(tau=8)),        # tau too small
+    ([(1, 2, 1, 5), (1.5, 2, 3, 4)], {}),               # a term that is no integer
+    ([(1, 2, 1, 5), (1, 2, 3, float("nan"))], {}),
+    ([(1, 2, 1, 5), (1, None, 3, 4)], {}),
+    ([(1, 2, 1, 5), (2 ** 63, 1, 1, 2)], {}),           # terms past int64
+    ([(1, 2, 1, 5), (1, 2 ** 70, 1, 2)], {}),
 ])
 def test_array_input_is_rejected_like_rows(rows, kw):
     errors = []
-    for contacts in (rows, np.array(rows, dtype=np.int64)):
+    for contacts in (rows, np.array(rows)):  # the array at its own dtype
         with pytest.raises(ValueError) as info:
             ContactSet(contacts, **kw)
         errors.append((type(info.value), str(info.value), getattr(info.value, "row", None)))

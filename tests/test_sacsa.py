@@ -131,6 +131,23 @@ def test_random_graphs_match_naive(subtests=None):
         assert [D.access(i) for i in range(1, len(D) + 1)] == nD, f"trial {trial}"
 
 
+def test_rotation_order_sorts_two_packed_columns(monkeypatch):
+    # each section after the first is sorted by its ids and the rank of
+    # the rotation that follows, one packed key, with no np.lexsort
+    rng = random.Random(501)
+    graphs = [random_contactset(seed=rng.randrange(10**9), duplicates=trial % 2 == 0)
+              for trial in range(10)]
+    graphs += [ContactSet([row[:arity] for row in REPEATS[case]], arity=arity)
+               for case in sorted(REPEATS) for arity in (3, 4)]
+    sids = [build_sid(cs, AlphabetMap.build(cs)) for cs in graphs]
+    lexsort, calls = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    for cs, sid in zip(graphs, sids):
+        A = build_rotation_array(sid, cs.arity)
+        assert A.tolist() == naive_rotation_array(list(sid), cs.arity)
+    assert calls == []
+
+
 def test_random_arity3_matches_naive():
     rng = random.Random(502)
     for trial in range(12):
