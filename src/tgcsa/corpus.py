@@ -96,7 +96,12 @@ class ContactSet:
             for i, c in enumerate(rows):
                 if len(c) != arity:
                     raise ContactError(i, f"expected {arity} terms, got {len(c)}")
-            arr = np.array(rows)
+            try:
+                arr = np.array(rows)
+            except ValueError:  # a term that is a sequence numpy cannot stack
+                arr = np.array([], dtype=object)
+            if rows and arr.ndim != 2:  # a term that is a sequence it could stack
+                arr = arr.astype(object)
         if arr.dtype.kind not in "iuf":
             # a term that is no number, or an integer past 64 bits, which
             # numpy keeps as a Python object; the checks below compare those

@@ -25,11 +25,13 @@ test is monotone along i's group, as it is in a start-time group for
 the right edge z of an end-time group: the same order that makes a
 start group's last value its latest end. The sampled codecs answer it
 from the sample that opens i's block when that is past z, or from the
-next sample of the group when that is at or below z, and otherwise walk
-from the block's sample to the first value past z, or to i. values()
-returns all of Psi as one int64 array, decoded with array operations.
-Positions outside 1..n raise ValueError. No decoder checks a value it
-decodes: the index's constructor proves all of values() (sacsa._prove).
+block's last value when that is at or below z, and otherwise walk from
+the block's sample to the first value past z, or to i. values() returns
+all of Psi as one int64 array, decoded with array operations; each
+sampled codec reads its whole stream once when it is constructed, and
+the first values() call reuses that read. Positions outside 1..n raise
+ValueError. No decoder checks a value it decodes: the index's
+constructor proves all of values() (sacsa._prove).
 
 The two sampled codecs share one block layout (_SampledPsi): a block
 opens at every group start and every t_psi positions inside a group,
@@ -38,8 +40,8 @@ the stream offset of the block's codes. Both follow one run rule: no +1
 run goes on past a sample, so every block's codes begin on a token.
 access finds a position's block with one bisect; stretch bisects the
 group's samples for x; range walks each group from the block that holds
-lo; exceeds reads the samples on either side of its position. Each
-codec decodes inside its blocks with its own loops.
+lo; exceeds reads its block's first and last values. Each codec
+decodes inside its blocks with its own loops.
 
 * plain: every value v as v - 1, in one table bit-packed at its minimum
   width after its count and width (_fixed_section, read back by
@@ -68,8 +70,10 @@ codec decodes inside its blocks with its own loops.
   values() accepts. Decoding looks each token up in a table indexed by
   the next few stream bits, built from the code lengths when the codec
   is built or loaded. access and the stretch walk each decode in one loop
-  with that lookup inline, and values() decodes every block at once,
-  one token per lane in each numpy step. The image stores the code
+  with that lookup inline, and the lockstep decode reads every block at
+  once, one token per lane in each numpy step. The constructor runs
+  that decode, so a stream that does not decode is never held, and
+  hands its result to the first values() call. The image stores the code
   lengths, the samples and the pointers bit-packed at their minimum
   widths, each after its count and width. A load takes each table only
   at its minimum width with zero padding, its pointers only in order
@@ -313,12 +317,13 @@ class _SampledPsi:
     to the next one. The table keeps, per block in position order, which
     is also stream order, the opening sample's position, value and
     stream offset; position n + 1 and the stream end close the position
-    and offset columns. No +1 run goes on past a sample, so a block's
-    codes begin on a token. Each codec decodes inside its blocks with its
-    own access and _walk loops; the lookups that pick a block are here,
-    once: _sample, _front (for stretch and lead), range's loop over
-    groups and exceeds, which reads one more column: whether each block
-    opens a group.
+    and offset columns. Each codec's constructor adds _bend, the value
+    at each block's last position, read off the decode of its stream
+    that the constructor makes anyway. No +1 run goes on past a sample,
+    so a block's codes begin on a token. Each codec decodes inside its
+    blocks with its own access and _walk loops; the lookups that pick a
+    block are here, once: _sample, _front (for stretch and lead),
+    range's loop over groups and exceeds, which reads _bend too.
     """
 
     def _set_blocks(self, D: BitSequence, t_psi: int, opens, starts, val, ptr, end: int):
@@ -326,7 +331,6 @@ class _SampledPsi:
         self._n = D.nbits
         self.t_psi = t_psi
         self._open = _i64_array(np.flatnonzero(opens))   # each group's first block
-        self._opens = bytes(np.append(opens, True))       # whether each block (or n + 1) opens a group
         self._bpos = _i64_array(np.append(starts, D.nbits + 1))
         self._bval = _u64_array(val)
         self._bptr = _i64_array(np.append(ptr, end))
@@ -421,17 +425,17 @@ class _SampledPsi:
         """Whether psi(i) > z, where psi > z never turns from true to
         false along i's group.
 
-        The sample that opens i's block settles it when it is past z, and
-        so does the next sample when it lies in the same group at or
-        below z; neither decodes. Otherwise one walk from the block's
-        sample ends at the first value past z, or at i.
+        A block lies in one group, so the sample that opens i's block
+        settles it when it is past z, and the block's last value when
+        that is at or below z; neither decodes. Otherwise one walk from
+        the block's sample ends at the first value past z, or at i.
         """
         if not 1 <= i <= self._n:
             raise _outside(i, i, self._n)
         b = bisect_right(self._bpos, i) - 1
         if self._bval[b] > z:
             return True
-        if not self._opens[b + 1] and self._bval[b + 1] <= z:
+        if self._bend[b] <= z:
             return False
         return self._walk(b, self._bpos[b], i, z + 1, z + 1, i)[0] <= i
 
@@ -455,7 +459,9 @@ class VbyteRlePsi(_SampledPsi):
     must fall where a token ends, which gives every block's offset, and
     the summed value changes give its value. It keeps the codes' steps
     and value changes only for the first values() call, the index's
-    proof, which would otherwise cut the stream again. It rejects a
+    proof, which would otherwise cut the stream again. The same sums
+    give each block's last value: the first token whose steps reach the
+    block's last position, less what a +1 run goes past it. It rejects a
     stream whose tokens do not end at every sample and give every group
     exactly its positions (so no run crosses a block start, and no code
     is missing or left over), a last code that does not end at the stream's last
@@ -520,12 +526,19 @@ class VbyteRlePsi(_SampledPsi):
         if np.any(C[k] != S):
             raise ValueError("vbyte run crosses a block start")
         s0 = np.asarray(s0, dtype=np.uint64).astype(np.int64)
-        val = (s0 - V[k[opens]])[groups - 1] + V[k]
+        base = (s0 - V[k[opens]])[groups - 1]              # psi at a token end of the group, less V
+        val = base + V[k]
         # samples up to bound keep access_many's sums in int64 (a sample
         # past it may be past int64 too, which would read as negative)
         if len(val) and (val.min() < 1 or val.max() > bound):
             raise ValueError(f"vbyte sample outside 1..{bound}")
         self._set_blocks(D, t_psi, opens, starts, val, np.append(0, ends[tok] + 1)[k], len(buf))
+        # the steps up to each block's last position: the first token end
+        # at or past it goes past only by a +1 run, whose value change is
+        # its step count
+        E = np.append(starts[1:], D.nbits + 1) - 1 - groups
+        j = np.searchsorted(C, E)
+        self._bend = _i64_array(base + V[j] - (C[j] - E))
         self._cut = steps, delta
 
     def values(self) -> np.ndarray:
@@ -908,7 +921,7 @@ class HuffRlePsi(_SampledPsi):
     17) stream bits (a 24-bit window holds 17 at any bit offset), it
     repeats each canonical code of length <= k, from prefix 0 upwards,
     over the 2**(k - length) prefixes that open with it, as a list of
-    entries for access and _walk and as entry ids for values(). An entry
+    entries for access and _walk and as entry ids for _lockstep. An entry
     holds the whole decoded token as (code length, steps, base delta,
     signed raw bit count): a run token advances its run length of +1
     steps, so its steps and delta are both that length; any other token
@@ -926,10 +939,12 @@ class HuffRlePsi(_SampledPsi):
     the next block's sample where it has decoded a block's last position.
 
     Neither loop checks its bit offset, the stream end or a run's end:
-    an index holds the codec only once values() has proved that each
-    block's tokens give exactly its positions up to the next block's
-    pointer, so no walk meets the IndexError, overrun or misalignment it
-    once checked for. Zero padding lets a window be read at the end.
+    the constructor decodes the whole stream in lockstep (_lockstep),
+    which proves that each block's tokens give exactly its positions up
+    to the next block's pointer, so no walk meets the IndexError, overrun
+    or misalignment it once checked for. Zero padding lets a window be
+    read at the end. That decode also gives each block's last value,
+    and the first values() call, the index's proof, takes it whole.
 
     build cuts the gaps into tokens with _tokens at the block starts,
     takes each escape's class from the exact bit length of its magnitude,
@@ -966,7 +981,7 @@ class HuffRlePsi(_SampledPsi):
         nraw = (k - 1).clip(0) * np.where(neg, -1, 1)
         code = np.stack((lens, run, base, nraw))
         self._entries = list(zip(*code.tolist()))
-        self._code = np.pad(code, ((0, 0), (1, 0)))  # for values(): id 0 is no code of up to k bits
+        self._code = np.pad(code, ((0, 0), (1, 0)))  # for _lockstep: id 0 is no code of up to k bits
         # a 24-bit window holds 17 bits at any bit offset
         self._k = width = min(len(first) - 1, 17)
         self._mask = (1 << width) - 1
@@ -978,6 +993,8 @@ class HuffRlePsi(_SampledPsi):
         for e, r in zip(self._entries, reps.tolist()):
             table += [e] * r
         self._table = table + [None] * ((1 << width) - len(table))
+        self._cut = vals = self._lockstep()
+        self._bend = _i64_array(vals[np.frombuffer(self._bpos, dtype=np.int64)[1:] - 2])
 
     @classmethod
     def build(cls, psi: np.ndarray, D: BitSequence, t_psi: int = 64) -> "HuffRlePsi":
@@ -989,7 +1006,7 @@ class HuffRlePsi(_SampledPsi):
         g = gap[first]
         if np.any(g == 0):
             raise ValueError("Huffman codec cannot code a gap of 0 inside a group")
-        bound = INT64_MAX // (len(psi) + 1)  # values() refuses a larger value change
+        bound = INT64_MAX // (len(psi) + 1)  # _lockstep refuses a larger value change
         if len(g) and np.abs(g).max() > bound:
             raise ValueError(f"Huffman gap magnitude past {bound}")
         esc = g > NSV + 1
@@ -1032,7 +1049,7 @@ class HuffRlePsi(_SampledPsi):
 
     def _long_code(self, pos: int) -> tuple:
         """The entry of a code longer than the table width. One that runs
-        past the stream is left to values(), which checks every pointer."""
+        past the stream is left to _lockstep, which checks every pointer."""
         first, count, offset = self._first, self._count, self._offset
         for ln in range(self._k + 1, len(first)):
             idx = self._peek(pos, ln) - first[ln]
@@ -1089,6 +1106,12 @@ class HuffRlePsi(_SampledPsi):
         return out
 
     def values(self) -> np.ndarray:
+        """All of Psi: the constructor's lockstep decode (on the first
+        call), or a new one."""
+        vals, self._cut = self._cut, None
+        return self._lockstep() if vals is None else vals
+
+    def _lockstep(self) -> np.ndarray:
         """All of Psi, decoded in lockstep: each numpy step decodes one
         token in every block with positions left, by the decode table's
         entry ids and a second window for up to 16 raw bits; a longer

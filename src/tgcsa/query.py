@@ -24,20 +24,17 @@ sample it starts at: the started contacts it passes take no hop.
 
 The same order makes each start-time group's last Psi value its latest
 end, which the index derives at arity 4 (latest_end). A group whose
-latest end lies by the end cut holds no live contact, so the pair and
-neighbour queries take no end hop for its contacts, and snapshot visits
-only the other groups, decoding in each only its live suffix with one
-stretch walk: it decodes exactly its live contacts. When no start group
-up to the start cut ends by the end cut, which the running minimum of
-latest_end tells in one lookup, the pair and neighbour queries leave
-the group test out, so contacts that outlast the cuts do not pay for
-it. The pair and both neighbour queries need no contact's end itself,
-only whether it lies past the end cut, and decide it with one end
-test, _end_test: the group test, then psi.exceeds, where by the same
-order the samples on either side of a start position settle most
-contacts with no decode. reverse_neighbors hops on to the end section
-only from the live contacts. The change queries, and snapshot at arity
-3, scan their window.
+latest end lies by the end cut holds no live contact, so snapshot
+visits only the other groups, decoding in each only its live suffix
+with one stretch walk: it decodes exactly its live contacts. The pair
+and both neighbour queries need no contact's end itself, only whether
+it lies past the end cut, and ask psi.exceeds. By the same order, the
+first and last values of the sample block that holds a start position
+settle most contacts with no decode; they settle every contact of a
+group whose latest end lies by the cut, since each of its blocks ends
+by it too. reverse_neighbors hops on to the end section only from the
+live contacts. The change queries, and snapshot at arity 3, scan their
+window.
 
 Positions are 1-based throughout, matching the bitmaps. Every time cut
 is the right edge of a time group (_cut), and a window is the stretch
@@ -234,30 +231,6 @@ def _edges(idx, pos1) -> list[tuple[int, int]]:
     return sorted(set(zip(u, v)))
 
 
-def _pruned_groups(idx, hi: int, zfloor: int) -> int:
-    """How many start groups up to position hi the group test must look
-    at: all of them when one has its latest end by zfloor, else 0, since
-    no end hop can then be skipped. One lookup in latest_end_min, so
-    that inputs whose contacts outlast the cuts do not pay for the test."""
-    k = idx.D.rank1(hi) - idx.start_group0
-    return k if k > 0 and idx.latest_end_min[k - 1] <= zfloor else 0
-
-
-def _end_test(idx, hi: int, zfloor: int):
-    """A function of the start-section position y of a contact started
-    by position hi: whether the contact ends past zfloor. It asks
-    psi.exceeds, which a start group allows, since Psi never decreases
-    along it and zfloor is the right edge of an end group; the samples
-    around y settle most contacts without a decode. It asks only when
-    y's start group's latest end lies past zfloor. y, at most hi and a
-    section-2 position's Psi value, lies in a start group (sacsa._prove)."""
-    exceeds = idx.psi.exceeds
-    if not _pruned_groups(idx, hi, zfloor):
-        return lambda y: exceeds(y, zfloor)
-    rank1, latest, first = idx.D.rank1, idx.latest_end, idx.start_group0 + 1
-    return lambda y: latest[rank1(y) - first] > zfloor and exceeds(y, zfloor)
-
-
 def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
                   zfloor) -> list[int]:
     """Section-2 groups among pos2 that hold a contact alive in the window.
@@ -266,7 +239,7 @@ def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
     section-1 group, in contact order, and groups the section-2 group of
     each: the positions of one target are adjacent, their groups ascend,
     and within a target their start times ascend. A target with one
-    contact takes one hop and, when there is an end cut, the end test.
+    contact takes one hop and, when there is an end cut, psi.exceeds.
     For more, one Psi walk over the span of its positions finds the
     first one that starts after the cut (psi.lead), and keeps the
     start-section positions it decoded on the way, from the sample
@@ -276,8 +249,7 @@ def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
     the test stops at the first live contact, or at the first contact
     that started before the lower cut (point semantics).
     """
-    access, lead = idx.psi.access, idx.psi.lead
-    ends_past = None  # the end test, made when a contact first needs it
+    access, lead, exceeds = idx.psi.access, idx.psi.lead, idx.psi.exceeds
     out = []
     j, m = 0, len(pos2)
     while j < m:
@@ -287,10 +259,7 @@ def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
             k += 1
         if k == j + 1:
             y = access(pos2[j])
-            live = lo <= y <= hi
-            if live and zfloor is not None:
-                ends_past = ends_past or _end_test(idx, hi, zfloor)
-                live = ends_past(y)
+            live = lo <= y <= hi and (zfloor is None or exceeds(y, zfloor))
         else:
             run = pos2[j:k]
             first, ys = lead(min(run), max(run), hi + 1)
@@ -302,10 +271,8 @@ def _live_targets(idx, pos2: list[int], groups: list[int], lo: int, hi: int,
                 y = ys[q - first] if q >= first else access(q)
                 if y < lo:
                     break
-                if zfloor is not None:
-                    ends_past = ends_past or _end_test(idx, hi, zfloor)
-                    if not ends_past(y):
-                        continue
+                if zfloor is not None and not exceeds(y, zfloor):
+                    continue
                 live = True
                 break
         if live:
@@ -339,8 +306,8 @@ def reverse_neighbors(idx, v: int, sem: TimeSemantics) -> list[int]:
 
     v's group is ordered by start time, so the contacts in the window
     are one stretch of it: one Psi walk finds its first position and
-    decodes it, before any hop. With an end cut, the end test of the
-    pair and direct queries picks the live contacts, and only they hop
+    decodes it, before any hop. With an end cut, psi.exceeds picks the
+    live contacts, as in the pair and direct queries, and only they hop
     on through the end section to their source."""
     if idx.n == 0:
         return []
@@ -356,8 +323,8 @@ def reverse_neighbors(idx, v: int, sem: TimeSemantics) -> list[int]:
     access = idx.psi.access
     at = idx.psi.stretch(*symbol_range(idx, c), lo, hi + 1)[1]  # start-section positions
     if zfloor is not None:  # only the live contacts hop on, to their end section
-        ends_past = _end_test(idx, hi, zfloor)
-        at = [access(y) for y in at if ends_past(y)]
+        exceeds = idx.psi.exceeds
+        at = [access(y) for y in at if exceeds(y, zfloor)]
     return sorted(set(_terms(idx, [access(p) for p in at], 1).tolist()))
 
 

@@ -122,9 +122,7 @@ class TgcsaIndex:
     group's latest end, which the proof put in the end section with no
     check of its own. start_group0 is the id of the group before the
     first start group (rank1 of 2n), so position y's start group is
-    latest_end[D.rank1(y) - start_group0 - 1]. latest_end_min is its
-    running minimum: whether any of the first k start groups ends by a
-    cut is one lookup.
+    latest_end[D.rank1(y) - start_group0 - 1].
     """
 
     kind = "tgcsa"
@@ -143,7 +141,6 @@ class TgcsaIndex:
             if self.arity == 4:  # the proof put a mark at 3n + 1
                 a = self.start_group0 = D.rank1(2 * n)
                 self.latest_end = vals[D.positions()[a + 1:D.rank1(3 * n) + 1] - 2]
-        self.latest_end_min = np.minimum.accumulate(self.latest_end)
 
     @property
     def nu(self) -> int:

@@ -121,6 +121,13 @@ def test_contactset_validation():
             ContactSet([(1, 2, 3, 4), (bad, 2, 3, 4)])
     with pytest.raises(ContactError, match="contact 0: term is not an integer"):
         ContactSet(np.array([("1", "2", "3", "4")]))
+    # terms that are sequences, which numpy would stack into a third
+    # dimension or refuse as ragged
+    for rows in ([((1,), (2,), (3,), (4,))], [([1], 2, 3, 4)]):
+        with pytest.raises(ContactError, match="contact 0: term is not an integer") as info:
+            ContactSet(rows)
+        assert info.value.row == 0
+    assert len(ContactSet([])) == 0
 
 
 def test_array_input_matches_rows():

@@ -324,20 +324,21 @@ def long_code_calls(monkeypatch) -> list[int]:
 def test_huffman_long_codes_and_escapes_match_plain(t, monkeypatch):
     # three levels more than the pinned sequence: the longest code (18
     # bits at t_psi 64, 19 at 256) is longer than the decode table is
-    # wide, so access, range and values() each take _long_code; the
-    # samples every t_psi take some of the rarest gaps out of the stream
+    # wide, so the constructor's decode, access and range each take
+    # _long_code; the samples every t_psi take some of the rarest gaps
+    # out of the stream
     psi, D = long_code_sequence(23)
     n = len(psi)
     plain = psienc.encode(psi, D, codec="plain")
+    calls = long_code_calls(monkeypatch)
     enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
+    assert calls
     lengths = np.frombuffer(enc._lengths_u8, dtype=np.uint8)
     pos_esc = t + psienc.NSV
     neg_esc = pos_esc + psienc.ESC_CLASSES
     assert lengths.max() > enc._k
     assert lengths[pos_esc:neg_esc].any() and lengths[neg_esc:].any()
-    calls = long_code_calls(monkeypatch)
     assert enc.values().tolist() == plain.range(1, n)
-    assert calls
     calls.clear()
     assert enc.range(1, n) == plain.range(1, n)
     assert calls
@@ -482,11 +483,15 @@ def test_encoders_match_loop_reference():
     # random graphs with duplicate contacts, at both arities, and the
     # crafted sequences, against loops that write one token at a time;
     # the vbyte tables are the ones the constructor derives from the
-    # stream, and a load derives them again from the image
+    # stream, and a load derives them again from the image. Both codecs'
+    # constructors read off Psi at every block's last position, on build
+    # and on load
     inputs = [psi_and_d(cs) for cs in search_graphs()] + [crafted_sequence(),
                                                          long_code_sequence()]
     for psi, D in inputs:
         for t in (1, 2, 3, 7, 64):
+            ends = np.append(psienc._blocks(D, t)[1][1:], len(psi) + 1) - 1
+            block_ends = psi[ends - 1].tolist()
             enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=t)
             stream, tables = loop_vbyte(psi, D, t)
             assert enc._stream == stream
@@ -494,6 +499,7 @@ def test_encoders_match_loop_reference():
                     for name in ("s0", "ptr0", "s1", "ptr1")] == list(tables)
             back = psienc.from_sections(enc.tag, enc.to_sections(), D, t)
             assert all(np.array_equal(a, b) for a, b in zip(back._columns(), enc._columns()))
+            assert enc._bend.tolist() == back._bend.tolist() == block_ends
             enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
             lengths_u8, bits, samples, ptrs = loop_huffman(psi, D, t)
             assert enc._lengths_u8 == lengths_u8
@@ -501,6 +507,8 @@ def test_encoders_match_loop_reference():
             assert huffman_tables(enc)[1:] == [samples, ptrs]
             padded = bits + "0" * (-len(bits) % 8)
             assert enc._stream == int("1" + padded, 2).to_bytes(len(padded) // 8 + 1, "big")[1:]
+            back = psienc.from_sections(enc.tag, enc.to_sections(), D, t)
+            assert enc._bend.tolist() == back._bend.tolist() == block_ends
 
 
 def packed_section(vals, width=None, pad=False):
@@ -623,33 +631,16 @@ def with_slack(enc, k, z):
 
 def test_huffman_values_reject_slack_between_blocks():
     # zero bits between two blocks' codes, with every later pointer moved
-    # to match, load; access reads each block from its own pointer and
-    # still answers, but values() finds the codes before the slack ending
-    # short of the next pointer, so no index holds such a stream and no
-    # walk meets it
+    # to match: the constructor's decode finds the codes before the slack
+    # ending short of the next pointer, so no codec holds such a stream
+    # and no walk meets it
     crafted = crafted_sequence()
     graph = psi_and_d(search_graphs()[0])
     for (psi, D), t in ((crafted, 64), (crafted, 3), (graph, 2), (graph, 64)):
         enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=t)
-        n = len(psi)
-        bpos = np.frombuffer(enc._bpos, dtype=np.int64)
-        want = psi.tolist()
-        for k in range(1, len(bpos) - 1):
-            bad = psienc.from_sections(enc.tag, with_slack(enc, k, 5), D, t)
-            assert [bad.access(i) for i in range(1, n + 1)] == want
+        for k in range(1, len(enc._bpos) - 1):
             with pytest.raises(ValueError, match="do not end with it, at the next pointer"):
-                bad.values()
-            assert bad.range(bpos[k], n) == want[bpos[k] - 1:]
-
-
-def decode_calls(enc, i):
-    """Every entry point asked for position i, each from a walk that
-    has to decode it: access, range, stretch seeking past every value
-    and collecting every value, and access_many alone and with the
-    position before it (so through range)."""
-    return [lambda: enc.access(i), lambda: enc.range(1, i),
-            lambda: enc.stretch(1, i, 2**70, 2**70), lambda: enc.stretch(1, i, 0, 2**70),
-            lambda: enc.access_many([i]), lambda: enc.access_many([i - 1, i])]
+                psienc.from_sections(enc.tag, with_slack(enc, k, 5), D, t)
 
 
 def one_group(n):
@@ -659,50 +650,34 @@ def one_group(n):
 
 def test_huffman_decode_stops_at_bad_codes_and_the_stream_end():
     # run symbols 0 and 1 coded 0 and 10: the prefix 11 is unassigned
-    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xff", 8, one_group(4), 4)
-    for call in decode_calls(enc, 2) + [enc.values]:
-        with pytest.raises(ValueError, match="corrupt Huffman stream"):
-            call()
-    # each stream below ends before its block's positions do: values()
-    # rejects it, so no index holds it and no walk reads past its end
-    ends_short = "do not end with it, at the next pointer"
-    # eight codes 10 (runs of 2) fill the stream; a ninth token would start at its end
-    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xaa", 16, one_group(64), 64)
-    assert enc.access(17) == 17 and enc.range(1, 17) == list(range(1, 18))
-    assert enc.stretch(1, 17, 18, 18)[0] == 18 and enc.access_many([16, 17]).tolist() == [16, 17]
-    with pytest.raises(ValueError, match=ends_short):
-        enc.values()
-    with pytest.raises(ValueError, match="outside"):
-        enc.access(65)
-    # six runs of 2 in 12 bits: the four zero bits after them are no codes
-    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xaa\xa0", 12, one_group(64), 64)
-    assert enc.range(1, 13) == list(range(1, 14))
-    with pytest.raises(ValueError, match=ends_short):
-        enc.values()
-    # 1-bit codes would run on past the zero padding behind the stream
-    enc = psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\x00", 8, one_group(1000), 1000)
-    assert enc.access(9) == 9
-    with pytest.raises(ValueError, match=ends_short):
-        enc.values()
+    with pytest.raises(ValueError, match="corrupt Huffman stream"):
+        psienc.HuffRlePsi(bytes([1, 2]), [1], [0], b"\xff", 8, one_group(4), 4)
     # run symbol 0 coded 0 and the positive escape class 20 coded 1: the
     # escape's 19 raw bits run past the 8-bit stream
     t = 4
     lengths = bytearray(t + psienc.NSV + 21)
     lengths[0] = lengths[-1] = 1
-    enc = psienc.HuffRlePsi(bytes(lengths), [1], [0], b"\x20", 8, one_group(t), t)
-    assert enc.range(1, 3) == [1, 2, 3]
-    with pytest.raises(ValueError, match=ends_short):
-        enc.values()
+    # each stream ends before its block's positions do: the constructor's
+    # decode rejects it, so no codec holds it and no walk reads past its end
+    for args in (
+            # eight codes 10 (runs of 2) fill the stream; a ninth token
+            # would start at its end
+            (bytes([1, 2]), [1], [0], b"\xaa\xaa", 16, one_group(64), 64),
+            # six runs of 2 in 12 bits: the four zero bits after them are no codes
+            (bytes([1, 2]), [1], [0], b"\xaa\xa0", 12, one_group(64), 64),
+            # 1-bit codes would run on past the zero padding behind the stream
+            (bytes([1, 2]), [1], [0], b"\x00", 8, one_group(1000), 1000),
+            (bytes(lengths), [1], [0], b"\x20", 8, one_group(t), t)):
+        with pytest.raises(ValueError, match="do not end with it, at the next pointer"):
+            psienc.HuffRlePsi(*args)
 
 
 def test_huffman_values_reject_a_run_past_its_block():
     # one group 1..8 at t_psi 4: blocks open at 1 and 5. Run symbols 0 and
     # 3 (runs of 1 and 4) are coded 0 and 1; block 1's codes are one run
     # of 4, which would step over block 2's sample at 5
-    enc = psienc.HuffRlePsi(bytes([1, 0, 0, 1]), [1, 5], [0, 1], b"\x80", 4, one_group(8), 4)
-    assert [enc.access(i) for i in range(1, 9)] == list(range(1, 9))
     with pytest.raises(ValueError, match="do not end with it, at the next pointer"):
-        enc.values()
+        psienc.HuffRlePsi(bytes([1, 0, 0, 1]), [1, 5], [0, 1], b"\x80", 4, one_group(8), 4)
 
 
 def search_graphs():
@@ -1330,11 +1305,11 @@ def test_exceeds_and_lead_match_brute_force(codec):
 
 @pytest.mark.parametrize("codec", CODECS)
 def test_exceeds_decodes_only_what_the_samples_leave_open(codec, monkeypatch):
-    # a block whose sample is past z, or whose next sample in the same
-    # group is at or below z, decodes nothing; any other block takes one
-    # walk from its sample, and no access. Samples exactly at z, the next
-    # sample exactly at z, and a next group whose first sample is at or
-    # below z while psi(i) is past it all occur.
+    # a block lies in one group, so one whose sample is past z, or whose
+    # last value is at or below z, decodes nothing; any other block takes
+    # one walk from its sample, and no access. Samples exactly at z, last
+    # values exactly at z, and a group's last block settled by its last
+    # value all occur.
     cls = type(psienc.encode(*g5_psi_d(), codec=codec, t_psi=4))
     walks, hops = [], []
     walk, access = cls._walk, cls.access
@@ -1347,22 +1322,21 @@ def test_exceeds_decodes_only_what_the_samples_leave_open(codec, monkeypatch):
         for t in (1, 2, 3, 16, 64):
             enc = psienc.encode(psi, D, codec=codec, t_psi=t)
             opens, starts = psienc._blocks(D, t)
-            opens, starts = opens.tolist() + [True], starts.tolist()
+            opens, starts = opens.tolist() + [True], starts.tolist() + [len(psi) + 1]
             for l, r, zs in monotone_groups(cs, psi, D):
                 for i in range(l, r + 1):
                     b = bisect.bisect_right(starts, i) - 1
-                    here = want[starts[b] - 1]
-                    nxt = want[starts[b + 1] - 1] if b + 1 < len(starts) else None
+                    here, last = want[starts[b] - 1], want[starts[b + 1] - 2]
                     for z in zs:
                         walks.clear()
                         hops.clear()
                         assert enc.exceeds(i, z) == (want[i - 1] > z)
-                        settled = here > z or (not opens[b + 1] and nxt <= z)
+                        settled = here > z or last <= z
                         assert hops == [] and len(walks) == (not settled), (t, i, z)
                         seen["sample at z"] += here == z
-                        seen["next sample in the group at z"] += not opens[b + 1] and nxt == z
-                        seen["next group's sample at or below z"] += (
-                            opens[b + 1] and nxt is not None and nxt <= z < want[i - 1])
+                        seen["last value at z"] += last == z
+                        seen["a group's last block settled by its last value"] += (
+                            opens[b + 1] and here <= z and last <= z)
                         seen["walked"] += not settled
     assert len(seen) == 4 and min(seen.values()) > 10, seen
 
