@@ -169,6 +169,8 @@ def cmd_query(args) -> int:
 def _bench_workload(idx, count: int, seed: int):
     rng = XorShift64Star(seed)
     nu, tau = idx.nu, idx.tau
+    if not (nu and tau):
+        raise ValueError("the index has no vertices or times to draw bench queries from")
 
     def vertex():
         return rng.randint(1, nu)

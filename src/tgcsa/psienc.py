@@ -28,10 +28,12 @@ from the sample that opens i's block when that is past z, or from the
 block's last value when that is at or below z, and otherwise walk from
 the block's sample to the first value past z, or to i. values() returns
 all of Psi as one int64 array, decoded with array operations; each
-sampled codec reads its whole stream once when it is constructed, and
-the first values() call reuses that read. Positions outside 1..n raise
-ValueError. No decoder checks a value it decodes: the index's
-constructor proves all of values() (sacsa._prove).
+sampled codec decodes its whole stream once when it is constructed,
+reads its block ends off that array, and hands it to the first values()
+call (_SampledPsi._keep), which the index's proof makes; a later call
+decodes again. Positions outside 1..n raise ValueError. No decoder
+checks a value it decodes: the index's constructor proves all of
+values() (sacsa._prove).
 
 The two sampled codecs share one block layout (_SampledPsi): a block
 opens at every group start and every t_psi positions inside a group,
@@ -56,12 +58,13 @@ decodes inside its blocks with its own loops.
   codec's eight other sections are reserved and stay empty. Every other
   sample's value and stream offset follows from the stream, given D and
   t_psi. Build and load both derive them in the one constructor, which
-  decodes the whole stream with the batch decoder's code cut and rejects
-  a stream whose tokens do not end at every sample and give every group
-  exactly its positions, a marker with no payload, a run length or
-  magnitude of 0, a code that could sum past int64, and a sample
-  outside 1 up to the bound that keeps those sums inside int64. Tag 2,
-  an earlier variant without the off0 and off1 slots, is retired.
+  decodes the whole stream with the batch decoder's code cut, reads the
+  samples off that decode, and rejects a stream whose tokens do not end
+  at every sample and give every group exactly its positions, a marker
+  with no payload, a run length or magnitude of 0, a code that could
+  sum past int64, and a sample outside 1 up to the bound that keeps
+  those sums inside int64. Tag 2, an earlier variant without the off0
+  and off1 slots, is retired.
 * huff-rle-opt: Huffman-codes run lengths, small literal gaps, and
   escape classes for everything else into a single bitstream, which
   codes only the positions between samples: +1 runs are cut at every
@@ -72,16 +75,17 @@ decodes inside its blocks with its own loops.
   is built or loaded. access and the stretch walk each decode in one loop
   with that lookup inline, and the lockstep decode reads every block at
   once, one token per lane in each numpy step. The constructor runs
-  that decode, so a stream that does not decode is never held, and
-  hands its result to the first values() call. The image stores the code
-  lengths, the samples and the pointers bit-packed at their minimum
-  widths, each after its count and width. A load takes each table only
-  at its minimum width with zero padding, its pointers only in order
-  and inside the stream, and a stream only when it is exactly the bytes
-  its bit count needs and every bit after the count is zero. The
-  paper's Huffman Psi samples every t_psi positions over all of Psi;
-  sampling per group makes each group start free, so a hop decodes
-  from the later of the two.
+  that decode, so a stream that does not decode is never held. The
+  codec holds its stream once, zero-padded, and the table once, as
+  entries; the lockstep decode builds its id table for each call. The
+  image stores the code lengths, the samples and the pointers
+  bit-packed at their minimum widths, each after its count and width. A
+  load takes each table only at its minimum width with zero padding,
+  its pointers only in order and inside the stream, and a stream only
+  when it is exactly the bytes its bit count needs and every bit after
+  the count is zero. The paper's Huffman Psi samples every t_psi
+  positions over all of Psi; sampling per group makes each group start
+  free, so a hop decodes from the later of the two.
 
 Byte codes use 7-bit little-endian groups with the high bit set on the
 final byte only, so 5 encodes as 0x85 and 135 as 0x07 0x81. vbyte_codes
@@ -317,13 +321,17 @@ class _SampledPsi:
     to the next one. The table keeps, per block in position order, which
     is also stream order, the opening sample's position, value and
     stream offset; position n + 1 and the stream end close the position
-    and offset columns. Each codec's constructor adds _bend, the value
-    at each block's last position, read off the decode of its stream
-    that the constructor makes anyway. No +1 run goes on past a sample,
-    so a block's codes begin on a token. Each codec decodes inside its
-    blocks with its own access and _walk loops; the lookups that pick a
-    block are here, once: _sample, _front (for stretch and lead),
-    range's loop over groups and exceeds, which reads _bend too.
+    and offset columns. No +1 run goes on past a sample, so a block's
+    codes begin on a token.
+
+    Each codec's constructor decodes its whole stream once, with array
+    operations, and hands the result to _keep: that sets _bend, the
+    value at each block's last position, and holds the array for the
+    first values() call, the index's proof. Later calls decode again
+    through the codec's _decode. Each codec decodes inside its blocks
+    with its own access and _walk loops; the lookups that pick a block
+    are here, once: _sample, _front (for stretch and lead), range's loop
+    over groups and exceeds, which reads _bend too.
     """
 
     def _set_blocks(self, D: BitSequence, t_psi: int, opens, starts, val, ptr, end: int):
@@ -334,6 +342,18 @@ class _SampledPsi:
         self._bpos = _i64_array(np.append(starts, D.nbits + 1))
         self._bval = _u64_array(val)
         self._bptr = _i64_array(np.append(ptr, end))
+
+    def _keep(self, vals: np.ndarray):
+        """Take the constructor's decode of all of Psi: each block's last
+        value from it, and the array itself for the first values() call."""
+        self._bend = _i64_array(vals[np.frombuffer(self._bpos, dtype=np.int64)[1:] - 2])
+        self._decoded = vals
+
+    def values(self) -> np.ndarray:
+        """All of Psi as one int64 array: the constructor's decode on the
+        first call, a new one (_decode) on any later call."""
+        vals, self._decoded = self._decoded, None
+        return self._decode() if vals is None else vals
 
     def __len__(self):
         return self._n
@@ -456,17 +476,16 @@ class VbyteRlePsi(_SampledPsi):
     The constructor takes the stream and s0 alone, and build and load
     both go through it. It cuts the whole stream with _codes, the code
     cut access_many shares, and sums the tokens' steps: every sample
-    must fall where a token ends, which gives every block's offset, and
-    the summed value changes give its value. It keeps the codes' steps
-    and value changes only for the first values() call, the index's
-    proof, which would otherwise cut the stream again. The same sums
-    give each block's last value: the first token whose steps reach the
-    block's last position, less what a +1 run goes past it. It rejects a
-    stream whose tokens do not end at every sample and give every group
-    exactly its positions (so no run crosses a block start, and no code
-    is missing or left over), a last code that does not end at the stream's last
-    byte, a marker with no payload, a run length or magnitude of 0, and
-    a sample outside 1.._bound. No pointer is stored, so slack in the
+    must fall where a token ends, which gives every block's offset.
+    Then it expands the codes into all of Psi (_expand) and reads every
+    block's value off that array; _keep takes each block's last value
+    from it too, and holds it for the first values() call, the index's
+    proof. It rejects a stream whose tokens do not end at every sample
+    and give every group exactly its positions (so no run crosses a
+    block start, and no code is missing or left over), a last code that
+    does not end at the stream's last byte, a marker with no payload, a
+    run length or magnitude of 0, and a sample outside 1.._bound, all
+    before it sets the block table. No pointer is stored, so slack in the
     stream cannot make a walk disagree with access. The image's first
     Psi section holds s0, bit-packed at its minimum width
     (_fixed_section), and then the stream; one section rather than two,
@@ -513,40 +532,29 @@ class VbyteRlePsi(_SampledPsi):
         tok[marker] = False                                # every other code ends a token
         if np.any(delta[tok] == 0):
             raise ValueError("vbyte run length or magnitude of 0")
-        # at every token end: the steps so far, and the sum of the value changes
-        C = np.append(0, steps[tok].cumsum())
-        V = np.append(0, delta[tok].cumsum())
+        C = np.append(0, steps[tok].cumsum())              # the steps up to every token end
         if C[-1] != D.nbits - D.ones:
             raise ValueError(f"vbyte stream codes {C[-1]} steps, "
                              f"the groups hold {D.nbits - D.ones}")
         opens, starts = _blocks(D, t_psi)
-        groups = opens.cumsum()                            # each block's group, from 1
-        S = starts - groups                                # the steps up to each sample
+        S = starts - opens.cumsum()                        # the steps up to each sample
         k = np.searchsorted(C, S)                          # the token that ends there
         if np.any(C[k] != S):
             raise ValueError("vbyte run crosses a block start")
         s0 = np.asarray(s0, dtype=np.uint64).astype(np.int64)
-        base = (s0 - V[k[opens]])[groups - 1]              # psi at a token end of the group, less V
-        val = base + V[k]
+        vals = _expand(steps, delta, D.positions(), s0, D.nbits)
+        val = vals[starts - 1]
         # samples up to bound keep access_many's sums in int64 (a sample
         # past it may be past int64 too, which would read as negative)
         if len(val) and (val.min() < 1 or val.max() > bound):
             raise ValueError(f"vbyte sample outside 1..{bound}")
         self._set_blocks(D, t_psi, opens, starts, val, np.append(0, ends[tok] + 1)[k], len(buf))
-        # the steps up to each block's last position: the first token end
-        # at or past it goes past only by a +1 run, whose value change is
-        # its step count
-        E = np.append(starts[1:], D.nbits + 1) - 1 - groups
-        j = np.searchsorted(C, E)
-        self._bend = _i64_array(base + V[j] - (C[j] - E))
-        self._cut = steps, delta
+        self._keep(vals)
 
-    def values(self) -> np.ndarray:
-        """All of Psi: the stream's codes, as the constructor cut them (on
-        the first call) or cut again, summed from each group's sample; a
-        marker takes no step."""
-        cut, self._cut = self._cut, None
-        steps, delta = cut or self._codes(self._bytes, self._bytes >= 0x80, [0])[3:]
+    def _decode(self) -> np.ndarray:
+        """All of Psi: the stream's codes cut again and summed from each
+        group's sample; a marker takes no step."""
+        steps, delta = self._codes(self._bytes, self._bytes >= 0x80, [0])[3:]
         return _expand(steps, delta, self._D.positions(), self._s0().astype(np.int64), self._n)
 
     def _codes(self, buf: np.ndarray, term: np.ndarray, at) -> tuple[np.ndarray, ...]:
@@ -796,10 +804,12 @@ def _blocks(D: BitSequence, t_psi: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _expand(steps, delta, starts, firsts, n: int) -> np.ndarray:
     """Psi from firsts, its values at starts, and the tokens of the other
-    positions in order (one of several steps is a +1 run): one cumsum."""
+    positions in order (one of several steps is a +1 run): one cumsum, in
+    the array it returns."""
     d = np.repeat(np.where(steps > 1, 1, delta), steps)
-    c = np.insert(d, starts - 1 - np.arange(len(starts)), 0).cumsum()
-    return c + np.repeat(firsts - c[starts - 1], np.diff(np.append(starts, n + 1)))
+    c = np.insert(d, starts - 1 - np.arange(len(starts)), 0)
+    c.cumsum(out=c)
+    return np.add(c, np.repeat(firsts - c[starts - 1], np.diff(np.append(starts, n + 1))), out=c)
 
 
 def _vbyte_stream(psi: np.ndarray, D: BitSequence, t_psi: int) -> bytes:
@@ -921,7 +931,8 @@ class HuffRlePsi(_SampledPsi):
     17) stream bits (a 24-bit window holds 17 at any bit offset), it
     repeats each canonical code of length <= k, from prefix 0 upwards,
     over the 2**(k - length) prefixes that open with it, as a list of
-    entries for access and _walk and as entry ids for _lockstep. An entry
+    entries for access and _walk. _lockstep builds the same table as
+    entry ids for each call, from the entries' columns. An entry
     holds the whole decoded token as (code length, steps, base delta,
     signed raw bit count): a run token advances its run length of +1
     steps, so its steps and delta are both that length; any other token
@@ -943,8 +954,10 @@ class HuffRlePsi(_SampledPsi):
     which proves that each block's tokens give exactly its positions up
     to the next block's pointer, so no walk meets the IndexError, overrun
     or misalignment it once checked for. Zero padding lets a window be
-    read at the end. That decode also gives each block's last value,
-    and the first values() call, the index's proof, takes it whole.
+    read at the end; the padded bytes are the codec's one copy of its
+    stream, and to_sections cuts the stream from them. _keep takes each
+    block's last value from that decode, and holds it for the first
+    values() call, the index's proof.
 
     build cuts the gaps into tokens with _tokens at the block starts,
     takes each escape's class from the exact bit length of its magnitude,
@@ -962,10 +975,9 @@ class HuffRlePsi(_SampledPsi):
     def __init__(self, lengths_u8: bytes, samples, ptrs, stream: bytes,
                  stream_bits: int, D: BitSequence, t_psi: int):
         self._lengths_u8 = bytes(lengths_u8)
-        self._stream = bytes(stream)
         self._stream_bits = stream_bits
         # zero padding: a window read at the stream end needs no check
-        self._padded = self._stream + bytes(16)
+        self._padded = bytes(stream) + bytes(16)
         opens, starts = _blocks(D, t_psi)
         self._set_blocks(D, t_psi, opens, starts, samples, ptrs, stream_bits)
         syms, lens, first, count, offset = _canonical_code(self._lengths_u8)
@@ -981,20 +993,20 @@ class HuffRlePsi(_SampledPsi):
         nraw = (k - 1).clip(0) * np.where(neg, -1, 1)
         code = np.stack((lens, run, base, nraw))
         self._entries = list(zip(*code.tolist()))
-        self._code = np.pad(code, ((0, 0), (1, 0)))  # for _lockstep: id 0 is no code of up to k bits
         # a 24-bit window holds 17 bits at any bit offset
         self._k = width = min(len(first) - 1, 17)
         self._mask = (1 << width) - 1
         self._first, self._count, self._offset = first, count, offset
-        reps = 1 << (width - lens[:sum(count[1:width + 1])])
-        self._ids = np.zeros(1 << width, dtype=np.int64)
-        self._ids[:reps.sum()] = np.repeat(np.arange(1, len(reps) + 1), reps)
         table = []
-        for e, r in zip(self._entries, reps.tolist()):
+        for e, r in zip(self._entries, self._reps(lens).tolist()):
             table += [e] * r
         self._table = table + [None] * ((1 << width) - len(table))
-        self._cut = vals = self._lockstep()
-        self._bend = _i64_array(vals[np.frombuffer(self._bpos, dtype=np.int64)[1:] - 2])
+        self._keep(self._lockstep(code))
+
+    def _reps(self, lens: np.ndarray) -> np.ndarray:
+        """How many prefixes of the decode table each code of up to _k bits
+        opens, in canonical order: the codes sort by length first."""
+        return 1 << (self._k - lens[lens <= self._k])
 
     @classmethod
     def build(cls, psi: np.ndarray, D: BitSequence, t_psi: int = 64) -> "HuffRlePsi":
@@ -1105,24 +1117,26 @@ class HuffRlePsi(_SampledPsi):
         out[order] = vals  # values() proved them inside 1..n, so inside int64
         return out
 
-    def values(self) -> np.ndarray:
-        """All of Psi: the constructor's lockstep decode (on the first
-        call), or a new one."""
-        vals, self._cut = self._cut, None
-        return self._lockstep() if vals is None else vals
+    def _decode(self) -> np.ndarray:
+        """All of Psi: _lockstep again, on the entries' columns."""
+        return self._lockstep(np.array(self._entries, dtype=np.int64).reshape(-1, 4).T)
 
-    def _lockstep(self) -> np.ndarray:
-        """All of Psi, decoded in lockstep: each numpy step decodes one
-        token in every block with positions left, by the decode table's
-        entry ids and a second window for up to 16 raw bits; a longer
-        code or escape goes through _long_code one block at a time.
-        ValueError, before any sum, on an unassigned code, a value change
-        past INT64_MAX // (n + 1), or a block whose tokens do not end at
-        the next pointer."""
+    def _lockstep(self, code: np.ndarray) -> np.ndarray:
+        """All of Psi, decoded in lockstep from code, the entries' four
+        columns in canonical order: each numpy step decodes one token in
+        every block with positions left, through an id table that repeats
+        each entry's id as the decode table repeats the entry (id 0 is no
+        code of up to _k bits), and a second window for up to 16 raw bits;
+        a longer code or escape goes through _long_code one block at a
+        time. ValueError, before any sum, on an unassigned code, a value
+        change past INT64_MAX // (n + 1), or a block whose tokens do not
+        end at the next pointer."""
         n, bound = self._n, INT64_MAX // (self._n + 1)
         bpos, bval, bptr = self._columns()
-        k, mask, ids = self._k, self._mask, self._ids
-        lens, run, base, nraw = self._code
+        k, mask, reps = self._k, self._mask, self._reps(code[0])
+        ids = np.zeros(1 << k, dtype=np.int64)
+        ids[:reps.sum()] = np.repeat(np.arange(1, len(reps) + 1), reps)
+        lens, run, base, nraw = np.pad(code, ((0, 0), (1, 0)))
         P = np.frombuffer(self._padded, dtype=np.uint8).astype(np.int64)
         W = P[:-2] << 16 | P[1:-1] << 8 | P[2:]
         lane, pos, end, left = np.arange(len(bval)), bptr[:-1], bptr[1:], np.diff(bpos) - 1
@@ -1233,7 +1247,7 @@ class HuffRlePsi(_SampledPsi):
 
     def to_sections(self) -> list[bytes]:
         return [*map(_fixed_section, self._tables()),
-                struct.pack("<Q", self._stream_bits) + self._stream]
+                struct.pack("<Q", self._stream_bits) + self._padded[:-16]]
 
     @classmethod
     def from_sections(cls, sections, D: BitSequence, t_psi: int) -> "HuffRlePsi":

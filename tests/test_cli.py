@@ -194,6 +194,20 @@ def test_bench_accepts_no_warmup(g5_built, capsys):
     assert "threads" not in rows
 
 
+@pytest.mark.parametrize("engine", ["tgcsa", "edgelog"])
+def test_bench_on_an_empty_index_exits_1(tmp_path, capsys, engine):
+    # an empty contact file builds an index with nu = tau = 0: bench has
+    # nothing to draw its queries from, and says so in one line
+    src, image = tmp_path / "empty.txt", tmp_path / "empty.tgx"
+    src.write_text("")
+    assert main(["build", str(src), "-o", str(image), "--engine", engine]) == 0
+    capsys.readouterr()
+    assert main(["bench", str(image), "--count", "3", "--repeat", "1", "--warmup", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "tgcsa: the index has no vertices or times to draw bench queries from\n"
+
+
 def test_build_t_psi_out_of_range_exits_1(g5_file, tmp_path, capsys):
     out = tmp_path / "x.tgx"
     assert main(["build", str(g5_file), "-o", str(out), "--t-psi", "70000"]) == 1

@@ -506,7 +506,7 @@ def test_encoders_match_loop_reference():
             assert enc._stream_bits == len(bits)
             assert huffman_tables(enc)[1:] == [samples, ptrs]
             padded = bits + "0" * (-len(bits) % 8)
-            assert enc._stream == int("1" + padded, 2).to_bytes(len(padded) // 8 + 1, "big")[1:]
+            assert huffman_stream(enc) == int("1" + padded, 2).to_bytes(len(padded) // 8 + 1, "big")[1:]
             back = psienc.from_sections(enc.tag, enc.to_sections(), D, t)
             assert enc._bend.tolist() == back._bend.tolist() == block_ends
 
@@ -536,7 +536,7 @@ def huffman_sections(forge=lambda enc: {}):
     enc = psienc.encode(psi, D, codec="huff-rle-opt", t_psi=64)
     _, samples, ptrs = enc._tables()
     parts = dict(codebook=enc._lengths_u8, samples=samples, ptrs=ptrs,
-                 stream_bits=enc._stream_bits, stream=enc._stream)
+                 stream_bits=enc._stream_bits, stream=huffman_stream(enc))
     parts.update(forge(enc))
     tables = (np.frombuffer(parts["codebook"], dtype=np.uint8), parts["samples"], parts["ptrs"])
     sections = [parts.get(f"{name}-section") or packed_section(table)
@@ -548,6 +548,12 @@ def huffman_sections(forge=lambda enc: {}):
 def huffman_tables(enc):
     """The encoding's code lengths, samples and pointers as lists."""
     return [a.tolist() for a in enc._tables()]
+
+
+def huffman_stream(enc):
+    """The encoding's stream bytes, as its last section holds them after
+    the bit count."""
+    return enc.to_sections()[-1][8:]
 
 
 def test_huffman_sections_load_back():
@@ -564,10 +570,10 @@ def test_huffman_sections_load_back():
                     + b"\x01"), "outside the alphabet"),
     (lambda p: dict(samples=huffman_tables(p)[1][:-1]), "samples and pointers"),
     (lambda p: dict(ptrs=huffman_tables(p)[2] + [0]), "samples and pointers"),
-    (lambda p: dict(stream_bits=8 * len(p._stream) + 1), "shorter than its bit count"),
-    (lambda p: dict(stream=p._stream + b"\x00"), "bytes past its bit count"),
+    (lambda p: dict(stream_bits=8 * len(huffman_stream(p)) + 1), "shorter than its bit count"),
+    (lambda p: dict(stream=huffman_stream(p) + b"\x00"), "bytes past its bit count"),
     # 85 stream bits: the last byte's three low bits are padding
-    (lambda p: dict(stream=p._stream[:-1] + bytes([p._stream[-1] | 1])),
+    (lambda p: dict(stream=huffman_stream(p)[:-1] + bytes([huffman_stream(p)[-1] | 1])),
      "bits past its bit count"),
     (lambda p: dict(ptrs=huffman_tables(p)[2][::-1]), "out of order"),
     (lambda p: dict(ptrs=huffman_tables(p)[2][:-1] + [p._stream_bits + 1]), "past the stream"),
@@ -618,7 +624,7 @@ def with_slack(enc, k, z):
     """enc's sections with z zero bits inserted in the stream where block
     k's codes begin, and the pointers of block k on moved past them."""
     lengths, samples, ptrs = enc._tables()
-    bits = "".join(f"{b:08b}" for b in enc._stream)[:enc._stream_bits]
+    bits = "".join(f"{b:08b}" for b in huffman_stream(enc))[:enc._stream_bits]
     at = int(ptrs[k])
     bits = bits[:at] + "0" * z + bits[at:]
     ptrs = ptrs.copy()
@@ -1017,17 +1023,25 @@ def test_vbyte_load_derives_the_table_of_any_valid_stream():
         vbyte_image(codes(2), [3, 1, 2], BitSequence.from_positions([1, 2, 3], 3), 1)
 
 
-def test_vbyte_index_keeps_no_cut_of_the_stream():
-    # the constructor's cut serves the first values(), which is the
-    # index's proof; a built or loaded index then holds the stream alone
+@pytest.mark.parametrize("codec", ["vbyte-rle", "huff-rle-opt"])
+def test_sampled_index_keeps_no_decode_of_the_stream(codec):
+    # the constructor's decode serves the first values(), which is the
+    # index's proof; a built or loaded index then holds no decoded array,
+    # and the Huffman codec holds its stream once, padded, and no ndarray
+    # at all; a later values() decodes again
     cs = random_contactset(seed=31, duplicates=True)
     psi, D = psi_and_d(cs)
-    enc = psienc.encode(psi, D, codec="vbyte-rle", t_psi=4)
+    enc = psienc.encode(psi, D, codec=codec, t_psi=4)
     assert enc.values().tolist() == enc.values().tolist() == psi.tolist()
-    idx = build_index(cs, codec="vbyte-rle", t_psi=4)
+    idx = build_index(cs, codec=codec, t_psi=4)
     for held in (idx.psi, deserialize_index(serialize_index(idx)).psi):
         arrays = [k for k, v in vars(held).items() if isinstance(v, (np.ndarray, tuple))]
-        assert arrays == ["_bytes"]
+        assert arrays == (["_bytes"] if codec == "vbyte-rle" else [])
+        assert held._decoded is None
+        if codec == "huff-rle-opt":
+            stream = huffman_stream(held)
+            assert [k for k, v in vars(held).items() if isinstance(v, bytes)
+                    and stream in v] == ["_padded"]
         assert held.values().tolist() == psi.tolist()
 
 
